@@ -16,7 +16,7 @@ import numpy as np
 
 from .correlation import autocorr_pointset, autocorr_symbolic
 from .delone import PointSet1D, cluster_frequency, enumerate_k_clusters
-from .errors import DiffspecError
+from .errors import DiffspecError, OutOfRange
 from .factors import BlockMap, apply_block_map, verify_factor_equivariance
 from .modelset import (
     FourierModuleElement,
@@ -275,6 +275,8 @@ def cmd_modelset(args) -> int:
         ps = PointSet1D.parse(Path(args.infile).read_text())
     else:
         ps = silver_mean_chain(args.points)
+    if ps.extent <= 0:
+        raise OutOfRange(f"a sample of {len(ps)} point(s) has zero extent")
 
     if args.inflate:
         _write_out(args, inflate_factor(ps).serialize())

@@ -1,10 +1,10 @@
 """Finite samples of one-dimensional point sets with finite local complexity.
 
 A sample is a strictly increasing list of coordinates with complex
-weights.  Coordinates may carry exact representations (any hashable
-objects supporting subtraction and float conversion); when they do, the
-cluster operations below compare patterns exactly instead of through a
-float merge tolerance.
+weights.  Coordinates may carry exact representations in Z[sqrt(2)]: an
+int64 array of shape (n, 2) whose row (a, b) stands for a + b sqrt(2).
+When they do, the cluster operations below compare patterns exactly
+instead of through a float merge tolerance.
 
 A K-cluster of a point x is the pattern (Lambda - x) within [-K, K].
 The locator set of a cluster collects every point showing that exact
@@ -15,22 +15,37 @@ point-set geometry to the correlation and diffraction machinery.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInterior, EmptyPointSet, IncompatibleCluster
+from .errors import EmptyInterior, EmptyPointSet, IncompatibleCluster, MalformedInput
 
 MERGE_TOL = 1e-9
+SQRT2 = math.sqrt(2.0)
+
+
+def exact_coords(exact: np.ndarray) -> np.ndarray:
+    """Float values a + b sqrt(2) of exact rows (a, b).
+
+    The same two roundings as float(QuadraticInt(a, b)), so the result
+    is bit-identical to converting point by point.
+    """
+    return exact[:, 0].astype(np.float64) + exact[:, 1].astype(np.float64) * SQRT2
 
 
 @dataclass
 class PointSet1D:
-    """Sorted, weighted points; optionally with exact coordinates."""
+    """Sorted, weighted points; optionally with exact coordinates.
+
+    exact, when given, is an int64 array of shape (n, 2) holding the
+    pair (a, b) of each point a + b sqrt(2).
+    """
 
     coords: np.ndarray
     weights: np.ndarray | None = None
-    exact: list | None = None
+    exact: np.ndarray | None = None
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=float)
@@ -44,8 +59,10 @@ class PointSet1D:
             self.weights = np.asarray(self.weights, dtype=np.complex128)
             if self.weights.shape != self.coords.shape:
                 raise ValueError("one weight per point required")
-        if self.exact is not None and len(self.exact) != len(self.coords):
-            raise ValueError("one exact coordinate per point required")
+        if self.exact is not None:
+            self.exact = np.asarray(self.exact, dtype=np.int64)
+            if self.exact.shape != (len(self.coords), 2):
+                raise ValueError("one exact (a, b) pair per point required")
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -86,39 +103,48 @@ class PointSet1D:
         pr = self.packing_radius
         pr_s = "inf" if np.isinf(pr) else f"{pr:.12g}"
         buf.write(f"pointset {mode} packing_radius {pr_s}\n")
-        for i in range(len(self.coords)):
-            w = self.weights[i]
-            if self.exact is not None:
-                a, b = self.exact[i].a, self.exact[i].b
-                buf.write(f"{a} {b} {w.real:.12g} {w.imag:.12g}\n")
-            else:
-                buf.write(f"{self.coords[i]:.12g} {w.real:.12g} {w.imag:.12g}\n")
+        lead = self.exact.tolist() if self.exact is not None else self.coords.tolist()
+        for x, w in zip(lead, self.weights.tolist()):
+            x_s = f"{x[0]} {x[1]}" if self.exact is not None else f"{x:.12g}"
+            buf.write(f"{x_s} {w.real:.12g} {w.imag:.12g}\n")
         return buf.getvalue()
 
     @classmethod
     def parse(cls, text: str) -> "PointSet1D":
-        from .modelset import QuadraticInt
-
+        """Read the serialize() format; MalformedInput on any bad line."""
         lines = [ln.strip() for ln in text.splitlines()]
         lines = [ln for ln in lines if ln and not ln.startswith("#")]
-        if not lines or not lines[0].startswith("pointset"):
-            raise ValueError("point set file must start with a pointset header")
-        mode = lines[0].split()[1]
+        head = lines[0].split() if lines else []
+        if not head or head[0] != "pointset":
+            raise MalformedInput("point set file must start with a pointset header")
+        if len(head) < 2 or head[1] not in ("exact", "float"):
+            raise MalformedInput("pointset header needs mode 'exact' or 'float'")
+        exact_mode = head[1] == "exact"
+        n_fields = 4 if exact_mode else 3
+        rows: list[list[int]] = []
         coords: list[float] = []
         weights: list[complex] = []
-        exact: list | None = [] if mode == "exact" else None
         for ln in lines[1:]:
             parts = ln.split()
-            if mode == "exact":
-                a, b, wr, wi = int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])
-                q = QuadraticInt(a, b)
-                exact.append(q)
-                coords.append(float(q))
-            else:
-                coords.append(float(parts[0]))
-                wr, wi = float(parts[1]), float(parts[2])
-            weights.append(complex(wr, wi))
-        return cls(np.array(coords), np.array(weights), exact)
+            if len(parts) != n_fields:
+                raise MalformedInput(
+                    f"{head[1]} point line {ln!r} needs {n_fields} fields, got {len(parts)}"
+                )
+            try:
+                if exact_mode:
+                    rows.append([int(parts[0]), int(parts[1])])
+                else:
+                    coords.append(float(parts[0]))
+                weights.append(complex(float(parts[-2]), float(parts[-1])))
+            except ValueError as exc:
+                raise MalformedInput(f"bad number in point line {ln!r}") from exc
+        if not exact_mode:
+            return cls(np.array(coords), np.array(weights))
+        try:
+            exact = np.array(rows, dtype=np.int64).reshape(-1, 2)
+        except OverflowError as exc:
+            raise MalformedInput("exact coordinate outside the int64 range") from exc
+        return cls(exact_coords(exact), np.array(weights), exact)
 
 
 @dataclass(frozen=True)
@@ -159,6 +185,16 @@ def _offsets_at(ps: PointSet1D, i: int, k_radius: float) -> tuple[np.ndarray, sl
     return x[lo:hi] - x[i], slice(lo, hi)
 
 
+def _exact_key(ex: list, i: int, sl: slice) -> tuple[tuple[int, int], ...]:
+    """Exact offsets of the points in sl from point i, as (a, b) pairs.
+
+    ex is the exact array as nested Python lists: building tuples of
+    Python ints is cheaper here than slicing numpy rows point by point.
+    """
+    a0, b0 = ex[i]
+    return tuple((a - a0, b - b0) for a, b in ex[sl])
+
+
 def _canonical_key(offsets: np.ndarray, merged: np.ndarray) -> tuple[int, ...]:
     idx = np.searchsorted(merged, offsets)
     idx = np.clip(idx, 0, len(merged) - 1)
@@ -180,16 +216,20 @@ def enumerate_k_clusters(
     """
     idx = _interior_indices(ps, k_radius)
     if ps.exact is not None:
+        from .modelset import QuadraticInt
+
+        ex = ps.exact.tolist()
         table: dict[tuple, tuple[Cluster, int]] = {}
         for i in idx:
             offs, sl = _offsets_at(ps, int(i), k_radius)
-            exact = tuple(ps.exact[j] - ps.exact[int(i)] for j in range(sl.start, sl.stop))
-            if exact in table:
-                c, n = table[exact]
-                table[exact] = (c, n + 1)
+            key = _exact_key(ex, int(i), sl)
+            if key in table:
+                c, n = table[key]
+                table[key] = (c, n + 1)
             else:
+                exact = tuple(QuadraticInt(a, b) for a, b in key)
                 c = Cluster(k_radius, tuple(float(z) for z in offs), exact)
-                table[exact] = (c, 1)
+                table[key] = (c, 1)
         return sorted(table.values(), key=lambda cn: cn[0].offsets)
 
     all_offs: list[np.ndarray] = []
@@ -224,22 +264,22 @@ def locator_set(ps: PointSet1D, cluster: Cluster) -> PointSet1D:
     want = np.asarray(cluster.offsets)
     hits: list[int] = []
     if ps.exact is not None and cluster.exact_offsets is not None:
-        want_exact = cluster.exact_offsets
+        ex = ps.exact.tolist()
+        want_exact = tuple((q.a, q.b) for q in cluster.exact_offsets)
         for i in idx:
             offs, sl = _offsets_at(ps, int(i), k_radius)
             if sl.stop - sl.start != len(want_exact):
                 continue
-            exact = tuple(ps.exact[j] - ps.exact[int(i)] for j in range(sl.start, sl.stop))
-            if exact == want_exact:
+            if _exact_key(ex, int(i), sl) == want_exact:
                 hits.append(int(i))
     else:
         for i in idx:
             offs, _ = _offsets_at(ps, int(i), k_radius)
             if len(offs) == len(want) and np.all(np.abs(offs - want) <= MERGE_TOL):
                 hits.append(int(i))
-    coords = ps.coords[hits]
-    exact = [ps.exact[i] for i in hits] if ps.exact is not None else None
-    return PointSet1D(coords, np.ones(len(hits), dtype=np.complex128), exact)
+    sel = np.asarray(hits, dtype=np.intp)
+    exact = ps.exact[sel] if ps.exact is not None else None
+    return PointSet1D(ps.coords[sel], np.ones(len(sel), dtype=np.complex128), exact)
 
 
 @dataclass

@@ -59,3 +59,7 @@ class IncompatibleCluster(DiffspecError):
 
 class NotSilverMean(DiffspecError):
     """The point set lacks the exact coordinates this operation needs."""
+
+
+class MalformedInput(DiffspecError, ValueError):
+    """A text input does not follow its file format."""

@@ -3,29 +3,35 @@
 The chain is generated by the tile substitution long -> long long short,
 short -> long with tile lengths lambda = 1 + sqrt(2) and 1.  All
 coordinates live in Z[sqrt(2)] and are kept as exact integer pairs
-(a, b) <-> a + b sqrt(2).  Bragg peak positions live in the Fourier
+(a, b) <-> a + b sqrt(2): PointSet1D.exact is an int64 array of shape
+(n, 2) with one row per point.  Bragg peak positions live in the Fourier
 module (sqrt(2)/4) Z[sqrt(2)]; their exponential sums are evaluated with
 phases reduced exactly: the rational half-integer part by integer
-parity, the irrational part in extended precision before a single float
-multiplication.  This keeps extinctions clean at sample sizes where
-naively multiplied float phases would drown them in rounding noise.
+parity, the irrational part m sqrt(2)/4 in 64-bit fixed point, where
+uint64 multiplication by the top 64 fractional bits of sqrt(2)/4 wraps
+exactly modulo 1 and a float term carries the remaining bits.  The
+reduction is accurate to a few 1e-16 on every platform and keeps
+extinctions clean at sample sizes where naively multiplied float phases
+would drown them in rounding noise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import total_ordering
 
 import numpy as np
 
-from .delone import PointSet1D
+from .delone import SQRT2, PointSet1D, exact_coords
 from .errors import NotSilverMean, OutOfRange
 
-SQRT2 = math.sqrt(2.0)
-
-# sqrt(2)/4 to more digits than extended precision keeps
-_SQRT2_OVER_4 = np.longdouble("0.353553390593273762200422181052424519642417968844237018294170")
+# sqrt(2)/4 = (_Q + _EPS) / 2^64: _Q holds its first 64 fractional bits
+# and _EPS (in [0, 1)) the rest, both from 50-digit arithmetic
+_Q = np.uint64(0x5A827999FCEF3242)
+_EPS = 0.17478590312625418
+# |m| and |b c + a d| stay below this, so no int64 product or sum wraps
+_INT_LIMIT = 2**62
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @total_ordering
@@ -76,8 +82,6 @@ class QuadraticInt:
         return f"{self.a}+{self.b}r2"
 
 
-ZERO = QuadraticInt(0, 0)
-ONE = QuadraticInt(1, 0)
 LAMBDA = QuadraticInt(1, 1)  # the silver mean 1 + sqrt(2)
 LAMBDA_SQ = LAMBDA * LAMBDA  # 3 + 2 sqrt(2)
 
@@ -124,43 +128,115 @@ def silver_mean_chain(n_points: int) -> PointSet1D:
     """
     if n_points < 1:
         raise ValueError("need at least one point")
-    word = [0]  # 0 = long, 1 = short
+    word = np.zeros(1, dtype=np.int8)  # 0 = long, 1 = short
     while len(word) < n_points:
-        nxt: list[int] = []
-        for t in word:
-            nxt.extend((0, 0, 1) if t == 0 else (0,))
+        long = word == 0
+        ends = np.cumsum(np.where(long, 3, 1))
+        nxt = np.zeros(int(ends[-1]), dtype=np.int8)
+        nxt[ends[long] - 1] = 1  # the short tile closing each long image
         word = nxt
-    word = word[: n_points - 1]
-    exact = [ZERO]
-    for t in word:
-        exact.append(exact[-1] + (LAMBDA if t == 0 else ONE))
-    coords = np.array([float(q) for q in exact])
-    return PointSet1D(coords, np.ones(n_points, dtype=np.complex128), exact)
+    # gap vectors: lambda = (1, 1), 1 = (1, 0)
+    gaps = np.ones((n_points - 1, 2), dtype=np.int64)
+    gaps[:, 1] = word[: n_points - 1] == 0
+    exact = np.zeros((n_points, 2), dtype=np.int64)
+    np.cumsum(gaps, axis=0, out=exact[1:])
+    return PointSet1D(exact_coords(exact), np.ones(n_points, dtype=np.complex128), exact)
 
 
-def _exact_arrays(ps: PointSet1D) -> tuple[np.ndarray, np.ndarray]:
-    if ps.exact is None:
-        raise NotSilverMean("operation needs exact coordinates")
-    c = np.fromiter((q.a for q in ps.exact), dtype=np.int64, count=len(ps.exact))
-    d = np.fromiter((q.b for q in ps.exact), dtype=np.int64, count=len(ps.exact))
-    return c, d
+def _phase_reducer(exact: np.ndarray):
+    """k -> fractional parts of k x for the exact points x = c + d sqrt(2).
+
+    k x = (b c + a d)/2 + m sqrt(2)/4 with m = a c + 2 b d.  The first
+    term is a half-integer reduced by parity.  For the second,
+    m sqrt(2)/4 = m (_Q + _EPS) / 2^64: the uint64 product m _Q wraps
+    exactly modulo 2^64, which is the reduction modulo 1, and m _EPS / 2^64
+    is a float term below 0.05.  Raises OutOfRange when k is so large
+    that the integer sums could leave +-2^62.
+    """
+    c = np.ascontiguousarray(exact[:, 0])
+    d = np.ascontiguousarray(exact[:, 1])
+    c_max = max(1, -int(c.min()), int(c.max())) if len(c) else 1
+    d_max = max(1, -int(d.min()), int(d.max())) if len(d) else 1
+
+    def phases(k: FourierModuleElement) -> np.ndarray:
+        a, b = k.a, k.b
+        if (
+            abs(a) * c_max + 2 * abs(b) * d_max >= _INT_LIMIT
+            or abs(b) * c_max + abs(a) * d_max >= _INT_LIMIT
+        ):
+            raise OutOfRange(f"k = {k} too large for exact phases of these coordinates")
+        half = ((b * c + a * d) & 1) * 0.5  # & 1 is the parity for negatives too
+        m = a * c + 2 * b * d
+        frac = (m.view(np.uint64) * _Q).astype(np.float64) * 2.0**-64
+        frac += m * (_EPS * 2.0**-64)
+        frac += half
+        frac -= np.floor(frac)
+        # a phase just below an integer can round up to 1.0, which is 0
+        # on the circle; the largest double below 1 is as close
+        return np.minimum(frac, _BELOW_ONE, out=frac)
+
+    return phases
 
 
 def exact_phases(ps: PointSet1D, k: FourierModuleElement) -> np.ndarray:
     """Fractional parts of k * x for every exact point x = c + d sqrt(2).
 
-    k x = (b c + a d)/2 + ((a c + 2 b d)/4) sqrt(2): the first term is a
-    half-integer reduced by parity; the second is reduced in extended
-    precision so the result is accurate to ~1e-13 even at coordinates
-    of order 1e5.
+    Exact up to a few 1e-16 on the circle at any coordinate size the
+    int64 pairs hold (see _phase_reducer).
     """
-    c, d = _exact_arrays(ps)
-    a, b = k.a, k.b
-    half = ((b * c + a * d) % 2).astype(np.float64) * 0.5
-    m = a * c + 2 * b * d
-    irr = m.astype(np.longdouble) * _SQRT2_OVER_4
-    frac = (irr - np.floor(irr)).astype(np.float64)
-    return (half + frac) % 1.0
+    if ps.exact is None:
+        raise NotSilverMean("operation needs exact coordinates")
+    return _phase_reducer(ps.exact)(k)
+
+
+def block_sums(terms: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Sums of terms[starts[j]:stops[j]] for every j, from one reduction.
+
+    terms must run from the first start to the last stop.  The block
+    ends cut it into segments, each summed once (pairwise, like np.sum),
+    and every block adds up its few segments; nested blocks of all
+    sizes thus cost one pass over the largest.
+    """
+    cuts = np.unique(np.concatenate([starts, stops]))
+    seg = np.add.reduceat(terms, cuts[:-1])
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    return cum[np.searchsorted(cuts, stops)] - cum[np.searchsorted(cuts, starts)]
+
+
+def intensity_profile_at(ps: PointSet1D, radii):
+    """The evaluator k -> normalized intensities at every radius in radii.
+
+    The window of radius R holds the points in [x_0, x_0 + 2R], anchored
+    at the left end of the sample (the chains here grow rightward from
+    0), so the windows are nested prefixes: each k costs one exponential
+    sum over the largest window, read at every radius.  Exact phase
+    reduction is used when both the point set and k are exact.
+    """
+    if len(ps) == 0:
+        raise OutOfRange("empty point set")
+    radii = np.asarray(radii, dtype=float)
+    extent = ps.extent
+    if 2 * radii.max() > extent + 1e-9:
+        raise OutOfRange(f"2R = {2 * radii.max():g} exceeds extent {extent:g}")
+    if radii.min() <= 0:
+        raise OutOfRange(f"radius {radii.min():g} is not positive (extent {extent:g})")
+    x = ps.coords
+    stops = np.searchsorted(x, x[0] + 2 * radii + 1e-9, side="right")
+    n = int(stops.max())
+    x, w = x[:n], ps.weights[:n]
+    starts = np.zeros_like(stops)
+    norm = (2 * radii) ** 2
+    exact_phases_of = _phase_reducer(ps.exact[:n]) if ps.exact is not None else None
+
+    def profile(k: "FourierModuleElement | float") -> np.ndarray:
+        if isinstance(k, FourierModuleElement) and exact_phases_of is not None:
+            arg = -2j * np.pi * exact_phases_of(k)
+        else:
+            kv = k.value if isinstance(k, FourierModuleElement) else float(k)
+            arg = -2j * np.pi * kv * x
+        return np.abs(block_sums(w * np.exp(arg), starts, stops)) ** 2 / norm
+
+    return profile
 
 
 def intensity_at(
@@ -169,43 +245,23 @@ def intensity_at(
     """Normalized intensity |sum_x w_x e^{-2 pi i k x}|^2 / (2R)^2.
 
     The sum runs over the points within a window of length 2R anchored
-    at the left end of the sample (the chains here grow rightward from
-    0); radius None uses the whole sample.  Exact phase reduction is
-    used when both the point set and k are exact.
+    at the left end of the sample; radius None uses the whole sample.
+    The one-radius case of intensity_profile_at.
     """
-    if len(ps) == 0:
-        raise OutOfRange("empty point set")
-    extent = ps.extent
-    if radius is None:
-        radius = extent / 2.0
-        sub = ps
-    else:
-        if 2 * radius > extent + 1e-9:
-            raise OutOfRange(f"2R = {2 * radius:g} exceeds extent {extent:g}")
-        sub = ps.restrict(ps.coords[0] - 1e-9, ps.coords[0] + 2 * radius + 1e-9)
-    if isinstance(k, FourierModuleElement) and sub.exact is not None:
-        phases = exact_phases(sub, k)
-        s = np.sum(sub.weights * np.exp(-2j * np.pi * phases))
-    else:
-        kv = k.value if isinstance(k, FourierModuleElement) else float(k)
-        s = np.sum(sub.weights * np.exp(-2j * np.pi * kv * sub.coords))
-    return float(abs(s) ** 2) / (2 * radius) ** 2
+    r = ps.extent / 2.0 if radius is None else radius
+    return float(intensity_profile_at(ps, [r])(k)[0])
 
 
 def _gap_kinds(ps: PointSet1D) -> np.ndarray:
     """0 for a lambda gap, 1 for a unit gap; NotSilverMean otherwise."""
     if ps.exact is None:
         raise NotSilverMean("gap classification needs exact coordinates")
-    kinds = np.empty(len(ps.exact) - 1, dtype=np.int8)
-    for i in range(len(ps.exact) - 1):
-        g = ps.exact[i + 1] - ps.exact[i]
-        if g == LAMBDA:
-            kinds[i] = 0
-        elif g == ONE:
-            kinds[i] = 1
-        else:
-            raise NotSilverMean(f"gap {g} is neither 1 nor lambda")
-    return kinds
+    g = np.diff(ps.exact, axis=0)
+    bad = (g[:, 0] != 1) | ((g[:, 1] != 0) & (g[:, 1] != 1))
+    if bad.any():
+        a, b = g[int(np.argmax(bad))].tolist()
+        raise NotSilverMean(f"gap {QuadraticInt(a, b)} is neither 1 nor lambda")
+    return (1 - g[:, 1]).astype(np.int8)
 
 
 def inflate_factor(ps: PointSet1D) -> PointSet1D:
@@ -217,10 +273,8 @@ def inflate_factor(ps: PointSet1D) -> PointSet1D:
     trailing points whose forward gaps the sample cannot classify).
     """
     kinds = _gap_kinds(ps)
-    keep = [i for i in range(len(kinds) - 1) if kinds[i] == 0 and kinds[i + 1] == 0]
-    coords = ps.coords[keep]
-    exact = [ps.exact[i] for i in keep]
-    return PointSet1D(coords, np.ones(len(keep), dtype=np.complex128), exact)
+    keep = np.flatnonzero((kinds[:-1] == 0) & (kinds[1:] == 0))
+    return PointSet1D(ps.coords[keep], np.ones(len(keep), dtype=np.complex128), ps.exact[keep])
 
 
 def weighted_silver_comb(

@@ -33,34 +33,61 @@ from .errors import (
     OutOfRange,
     ZeroMass,
 )
-from .modelset import FourierModuleElement, intensity_at
+from .modelset import FourierModuleElement, block_sums, intensity_profile_at
 from .subshift import SymbolicWindow
 
 
-def intensity_symbolic(window: SymbolicWindow, k: float, n_sites: int) -> float:
-    """I_N(k) over a block of n_sites letters.
+def intensity_profile_symbolic(window: SymbolicWindow, sizes):
+    """The evaluator k -> I_N(k) for every block size N in sizes.
 
-    The block starts at the index origin when the window allows, so
+    A block starts at the index origin when the window allows, so
     doubling N extends a substitution-aligned sample; it slides left
-    only when the right half is too short.
+    only when the right half is too short.  Every block lies inside the
+    largest, so each k costs one exponential sum over that block, read
+    at each size's own start and end.
     """
-    if n_sites < 1 or n_sites > len(window):
-        raise OutOfRange(f"N = {n_sites} outside window of {len(window)} sites")
-    start = max(window.lo, min(0, window.hi - n_sites + 1))
-    idx = np.arange(start, start + n_sites)
-    vals = window.values()[start - window.lo : start - window.lo + n_sites]
-    s = np.sum(vals * np.exp(-2j * np.pi * k * idx))
-    return float(abs(s) ** 2) / n_sites**2
+    sizes = np.asarray(sizes, dtype=np.int64)
+    for n in (sizes.min(), sizes.max()):
+        if n < 1 or n > len(window):
+            raise OutOfRange(f"N = {n} outside window of {len(window)} sites")
+    starts = np.maximum(window.lo, np.minimum(0, window.hi - sizes + 1))
+    lo = int(starts.min())
+    hi = int((starts + sizes).max())
+    idx = np.arange(lo, hi)
+    vals = window.values()[lo - window.lo : hi - window.lo]
+    starts -= lo
+    stops = starts + sizes
+    norm = sizes.astype(np.float64) ** 2
+
+    def profile(k: "FourierModuleElement | float") -> np.ndarray:
+        kv = k.value if isinstance(k, FourierModuleElement) else float(k)
+        terms = vals * np.exp(-2j * np.pi * kv * idx)
+        return np.abs(block_sums(terms, starts, stops)) ** 2 / norm
+
+    return profile
+
+
+def intensity_profile(source, sizes):
+    """The nested-size evaluator of a source: k -> intensities at all sizes.
+
+    sizes are block sizes N for a SymbolicWindow and radii R for a
+    PointSet1D; the sizes are validated here, once for all k.
+    """
+    if isinstance(source, SymbolicWindow):
+        return intensity_profile_symbolic(source, [int(s) for s in sizes])
+    if isinstance(source, PointSet1D):
+        return intensity_profile_at(source, [float(s) for s in sizes])
+    raise TypeError(f"cannot estimate intensity of {type(source).__name__}")
+
+
+def intensity_symbolic(window: SymbolicWindow, k: float, n_sites: int) -> float:
+    """I_N(k) over a block of n_sites letters (see intensity_profile_symbolic)."""
+    return float(intensity_profile_symbolic(window, [n_sites])(k)[0])
 
 
 def intensity_estimate(source, k, n_or_r) -> float:
     """Dispatch on the source type: sequence block size N or radius R."""
-    if isinstance(source, SymbolicWindow):
-        kv = k.value if isinstance(k, FourierModuleElement) else float(k)
-        return intensity_symbolic(source, kv, int(n_or_r))
-    if isinstance(source, PointSet1D):
-        return intensity_at(source, k, float(n_or_r))
-    raise TypeError(f"cannot estimate intensity of {type(source).__name__}")
+    return float(intensity_profile(source, [n_or_r])(k)[0])
 
 
 def sampled_comb_intensity(
@@ -147,8 +174,10 @@ def detect_atoms(
     N (sequences) or radii R (point sets); a candidate is kept when its
     intensity at the largest size exceeds min_intensity and the maximal
     relative variation across the last two doublings is at most
-    rel_tol.  Results are sorted by frequency regardless of evaluation
-    order, so parallel evaluation cannot change the output.
+    rel_tol.  Each candidate costs one exponential sum over the largest
+    block or window, read at every size (intensity_profile).  Results
+    are sorted by frequency regardless of evaluation order, so parallel
+    evaluation cannot change the output.
     """
     schedule = list(schedule)
     if len(schedule) < 3:
@@ -156,9 +185,11 @@ def detect_atoms(
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must increase")
 
+    profile = intensity_profile(source, schedule)
+
     def eval_candidate(k) -> Atom | None:
         kv = k.value if isinstance(k, FourierModuleElement) else float(k)
-        vals = [intensity_estimate(source, k, s) for s in schedule]
+        vals = profile(k).tolist()
         last = vals[-3:]
         rels = [
             abs(b - a) / max(abs(a), abs(b), 1e-300)
@@ -189,15 +220,19 @@ NOISE_FLOOR = 1e-18
 def intensity_ratios(source, candidates, schedule) -> np.ndarray:
     """Mean of I_{next}/I_{prev} over candidates, one per schedule step.
 
+    Every candidate's intensities come from one nested-size evaluation
+    (intensity_profile), as in detect_atoms.
+
     Pairs where both intensities sit below NOISE_FLOOR count as fully
     decayed (ratio 0): the underlying sums are exact zeros and the
     stored values are rounding residue, so their quotient carries no
     information.
     """
     schedule = list(schedule)
+    profile = intensity_profile(source, schedule)
     ratios = np.zeros((len(candidates), len(schedule) - 1))
     for i, k in enumerate(candidates):
-        vals = [intensity_estimate(source, k, s) for s in schedule]
+        vals = profile(k).tolist()
         for j in range(len(schedule) - 1):
             if max(vals[j], vals[j + 1]) < NOISE_FLOOR:
                 ratios[i, j] = 0.0

@@ -194,3 +194,31 @@ class TestConfigAndErrors:
         code, _, err = run(capsys, ["gen"])
         assert code == 2
         assert "no source" in err
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0 0 1\n",  # three fields in exact mode
+            "0 0.5 1 0\n",  # non-integer b
+            "x 0 1 0\n",  # non-numeric a
+            "99999999999999999999 0 1 0\n",  # outside int64
+        ],
+    )
+    def test_malformed_exact_pointset_is_input_error(self, capsys, tmp_path, body):
+        path = tmp_path / "bad.txt"
+        path.write_text("pointset exact packing_radius 0.5\n0 0 1 0\n" + body)
+        code, _, err = run(capsys, ["modelset", "--in", str(path), "--k", "1,1"])
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_pointset_header_without_mode(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("pointset\n0 1 0\n")
+        code, _, err = run(capsys, ["gen", "--in", str(path)])
+        assert code == 2
+        assert "mode" in err
+
+    def test_zero_extent_chain_is_out_of_range(self, capsys):
+        code, _, err = run(capsys, ["modelset", "--points", "1"])
+        assert code == 2
+        assert "zero extent" in err and "Traceback" not in err

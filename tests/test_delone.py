@@ -52,7 +52,7 @@ class TestPointSet:
     def test_serialize_parse_exact_round_trip(self):
         ps = silver_mean_chain(20)
         back = PointSet1D.parse(ps.serialize())
-        assert back.exact == ps.exact
+        np.testing.assert_array_equal(back.exact, ps.exact)
         np.testing.assert_array_equal(back.coords, ps.coords)
 
     def test_parse_rejects_missing_header(self):

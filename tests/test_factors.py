@@ -136,3 +136,10 @@ class TestEquivariance:
         assert not report.ok
         assert report.first_violation is not None
         assert report.max_abs_dev == 1.0
+
+
+def test_public_api_lists_xor_map():
+    import diffspec
+
+    assert "xor_map" in diffspec.__all__
+    assert all(hasattr(diffspec, name) for name in diffspec.__all__)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffspec.delone import PointSet1D, enumerate_k_clusters, locator_set
@@ -70,7 +70,8 @@ class TestChain:
 
     def test_exact_coords_match_floats(self):
         ps = silver_mean_chain(300)
-        np.testing.assert_allclose([float(q) for q in ps.exact], ps.coords, rtol=1e-12)
+        floats = [float(QuadraticInt(a, b)) for a, b in ps.exact.tolist()]
+        np.testing.assert_allclose(floats, ps.coords, rtol=1e-12)
 
     def test_point_count_honoured(self):
         assert len(silver_mean_chain(123)) == 123
@@ -130,6 +131,36 @@ class TestIntensity:
         with pytest.raises(OutOfRange):
             intensity_at(ps, FourierModuleElement(0, 0), radius=1e9)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-(2**44), 2**44),
+        st.integers(-(2**44), 2**44),
+        st.integers(-(2**15), 2**15),
+        st.integers(-(2**15), 2**15),
+    )
+    def test_exact_phases_match_50_digit_reference(self, c, d, a, b):
+        # |m| = |a c + 2 b d| reaches ~2^61, far past exact float integers
+        mpmath = pytest.importorskip("mpmath")
+        ps = PointSet1D(np.array([c + d * SQRT2]), exact=np.array([[c, d]]))
+        got = float(exact_phases(ps, FourierModuleElement(a, b))[0])
+        with mpmath.workdps(50):
+            m = mpmath.mpf(a * c + 2 * b * d)
+            kx = mpmath.mpf(b * c + a * d) / 2 + m * mpmath.sqrt(2) / 4
+            want = kx - mpmath.floor(kx)
+            dist = abs(mpmath.mpf(got) - want)
+            dist = float(min(dist, 1 - dist))
+        assert 0.0 <= got < 1.0
+        assert dist <= 1e-15
+
+    def test_exact_phases_refuse_int64_overflow(self):
+        # a c + 2 b d would wrap int64 and give a plausible wrong intensity
+        ps = silver_mean_chain(10000)
+        k = FourierModuleElement(10**15, 10**15)
+        with pytest.raises(OutOfRange):
+            exact_phases(ps, k)
+        with pytest.raises(OutOfRange):
+            intensity_at(ps, k)
+
     def test_extinct_point_is_orders_below_live_ones(self):
         ps = silver_mean_chain(20000)
         dead = intensity_at(ps, FourierModuleElement(2, 0))
@@ -141,14 +172,15 @@ class TestIntensity:
 class TestInflation:
     def test_gap_pattern_of_inflated_chain(self):
         infl = inflate_factor(silver_mean_chain(2000))
-        gaps = {(q.a, q.b) for q in np.diff(np.array(infl.exact, dtype=object))}
+        gaps = {(a, b) for a, b in np.diff(infl.exact, axis=0).tolist()}
         assert gaps == {(1, 1), (3, 2)}
 
     def test_inflated_points_are_lambda_times_chain(self):
         ps = silver_mean_chain(3000)
         infl = inflate_factor(ps)
-        scaled = [q * LAMBDA for q in silver_mean_chain(len(infl)).exact]
-        assert infl.exact == scaled
+        chain = silver_mean_chain(len(infl)).exact.tolist()
+        scaled = [QuadraticInt(a, b) * LAMBDA for a, b in chain]
+        assert [QuadraticInt(a, b) for a, b in infl.exact.tolist()] == scaled
 
     def test_density_ratio(self):
         ps = silver_mean_chain(50000)
@@ -172,8 +204,8 @@ class TestInflation:
         )
         loc = locator_set(ps, singleton)
         infl = inflate_factor(ps)
-        shifted = [q - LAMBDA for q in loc.exact]
-        assert shifted == infl.exact[: len(shifted)]
+        shifted = [QuadraticInt(a, b) - LAMBDA for a, b in loc.exact.tolist()]
+        assert shifted == [QuadraticInt(a, b) for a, b in infl.exact[: len(shifted)].tolist()]
         assert len(shifted) > 0.9 * len(infl)
 
 

@@ -18,6 +18,7 @@ from diffspec.spectral import (
     detect_atoms,
     fejer_density,
     intensity_estimate,
+    intensity_profile,
     intensity_ratios,
     intensity_symbolic,
     kronecker_candidates,
@@ -28,6 +29,7 @@ from diffspec.spectral import (
     sobol_candidates,
     spectral_distribution,
 )
+from diffspec.modelset import intensity_at, is_extinct, module_box, silver_mean_chain
 from diffspec.subshift import SymbolicWindow, fixed_point_window, rule_by_name
 
 
@@ -80,6 +82,46 @@ class TestIntensity:
         raw = intensity_estimate(ps, 1.0, ps.extent / 2)
         got = sampled_comb_intensity(t, f, 1.0, ps.extent)
         assert got == pytest.approx(tent_ft(eps, 1.0) ** 2 * raw, rel=1e-3)
+
+
+class TestNestedSizes:
+    """detect_atoms reads all schedule sizes from one evaluation per candidate."""
+
+    def test_symbolic_sizes_match_single_size_and_direct_sum(self):
+        letters = fixed_point_window(rule_by_name("thue-morse"), 0, 1024).letters
+        # only 100 sites right of the origin: every block longer than 100
+        # slides left, each to its own start
+        w = SymbolicWindow(letters, -(len(letters) - 100), {0: 1.0, 1: -0.5 + 0.25j})
+        sizes = [64, 128, 512, len(letters)]
+        vals = w.values()
+        for k in [0.0, 1 / 3, 0.1234, *kronecker_candidates(8)]:
+            for n, got in zip(sizes, intensity_profile(w, sizes)(k)):
+                start = max(w.lo, min(0, w.hi - n + 1))
+                block = vals[start - w.lo : start - w.lo + n]
+                terms = block * np.exp(-2j * np.pi * k * np.arange(start, start + n))
+                direct = abs(np.sum(terms)) ** 2 / n**2
+                assert got == pytest.approx(intensity_symbolic(w, k, n), rel=1e-12)
+                assert got == pytest.approx(direct, rel=1e-12)
+
+    def test_pointset_radii_match_single_radius(self):
+        ps = silver_mean_chain(5000)
+        r = ps.extent / 2
+        radii = [r / 8, r / 4, r / 2, r]
+        live = [k for k in module_box(4, 2, 2.0) if not is_extinct(k)]
+        for k in live + [0.3, 1.7]:
+            for radius, got in zip(radii, intensity_profile(ps, radii)(k)):
+                assert got == pytest.approx(intensity_at(ps, k, radius), rel=1e-12)
+
+    def test_ratios_use_the_same_intensities(self):
+        w = pm_window("period-doubling", 2048)
+        sizes = [512, 1024, 2048]
+        got = intensity_ratios(w, [0.25, 0.3], sizes)
+        want = np.mean(
+            [[intensity_symbolic(w, k, b) / intensity_symbolic(w, k, a)
+              for a, b in zip(sizes, sizes[1:])] for k in (0.25, 0.3)],
+            axis=0,
+        )
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 class TestAtomDetection:
