@@ -10,6 +10,11 @@ A K-cluster of a point x is the pattern (Lambda - x) within [-K, K].
 The locator set of a cluster collects every point showing that exact
 pattern; its density is the cluster's absolute frequency, which ties
 point-set geometry to the correlation and diffraction machinery.
+
+The window of x is the points in [x - K - 1e-9, x + K + 1e-9], found for
+all interior points by one np.searchsorted per bound.  Windows of equal
+size are compared as rows of offsets, exactly ((a, b) rows) or as indices
+into one global merge of all float offsets; locator sets are row masks.
 """
 
 from __future__ import annotations
@@ -178,30 +183,29 @@ def _interior_indices(ps: PointSet1D, k_radius: float) -> np.ndarray:
     return idx
 
 
-def _offsets_at(ps: PointSet1D, i: int, k_radius: float) -> tuple[np.ndarray, slice]:
+def _windows(ps: PointSet1D, k_radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interior points and the index range [lo, hi) of each one's K-window."""
+    idx = _interior_indices(ps, k_radius)
     x = ps.coords
-    lo = int(np.searchsorted(x, x[i] - k_radius - MERGE_TOL, side="left"))
-    hi = int(np.searchsorted(x, x[i] + k_radius + MERGE_TOL, side="right"))
-    return x[lo:hi] - x[i], slice(lo, hi)
+    lo = np.searchsorted(x, x[idx] - k_radius - MERGE_TOL, side="left")
+    hi = np.searchsorted(x, x[idx] + k_radius + MERGE_TOL, side="right")
+    return idx, lo, hi
 
 
-def _exact_key(ex: list, i: int, sl: slice) -> tuple[tuple[int, int], ...]:
-    """Exact offsets of the points in sl from point i, as (a, b) pairs.
-
-    ex is the exact array as nested Python lists: building tuples of
-    Python ints is cheaper here than slicing numpy rows point by point.
-    """
-    a0, b0 = ex[i]
-    return tuple((a - a0, b - b0) for a, b in ex[sl])
+def _window_rows(values: np.ndarray, idx: np.ndarray, lo: np.ndarray, length: int) -> np.ndarray:
+    """values[lo : lo + length] - values[i] for every point i of idx, one row each."""
+    rows = values[lo[:, None] + np.arange(length)]
+    rows -= values[idx][:, None]
+    return rows
 
 
-def _canonical_key(offsets: np.ndarray, merged: np.ndarray) -> tuple[int, ...]:
-    idx = np.searchsorted(merged, offsets)
-    idx = np.clip(idx, 0, len(merged) - 1)
+
+def _nearest(merged: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Index of the merged value nearest each offset; ties go right."""
+    idx = np.clip(np.searchsorted(merged, offsets), 0, len(merged) - 1)
     left = np.clip(idx - 1, 0, len(merged) - 1)
     use_left = np.abs(merged[left] - offsets) < np.abs(merged[idx] - offsets)
-    idx = np.where(use_left, left, idx)
-    return tuple(int(i) for i in idx)
+    return np.where(use_left, left, idx)
 
 
 def enumerate_k_clusters(
@@ -213,42 +217,40 @@ def enumerate_k_clusters(
     otherwise through a global merge of all observed offsets within
     1e-9.  Points closer than K to either end are excluded (their
     pattern could be truncated), so counts refer to interior points.
+    Clusters come sorted by offsets; equal offsets keep the order of
+    first occurrence.
     """
-    idx = _interior_indices(ps, k_radius)
-    if ps.exact is not None:
-        from .modelset import QuadraticInt
+    from .modelset import QuadraticInt
 
-        ex = ps.exact.tolist()
-        table: dict[tuple, tuple[Cluster, int]] = {}
-        for i in idx:
-            offs, sl = _offsets_at(ps, int(i), k_radius)
-            key = _exact_key(ex, int(i), sl)
-            if key in table:
-                c, n = table[key]
-                table[key] = (c, n + 1)
+    idx, lo, hi = _windows(ps, k_radius)
+    sizes = hi - lo
+    if sizes.min() < 1:
+        raise IncompatibleCluster("cluster must contain its own center 0")
+    groups = [np.nonzero(sizes == size)[0] for size in np.unique(sizes)]
+    values = ps.coords if ps.exact is None else ps.exact
+    rows = [_window_rows(values, idx[m], lo[m], sizes[m[0]]) for m in groups]
+    if ps.exact is None:
+        flat = np.sort(np.concatenate([r.ravel() for r in rows]))
+        merged = flat[np.diff(flat, prepend=-np.inf) > MERGE_TOL]
+        rows = [_nearest(merged, r) for r in rows]
+
+    found: list[tuple[int, Cluster, int]] = []
+    for members, r in zip(groups, rows):
+        # integer rows compared as raw bytes, one np.void each: np.unique
+        # with axis=0 compares field by field, many times slower on wide rows
+        flat = r.reshape(len(r), -1)
+        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+        _, firsts, counts = np.unique(keys, return_index=True, return_counts=True)
+        for f, n in zip(firsts.tolist(), counts.tolist()):
+            i, key = members[f], r[f]
+            if ps.exact is None:
+                c = Cluster(k_radius, tuple(merged[key].tolist()))
             else:
-                exact = tuple(QuadraticInt(a, b) for a, b in key)
-                c = Cluster(k_radius, tuple(float(z) for z in offs), exact)
-                table[key] = (c, 1)
-        return sorted(table.values(), key=lambda cn: cn[0].offsets)
-
-    all_offs: list[np.ndarray] = []
-    for i in idx:
-        offs, _ = _offsets_at(ps, int(i), k_radius)
-        all_offs.append(offs)
-    flat = np.sort(np.concatenate(all_offs))
-    keep = np.concatenate([[True], np.diff(flat) > MERGE_TOL]) if len(flat) else []
-    merged = flat[keep]
-    table2: dict[tuple[int, ...], tuple[Cluster, int]] = {}
-    for offs in all_offs:
-        key = _canonical_key(offs, merged)
-        if key in table2:
-            c, n = table2[key]
-            table2[key] = (c, n + 1)
-        else:
-            c = Cluster(k_radius, tuple(float(merged[i]) for i in key))
-            table2[key] = (c, 1)
-    return sorted(table2.values(), key=lambda cn: cn[0].offsets)
+                offs = ps.coords[lo[i] : hi[i]] - ps.coords[idx[i]]
+                exact = tuple(QuadraticInt(a, b) for a, b in key.tolist())
+                c = Cluster(k_radius, tuple(offs.tolist()), exact)
+            found.append((i, c, n))
+    return [(c, n) for _, c, n in sorted(found, key=lambda icn: (icn[1].offsets, icn[0]))]
 
 
 def locator_set(ps: PointSet1D, cluster: Cluster) -> PointSet1D:
@@ -259,25 +261,18 @@ def locator_set(ps: PointSet1D, cluster: Cluster) -> PointSet1D:
     """
     if any(abs(z) > cluster.k_radius + MERGE_TOL for z in cluster.offsets):
         raise IncompatibleCluster("cluster exceeds its stated radius")
-    k_radius = cluster.k_radius
-    idx = _interior_indices(ps, k_radius)
-    want = np.asarray(cluster.offsets)
-    hits: list[int] = []
+    idx, lo, hi = _windows(ps, cluster.k_radius)
     if ps.exact is not None and cluster.exact_offsets is not None:
-        ex = ps.exact.tolist()
-        want_exact = tuple((q.a, q.b) for q in cluster.exact_offsets)
-        for i in idx:
-            offs, sl = _offsets_at(ps, int(i), k_radius)
-            if sl.stop - sl.start != len(want_exact):
-                continue
-            if _exact_key(ex, int(i), sl) == want_exact:
-                hits.append(int(i))
+        want = np.array([(q.a, q.b) for q in cluster.exact_offsets], dtype=np.int64)
+        fits = hi - lo == len(want)
+        rows = _window_rows(ps.exact, idx[fits], lo[fits], len(want))
+        hit = np.all(rows == want, axis=(1, 2))
     else:
-        for i in idx:
-            offs, _ = _offsets_at(ps, int(i), k_radius)
-            if len(offs) == len(want) and np.all(np.abs(offs - want) <= MERGE_TOL):
-                hits.append(int(i))
-    sel = np.asarray(hits, dtype=np.intp)
+        want = np.asarray(cluster.offsets)
+        fits = hi - lo == len(want)
+        rows = _window_rows(ps.coords, idx[fits], lo[fits], len(want))
+        hit = np.all(np.abs(rows - want) <= MERGE_TOL, axis=1)
+    sel = idx[fits][hit]
     exact = ps.exact[sel] if ps.exact is not None else None
     return PointSet1D(ps.coords[sel], np.ones(len(sel), dtype=np.complex128), exact)
 

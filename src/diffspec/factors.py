@@ -13,12 +13,12 @@ one word go to 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MissingTableEntry, WindowTooShort
-from .subshift import LETTER_NAMES, SymbolicWindow, letter_id
+from .subshift import LETTER_NAMES, SymbolicWindow, letter_id, sliding_words
 
 
 def _fmt_complex(z: complex) -> str:
@@ -150,34 +150,17 @@ def apply_block_map(window: SymbolicWindow, g: BlockMap) -> SymbolicWindow:
     if not (out_lo <= 0 <= out_hi):
         raise WindowTooShort("factor image does not cover the index origin")
 
-    n = len(window.letters)
-    ell = g.length
-    base = int(window.letters.max()) + 1
-    # encode each length-ell block as an integer in base ``base``
-    codes = np.zeros(n - ell + 1, dtype=np.int64)
-    for j in range(ell):
-        codes = codes * base + window.letters[j : j + len(codes)]
-
-    code_to_val: dict[int, complex] = {}
-    for w, v in g.table.items():
-        c = 0
-        for x in w:
-            c = c * base + x
-        code_to_val[c] = v
-
-    uniq = np.unique(codes)
-    missing = [int(c) for c in uniq if int(c) not in code_to_val]
-    if missing and g.default is None:
-        raise MissingTableEntry(f"{len(missing)} block words without table entry")
+    word_ids, first, _ = sliding_words(window.letters, g.length)
+    words = np.lib.stride_tricks.sliding_window_view(window.letters, g.length)[first]
+    vals = [g.table.get(w, g.default) for w in map(tuple, words.tolist())]
+    missing = sum(v is None for v in vals)
+    if missing:
+        raise MissingTableEntry(f"{missing} block words without table entry")
 
     ids = _output_ids(g)
-    id_of_code = np.zeros(int(uniq.max()) + 1, dtype=np.int16)
-    for c in uniq:
-        v = code_to_val.get(int(c), g.default)
-        id_of_code[int(c)] = ids[complex(v)]
-    out_letters = id_of_code[codes]
+    lookup = np.array([ids[complex(v)] for v in vals], dtype=np.int16)
     out_weights = {i: complex(v) for v, i in ids.items()}
-    return SymbolicWindow(out_letters, out_lo, out_weights)
+    return SymbolicWindow(lookup[word_ids], out_lo, out_weights)
 
 
 def evaluate_at(window: SymbolicWindow, g: BlockMap, n: int) -> complex:
@@ -244,9 +227,10 @@ def verify_factor_equivariance(
     max_dev = 0.0
     checked: list[int] = []
     for t in shifts:
-        shifted = window.shifted(t)
+        if not window.lo - t <= 0 <= window.hi - t:
+            continue  # the shifted window no longer contains the origin
         try:
-            out = apply_block_map(shifted, g)
+            out = apply_block_map(window.shifted(t), g)
         except WindowTooShort:
             continue
         checked.append(t)

@@ -310,20 +310,28 @@ def fixed_point_window(
     return SymbolicWindow(letters, -len(left), weights or {})
 
 
+def sliding_words(letters: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, first, counts): ids[i] is the lexicographic rank of the word
+    letters[i : i + ell]; word k is letters[first[k] : first[k] + ell] and
+    occurs counts[k] times.  Base-b multiply-add codes are re-ranked
+    (order-preserving np.unique) whenever the next multiply could pass
+    len(letters): no int64 wrap, no array sized by b**ell."""
+    letters = np.asarray(letters, dtype=np.int64)
+    base = int(letters.max()) + 1
+    codes = letters[: len(letters) - ell + 1]
+    for j in range(1, ell):
+        if (int(codes.max()) + 1) * base > len(letters):
+            codes = np.unique(codes, return_inverse=True)[1]
+        codes = codes * base + letters[j : j + len(codes)]
+    _, first, ids, counts = np.unique(
+        codes, return_index=True, return_inverse=True, return_counts=True
+    )
+    return ids, first, counts
+
+
 def dictionary(window: SymbolicWindow, max_len: int) -> set[tuple[int, ...]]:
     """All words of length 1..max_len occurring in the window."""
-    if max_len < 1:
-        raise ValueError("max_len must be positive")
-    if max_len > len(window):
-        raise WindowTooShort(
-            f"window of length {len(window)} has no words of length {max_len}"
-        )
-    letters = window.letters
-    words: set[tuple[int, ...]] = set()
-    for ell in range(1, max_len + 1):
-        for i in range(len(letters) - ell + 1):
-            words.add(tuple(int(c) for c in letters[i : i + ell]))
-    return words
+    return set(build_frequency_table(window, max_len).freqs)
 
 
 def letter_frequencies_pf(rule: SubstitutionRule) -> np.ndarray:
@@ -385,6 +393,17 @@ class WordFrequencyTable:
 
 
 def build_frequency_table(window: SymbolicWindow, max_len: int) -> WordFrequencyTable:
-    words = dictionary(window, max_len)
-    freqs = {w: word_frequency_empirical(window, w)[0] for w in sorted(words)}
-    return WordFrequencyTable(max_len, freqs, max_len / len(window))
+    """word_frequency_empirical of every word of length 1..max_len, keys sorted."""
+    if max_len < 1:
+        raise ValueError("max_len must be positive")
+    if max_len > len(window):
+        raise WindowTooShort(
+            f"window of length {len(window)} has no words of length {max_len}"
+        )
+    freqs: dict[tuple[int, ...], float] = {}
+    for ell in range(1, max_len + 1):
+        _, first, counts = sliding_words(window.letters, ell)
+        words = np.lib.stride_tricks.sliding_window_view(window.letters, ell)[first]
+        n = len(window) - ell + 1
+        freqs.update((tuple(w), c / n) for w, c in zip(words.tolist(), counts.tolist()))
+    return WordFrequencyTable(max_len, dict(sorted(freqs.items())), max_len / len(window))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from diffspec import cli
-from diffspec.delone import PointSet1D
+from diffspec.delone import PointSet1D, cluster_frequency, enumerate_k_clusters
 from diffspec.modelset import silver_mean_chain
 
 
@@ -136,6 +136,41 @@ class TestFactorAndFreq:
         assert len(lines) == 4
         total = sum(float(ln.split(",")[-1]) for ln in lines[1:])
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_factor_with_more_shifts_than_window(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["factor", "--rule", "thue-morse", "--len", "64", "--g", "xor", "--shifts", "200"],
+        )
+        assert code == 0, err
+        shifts = int(out.split("equivariance ok shifts ")[1].split()[0])
+        assert 0 < shifts < 200
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_cluster_frequencies_from_point_set_file(self, capsys, tmp_path, exact):
+        chain = silver_mean_chain(3000)
+        ps = chain if exact else PointSet1D(chain.coords)
+        path = tmp_path / "points.txt"
+        path.write_text(ps.serialize())
+        out_csv = tmp_path / "freq.csv"
+        code, _, err = run(
+            capsys, ["freq", "--in", str(path), "--k-radius", "2.5", "--out", str(out_csv)]
+        )
+        assert code == 0, err
+        src = PointSet1D.parse(path.read_text())
+        if exact:
+            assert np.array_equal(src.coords, chain.coords)
+        lines = ["offsets,count,absolute,relative"]
+        for cluster, n in enumerate_k_clusters(src, 2.5):
+            fr = cluster_frequency(src, cluster)
+            # 12-digit float files carry rounding noise above the 1e-9 merge
+            # tolerance, so there the located count can fall short of n
+            if exact:
+                assert fr.count == n
+            offs = ";".join(f"{o:.12g}" for o in cluster.offsets)
+            lines.append(f"{offs},{fr.count},{fr.absolute:.12g},{fr.relative:.12g}")
+        assert len(lines) >= 4
+        assert out_csv.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestVerifyAndModelset:

@@ -71,6 +71,23 @@ class TestApplication:
         image = apply_block_map(w, indicator_block_map(word))
         assert int(image.values().real.sum()) == word_occurrences(w, word)
 
+    @pytest.mark.parametrize("length", [20, 40])
+    def test_long_indicator_block(self, length):
+        # 4**length codes would need a table of terabytes, and at length 40
+        # they would wrap int64
+        w = fixed_point_window(rule_by_name("rudin-shapiro"), 0, 4096)
+        word = w.subword(100, length)
+        image = apply_block_map(w, indicator_block_map(word))
+        assert image.values().real.sum() == word_occurrences(w, word)
+        assert word_occurrences(w, word) >= 1
+
+    def test_table_word_outside_window_alphabet_matches_nothing(self):
+        # (0, 2) has the base-2 code of (1, 0); it must not take its blocks
+        w = tm_window(64)
+        g = BlockMap(0, 2, {(0, 2): 5.0}, default=0.0)
+        image = apply_block_map(w, g)
+        assert image.values().real.sum() == 0.0
+
     def test_output_range_shrinks_by_block_geometry(self):
         w = tm_window(64)
         image = apply_block_map(w, indicator_block_map((0, 1), offset=-1))

@@ -1,0 +1,349 @@
+"""Array local-pattern code against the per-point loops it replaced.
+
+The reference functions below are the earlier loop implementations of
+K-cluster enumeration, locator sets, cluster frequencies, word
+dictionaries, frequency tables and block maps.  The array versions must
+reproduce them exactly: every comparison is ==, never a tolerance.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from diffspec.delone import (
+    MERGE_TOL,
+    Cluster,
+    ClusterFrequency,
+    PointSet1D,
+    _interior_indices,
+    cluster_frequency,
+    enumerate_k_clusters,
+    locator_set,
+)
+from diffspec.errors import IncompatibleCluster, MissingTableEntry
+from diffspec.factors import (
+    BlockMap,
+    _output_ids,
+    apply_block_map,
+    compose,
+    identity_map,
+    indicator_block_map,
+    xor_map,
+)
+from diffspec.modelset import QuadraticInt, silver_mean_chain
+from diffspec.subshift import (
+    BUILTIN_RULES,
+    SymbolicWindow,
+    WordFrequencyTable,
+    build_frequency_table,
+    dictionary,
+    fixed_point_window,
+    sliding_words,
+    word_frequency_empirical,
+)
+
+K_RADII = (0.5, 1.0, 1.1, 1.0 + math.sqrt(2.0), 2.5, 3.5, 6.0)
+
+
+# --- reference: the per-point loops ---------------------------------------
+
+
+def ref_offsets_at(ps, i, k_radius):
+    x = ps.coords
+    lo = int(np.searchsorted(x, x[i] - k_radius - MERGE_TOL, side="left"))
+    hi = int(np.searchsorted(x, x[i] + k_radius + MERGE_TOL, side="right"))
+    return x[lo:hi] - x[i], slice(lo, hi)
+
+
+def ref_exact_key(ex, i, sl):
+    a0, b0 = ex[i]
+    return tuple((a - a0, b - b0) for a, b in ex[sl])
+
+
+def ref_canonical_key(offsets, merged):
+    idx = np.searchsorted(merged, offsets)
+    idx = np.clip(idx, 0, len(merged) - 1)
+    left = np.clip(idx - 1, 0, len(merged) - 1)
+    use_left = np.abs(merged[left] - offsets) < np.abs(merged[idx] - offsets)
+    idx = np.where(use_left, left, idx)
+    return tuple(int(i) for i in idx)
+
+
+def ref_enumerate_k_clusters(ps, k_radius):
+    idx = _interior_indices(ps, k_radius)
+    if ps.exact is not None:
+        ex = ps.exact.tolist()
+        table = {}
+        for i in idx:
+            offs, sl = ref_offsets_at(ps, int(i), k_radius)
+            key = ref_exact_key(ex, int(i), sl)
+            if key in table:
+                c, n = table[key]
+                table[key] = (c, n + 1)
+            else:
+                exact = tuple(QuadraticInt(a, b) for a, b in key)
+                c = Cluster(k_radius, tuple(float(z) for z in offs), exact)
+                table[key] = (c, 1)
+        return sorted(table.values(), key=lambda cn: cn[0].offsets)
+
+    all_offs = []
+    for i in idx:
+        offs, _ = ref_offsets_at(ps, int(i), k_radius)
+        all_offs.append(offs)
+    flat = np.sort(np.concatenate(all_offs))
+    keep = np.concatenate([[True], np.diff(flat) > MERGE_TOL]) if len(flat) else []
+    merged = flat[keep]
+    table2 = {}
+    for offs in all_offs:
+        key = ref_canonical_key(offs, merged)
+        if key in table2:
+            c, n = table2[key]
+            table2[key] = (c, n + 1)
+        else:
+            c = Cluster(k_radius, tuple(float(merged[i]) for i in key))
+            table2[key] = (c, 1)
+    return sorted(table2.values(), key=lambda cn: cn[0].offsets)
+
+
+def ref_locator_set(ps, cluster):
+    k_radius = cluster.k_radius
+    idx = _interior_indices(ps, k_radius)
+    want = np.asarray(cluster.offsets)
+    hits = []
+    if ps.exact is not None and cluster.exact_offsets is not None:
+        ex = ps.exact.tolist()
+        want_exact = tuple((q.a, q.b) for q in cluster.exact_offsets)
+        for i in idx:
+            offs, sl = ref_offsets_at(ps, int(i), k_radius)
+            if sl.stop - sl.start != len(want_exact):
+                continue
+            if ref_exact_key(ex, int(i), sl) == want_exact:
+                hits.append(int(i))
+    else:
+        for i in idx:
+            offs, _ = ref_offsets_at(ps, int(i), k_radius)
+            if len(offs) == len(want) and np.all(np.abs(offs - want) <= MERGE_TOL):
+                hits.append(int(i))
+    sel = np.asarray(hits, dtype=np.intp)
+    exact = ps.exact[sel] if ps.exact is not None else None
+    return PointSet1D(ps.coords[sel], np.ones(len(sel), dtype=np.complex128), exact)
+
+
+def ref_cluster_frequency(ps, cluster):
+    t = ref_locator_set(ps, cluster)
+    idx = _interior_indices(ps, cluster.k_radius)
+    span = float(ps.coords[idx[-1]] - ps.coords[idx[0]])
+    return ClusterFrequency(len(t) / span, len(t) / len(idx), len(t))
+
+
+def ref_dictionary(window, max_len):
+    letters = window.letters
+    words = set()
+    for ell in range(1, max_len + 1):
+        for i in range(len(letters) - ell + 1):
+            words.add(tuple(int(c) for c in letters[i : i + ell]))
+    return words
+
+
+def ref_build_frequency_table(window, max_len):
+    words = ref_dictionary(window, max_len)
+    freqs = {w: word_frequency_empirical(window, w)[0] for w in sorted(words)}
+    return WordFrequencyTable(max_len, freqs, max_len / len(window))
+
+
+def ref_apply_block_map(window, g):
+    out_lo = window.lo - g.offset
+    n = len(window.letters)
+    ell = g.length
+    base = int(window.letters.max()) + 1
+    codes = np.zeros(n - ell + 1, dtype=np.int64)
+    for j in range(ell):
+        codes = codes * base + window.letters[j : j + len(codes)]
+    code_to_val = {}
+    for w, v in g.table.items():
+        c = 0
+        for x in w:
+            c = c * base + x
+        code_to_val[c] = v
+    uniq = np.unique(codes)
+    missing = [int(c) for c in uniq if int(c) not in code_to_val]
+    if missing and g.default is None:
+        raise MissingTableEntry(f"{len(missing)} block words without table entry")
+    ids = _output_ids(g)
+    id_of_code = np.zeros(int(uniq.max()) + 1, dtype=np.int16)
+    for c in uniq:
+        id_of_code[int(c)] = ids[complex(code_to_val.get(int(c), g.default))]
+    out_weights = {i: complex(v) for v, i in ids.items()}
+    return SymbolicWindow(id_of_code[codes], out_lo, out_weights)
+
+
+# --- point sets -------------------------------------------------------------
+
+
+def _chain_exact():
+    return silver_mean_chain(1200)
+
+
+def _chain_float():
+    return PointSet1D(silver_mean_chain(1200).coords)
+
+
+def _chain_jittered():
+    x = silver_mean_chain(1200).coords
+    rng = np.random.default_rng(7)
+    return PointSet1D(x + rng.uniform(-1e-11, 1e-11, len(x)))
+
+
+def _lattice_float():
+    return PointSet1D(np.arange(300, dtype=float))
+
+
+def _lattice_exact():
+    a = np.arange(-150, 150, dtype=np.int64)
+    return PointSet1D(a.astype(float), exact=np.stack([a, np.zeros_like(a)], axis=1))
+
+
+POINT_SETS = {
+    "chain-exact": _chain_exact,
+    "chain-float": _chain_float,
+    "chain-jittered": _chain_jittered,
+    "lattice-float": _lattice_float,
+    "lattice-exact": _lattice_exact,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(POINT_SETS))
+def point_set(request):
+    return POINT_SETS[request.param]()
+
+
+def _assert_same_points(got, want):
+    assert np.array_equal(got.coords, want.coords)
+    assert np.array_equal(got.weights, want.weights)
+    if want.exact is None:
+        assert got.exact is None
+    else:
+        assert got.exact.dtype == want.exact.dtype
+        assert np.array_equal(got.exact, want.exact)
+
+
+@pytest.mark.parametrize("k_radius", K_RADII)
+def test_clusters_locators_and_frequencies_match_loops(point_set, k_radius):
+    got = enumerate_k_clusters(point_set, k_radius)
+    want = ref_enumerate_k_clusters(point_set, k_radius)
+    assert [c.offsets for c, _ in got] == [c.offsets for c, _ in want]
+    assert [c.exact_offsets for c, _ in got] == [c.exact_offsets for c, _ in want]
+    assert [n for _, n in got] == [n for _, n in want]
+    assert got == want
+    for (cluster, n), _ in zip(got, want):
+        loc = locator_set(point_set, cluster)
+        _assert_same_points(loc, ref_locator_set(point_set, cluster))
+        assert len(loc) == n
+        assert cluster_frequency(point_set, cluster) == ref_cluster_frequency(
+            point_set, cluster
+        )
+
+
+@pytest.mark.parametrize("make", [_chain_exact, _chain_jittered])
+def test_wide_windows_match_loops(make):
+    ps = make()
+    got = enumerate_k_clusters(ps, 30.0)
+    assert got == ref_enumerate_k_clusters(ps, 30.0)
+    for cluster, _ in got[:3]:
+        _assert_same_points(locator_set(ps, cluster), ref_locator_set(ps, cluster))
+
+
+def test_float_cluster_against_exact_points_matches_loop():
+    """A cluster without exact offsets is matched by float offsets, also on
+    a point set that has exact coordinates."""
+    ps = _chain_exact()
+    for cluster, _ in enumerate_k_clusters(PointSet1D(ps.coords), 1.1):
+        _assert_same_points(locator_set(ps, cluster), ref_locator_set(ps, cluster))
+
+
+def test_absent_cluster_matches_loop():
+    ps = _chain_jittered()
+    absent = Cluster(1.1, (-0.5, 0.0, 0.5))
+    assert len(locator_set(ps, absent)) == 0
+    _assert_same_points(locator_set(ps, absent), ref_locator_set(ps, absent))
+
+
+def test_equidistant_offsets_tie_like_loop():
+    """Gaps 1, 1 + s, 1 + 2s, 1 + 4s with s = 2**-30 < 1e-9: the offset
+    1 + 2s merges into the run starting at 1 but lies exactly as far
+    from the next merged value 1 + 4s, so the tie rule decides its key."""
+    s = 2.0**-30
+    gaps = np.tile([1.0, 1.0 + s, 1.0 + 2 * s, 1.0 + 4 * s, 1.0 + 2 * s], 12)
+    ps = PointSet1D(np.concatenate([[0.0], np.cumsum(gaps)]))
+    for k_radius in (1.1, 2.1):
+        got = enumerate_k_clusters(ps, k_radius)
+        assert got == ref_enumerate_k_clusters(ps, k_radius)
+        for cluster, _ in got:
+            _assert_same_points(locator_set(ps, cluster), ref_locator_set(ps, cluster))
+
+
+@pytest.mark.parametrize("make", [_chain_exact, _chain_float])
+def test_negative_radius_rejected_like_loop(make):
+    ps = make()
+    with pytest.raises(IncompatibleCluster):
+        ref_enumerate_k_clusters(ps, -1.0)
+    with pytest.raises(IncompatibleCluster):
+        enumerate_k_clusters(ps, -1.0)
+
+
+# --- words ------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=sorted(BUILTIN_RULES))
+def rule_window(request):
+    return fixed_point_window(BUILTIN_RULES[request.param], 0, 300)
+
+
+@pytest.mark.parametrize("max_len", range(1, 7))
+def test_dictionary_and_frequency_table_match_loops(rule_window, max_len):
+    assert dictionary(rule_window, max_len) == ref_dictionary(rule_window, max_len)
+    got = build_frequency_table(rule_window, max_len)
+    want = ref_build_frequency_table(rule_window, max_len)
+    assert list(got.freqs.items()) == list(want.freqs.items())
+    assert all(type(f) is float for f in got.freqs.values())
+    assert (got.max_len, got.error_bound) == (want.max_len, want.error_bound)
+
+
+def test_block_maps_match_loop(rule_window):
+    letters = sorted(int(c) for c in np.unique(rule_window.letters))
+    maps = [identity_map(rule_window)]
+    for ell in range(1, 7):
+        ids, first, _ = sliding_words(rule_window.letters, ell)
+        for f in first[:: max(1, len(first) // 4)]:
+            word = tuple(int(c) for c in rule_window.letters[f : f + ell])
+            maps.append(indicator_block_map(word, offset=-(ell // 2)))
+    if letters == [0, 1]:
+        maps += [xor_map(), compose(xor_map(), xor_map())]
+    for g in maps:
+        got = apply_block_map(rule_window, g)
+        want = ref_apply_block_map(rule_window, g)
+        assert np.array_equal(got.letters, want.letters)
+        assert (got.lo, got.weights) == (want.lo, want.weights)
+
+
+def test_missing_entry_raises_like_loop():
+    window = fixed_point_window(BUILTIN_RULES["thue-morse"], 0, 64)
+    g = BlockMap(0, 2, {(0, 1): 1.0, (1, 0): 2.0})
+    with pytest.raises(MissingTableEntry, match="2 block words") as want:
+        ref_apply_block_map(window, g)
+    with pytest.raises(MissingTableEntry) as got:
+        apply_block_map(window, g)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 7, 20, 40])
+def test_sliding_words_ids_first_and_counts(rule_window, ell):
+    letters = rule_window.letters
+    ids, first, counts = sliding_words(letters, ell)
+    blocks = [tuple(letters[i : i + ell].tolist()) for i in range(len(letters) - ell + 1)]
+    distinct = sorted(set(blocks))
+    rank = {w: k for k, w in enumerate(distinct)}
+    assert ids.tolist() == [rank[w] for w in blocks]
+    assert first.tolist() == [blocks.index(w) for w in distinct]
+    assert counts.tolist() == [blocks.count(w) for w in distinct]
