@@ -21,6 +21,7 @@ from .factors import BlockMap, apply_block_map, verify_factor_equivariance
 from .modelset import (
     FourierModuleElement,
     inflate_factor,
+    intensities_at,
     intensity_at,
     is_extinct,
     module_box,
@@ -51,6 +52,14 @@ def _parse_floats(text: str) -> list[float]:
     if not vals:
         raise DiffspecError(f"empty number list {text!r}")
     return vals
+
+
+def _parse_box(text: str) -> tuple[int, int, float]:
+    """Module box bounds "A,B,KMAX"; A and B are truncated to integers."""
+    vals = _parse_floats(text)
+    if len(vals) != 3 or not all(np.isfinite(vals)):
+        raise DiffspecError(f"module box needs three finite numbers A,B,KMAX, got {text!r}")
+    return int(vals[0]), int(vals[1]), vals[2]
 
 
 def _parse_weights(text: str, n_letters: int) -> dict[int, complex]:
@@ -165,10 +174,10 @@ def _candidates_from_args(args, src):
         return list(sobol_candidates(args.sobol))
     if args.kronecker is not None:
         return list(kronecker_candidates(args.kronecker))
-    a_max, b_max, k_max = _parse_floats(args.module_box)
+    a_max, b_max, k_max = _parse_box(args.module_box)
     if not isinstance(src, PointSet1D):
         raise DiffspecError("--module-box candidates need a point-set source")
-    return module_box(int(a_max), int(b_max), k_max)
+    return module_box(a_max, b_max, k_max)
 
 
 def _schedule_from_args(args, src):
@@ -291,13 +300,10 @@ def cmd_modelset(args) -> int:
             f"intensity {intensity_at(ps, k):.12g} extinct {str(is_extinct(k)).lower()}"
         )
     if args.box:
-        a_max, b_max, k_max = _parse_floats(args.box)
+        box = module_box(*_parse_box(args.box))
         buf.append("a,b,value,extinct,intensity")
-        for k in module_box(int(a_max), int(b_max), k_max):
-            buf.append(
-                f"{k.a},{k.b},{k.value:.12g},"
-                f"{str(is_extinct(k)).lower()},{intensity_at(ps, k):.12g}"
-            )
+        for k, i in zip(box, intensities_at(ps, box)):
+            buf.append(f"{k.a},{k.b},{k.value:.12g},{str(is_extinct(k)).lower()},{i:.12g}")
     if not buf:
         gaps = ";".join(f"{g:.12g}" for g in ps.distinct_gaps())
         buf.append(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingTableEntry, WindowTooShort
+from .errors import MalformedInput, MissingTableEntry, WindowTooShort
 from .subshift import LETTER_NAMES, SymbolicWindow, letter_id, sliding_words
 
 
@@ -82,30 +82,34 @@ class BlockMap:
 
     @classmethod
     def parse(cls, text: str) -> "BlockMap":
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
-        if not lines or not lines[0].startswith("offset"):
-            raise ValueError("block map file must start with an offset header")
-        head = lines[0].split()
-        if len(head) != 4 or head[2] != "length":
-            raise ValueError(f"bad header {lines[0]!r}")
-        offset, length = int(head[1]), int(head[3])
-        table: dict[tuple[int, ...], complex] = {}
-        default: complex | None = None
-        for ln in lines[1:]:
-            left, arrow, right = ln.partition("->")
-            if not arrow:
-                raise ValueError(f"bad table line {ln!r}")
-            src = left.strip()
-            val = _parse_complex(right)
-            if src == "*":
-                default = val
-                continue
-            if len(src) != length:
-                raise ValueError(f"word {src!r} does not match length {length}")
-            word = tuple(letter_id(c, len(LETTER_NAMES)) for c in src)
-            table[word] = val
-        return cls(offset, length, table, default)
+        """Read the format written by serialize; MalformedInput otherwise."""
+        try:
+            lines = [ln.strip() for ln in text.splitlines()]
+            lines = [ln for ln in lines if ln and not ln.startswith("#")]
+            if not lines or not lines[0].startswith("offset"):
+                raise ValueError("block map file must start with an offset header")
+            head = lines[0].split()
+            if len(head) != 4 or head[2] != "length":
+                raise ValueError(f"bad header {lines[0]!r}")
+            offset, length = int(head[1]), int(head[3])
+            table: dict[tuple[int, ...], complex] = {}
+            default: complex | None = None
+            for ln in lines[1:]:
+                left, arrow, right = ln.partition("->")
+                if not arrow:
+                    raise ValueError(f"bad table line {ln!r}")
+                src = left.strip()
+                val = _parse_complex(right)
+                if src == "*":
+                    default = val
+                    continue
+                if len(src) != length:
+                    raise ValueError(f"word {src!r} does not match length {length}")
+                word = tuple(letter_id(c, len(LETTER_NAMES)) for c in src)
+                table[word] = val
+            return cls(offset, length, table, default)
+        except ValueError as exc:
+            raise MalformedInput(str(exc)) from exc
 
 
 def identity_map(window: SymbolicWindow) -> BlockMap:

@@ -13,6 +13,17 @@ exactly modulo 1 and a float term carries the remaining bits.  The
 reduction is accurate to a few 1e-16 on every platform and keeps
 extinctions clean at sample sizes where naively multiplied float phases
 would drown them in rounding noise.
+
+A list of module elements is evaluated as one table (intensity_table_at).
+The phase of k = (a, b) at x is a alpha_x + b beta_x, so e(k x) is the
+product of two factors: one row per distinct a, reduced exactly at
+k = (a, 0), and one per distinct b, reduced at k = (0, b), each followed
+by one exponential.  Every box sum is then an entry of one matrix
+product, taken over blocks of 8192 points cut at the window ends, so
+memory stays flat.  The table is used when it needs fewer exponential
+rows than the list has elements (|A| + |B| < |K|, after k and -k are
+folded together for real weights); a single k, as in intensity_at, keeps
+the direct sum.
 """
 
 from __future__ import annotations
@@ -143,37 +154,55 @@ def silver_mean_chain(n_points: int) -> PointSet1D:
     return PointSet1D(exact_coords(exact), np.ones(n_points, dtype=np.complex128), exact)
 
 
-def _phase_reducer(exact: np.ndarray):
-    """k -> fractional parts of k x for the exact points x = c + d sqrt(2).
+def _coord_bounds(c: np.ndarray, d: np.ndarray) -> tuple[int, int]:
+    """max |c| and max |d| over the coordinate columns, at least 1."""
+    if not len(c):
+        return 1, 1
+    return max(1, -int(c.min()), int(c.max())), max(1, -int(d.min()), int(d.max()))
+
+
+def _check_phase_range(k: FourierModuleElement, c_max: int, d_max: int) -> None:
+    """OutOfRange when the integer sums of k x could leave +-2^62."""
+    a, b = abs(k.a), abs(k.b)
+    if a * c_max + 2 * b * d_max >= _INT_LIMIT or b * c_max + a * d_max >= _INT_LIMIT:
+        raise OutOfRange(f"k = {k} too large for exact phases of these coordinates")
+
+
+def _reduce_phases(c: np.ndarray, d: np.ndarray, a, b) -> np.ndarray:
+    """Fractional parts of k x for k = (a, b) and x = c + d sqrt(2).
 
     k x = (b c + a d)/2 + m sqrt(2)/4 with m = a c + 2 b d.  The first
     term is a half-integer reduced by parity.  For the second,
     m sqrt(2)/4 = m (_Q + _EPS) / 2^64: the uint64 product m _Q wraps
     exactly modulo 2^64, which is the reduction modulo 1, and m _EPS / 2^64
-    is a float term below 0.05.  Raises OutOfRange when k is so large
-    that the integer sums could leave +-2^62.
+    is a float term below 0.05.  a and b are ints or int64 columns, which
+    broadcast against the coordinate rows; the caller has checked the
+    range (_check_phase_range).
+    """
+    half = ((b * c + a * d) & 1) * 0.5  # & 1 is the parity for negatives too
+    m = a * c + 2 * b * d
+    frac = (m.view(np.uint64) * _Q).astype(np.float64) * 2.0**-64
+    frac += m * (_EPS * 2.0**-64)
+    frac += half
+    frac -= np.floor(frac)
+    # a phase just below an integer can round up to 1.0, which is 0
+    # on the circle; the largest double below 1 is as close
+    return np.minimum(frac, _BELOW_ONE, out=frac)
+
+
+def _phase_reducer(exact: np.ndarray):
+    """k -> fractional parts of k x for the exact points x = c + d sqrt(2).
+
+    Raises OutOfRange when k is so large that the integer sums could
+    leave +-2^62 (see _reduce_phases).
     """
     c = np.ascontiguousarray(exact[:, 0])
     d = np.ascontiguousarray(exact[:, 1])
-    c_max = max(1, -int(c.min()), int(c.max())) if len(c) else 1
-    d_max = max(1, -int(d.min()), int(d.max())) if len(d) else 1
+    c_max, d_max = _coord_bounds(c, d)
 
     def phases(k: FourierModuleElement) -> np.ndarray:
-        a, b = k.a, k.b
-        if (
-            abs(a) * c_max + 2 * abs(b) * d_max >= _INT_LIMIT
-            or abs(b) * c_max + abs(a) * d_max >= _INT_LIMIT
-        ):
-            raise OutOfRange(f"k = {k} too large for exact phases of these coordinates")
-        half = ((b * c + a * d) & 1) * 0.5  # & 1 is the parity for negatives too
-        m = a * c + 2 * b * d
-        frac = (m.view(np.uint64) * _Q).astype(np.float64) * 2.0**-64
-        frac += m * (_EPS * 2.0**-64)
-        frac += half
-        frac -= np.floor(frac)
-        # a phase just below an integer can round up to 1.0, which is 0
-        # on the circle; the largest double below 1 is as close
-        return np.minimum(frac, _BELOW_ONE, out=frac)
+        _check_phase_range(k, c_max, d_max)
+        return _reduce_phases(c, d, k.a, k.b)
 
     return phases
 
@@ -182,11 +211,26 @@ def exact_phases(ps: PointSet1D, k: FourierModuleElement) -> np.ndarray:
     """Fractional parts of k * x for every exact point x = c + d sqrt(2).
 
     Exact up to a few 1e-16 on the circle at any coordinate size the
-    int64 pairs hold (see _phase_reducer).
+    int64 pairs hold (see _reduce_phases).
     """
     if ps.exact is None:
         raise NotSilverMean("operation needs exact coordinates")
     return _phase_reducer(ps.exact)(k)
+
+
+def unit_phase(theta, scale: float = 1.0) -> np.ndarray:
+    """e^{-2 pi i scale theta} for a real array theta.
+
+    The angle (-2 pi scale) theta is written into the imaginary view of
+    the result, and its cosine and sine into the two views, so the
+    complex exponential of a purely imaginary argument costs one pass
+    each and no complex temporaries.
+    """
+    out = np.empty(np.shape(theta), dtype=np.complex128)
+    np.multiply(theta, -2.0 * np.pi * scale, out=out.imag)
+    np.cos(out.imag, out=out.real)
+    np.sin(out.imag, out=out.imag)
+    return out
 
 
 def block_sums(terms: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -203,14 +247,11 @@ def block_sums(terms: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.n
     return cum[np.searchsorted(cuts, stops)] - cum[np.searchsorted(cuts, starts)]
 
 
-def intensity_profile_at(ps: PointSet1D, radii):
-    """The evaluator k -> normalized intensities at every radius in radii.
+def _nested_windows(ps: PointSet1D, radii) -> tuple[np.ndarray, np.ndarray]:
+    """Window ends and (2R)^2 normalizers for the radii, validated.
 
-    The window of radius R holds the points in [x_0, x_0 + 2R], anchored
-    at the left end of the sample (the chains here grow rightward from
-    0), so the windows are nested prefixes: each k costs one exponential
-    sum over the largest window, read at every radius.  Exact phase
-    reduction is used when both the point set and k are exact.
+    The window of radius R holds the points in [x_0, x_0 + 2R], so every
+    window is a prefix of the sample and ends at its entry of stops.
     """
     if len(ps) == 0:
         raise OutOfRange("empty point set")
@@ -222,21 +263,100 @@ def intensity_profile_at(ps: PointSet1D, radii):
         raise OutOfRange(f"radius {radii.min():g} is not positive (extent {extent:g})")
     x = ps.coords
     stops = np.searchsorted(x, x[0] + 2 * radii + 1e-9, side="right")
+    return stops, (2 * radii) ** 2
+
+
+def intensity_profile_at(ps: PointSet1D, radii):
+    """The evaluator k -> normalized intensities at every radius in radii.
+
+    The window of radius R holds the points in [x_0, x_0 + 2R], anchored
+    at the left end of the sample (the chains here grow rightward from
+    0), so the windows are nested prefixes: each k costs one exponential
+    sum over the largest window, read at every radius.  Exact phase
+    reduction is used when both the point set and k are exact.
+    """
+    stops, norm = _nested_windows(ps, radii)
     n = int(stops.max())
-    x, w = x[:n], ps.weights[:n]
+    x, w = ps.coords[:n], ps.weights[:n]
     starts = np.zeros_like(stops)
-    norm = (2 * radii) ** 2
     exact_phases_of = _phase_reducer(ps.exact[:n]) if ps.exact is not None else None
 
     def profile(k: "FourierModuleElement | float") -> np.ndarray:
         if isinstance(k, FourierModuleElement) and exact_phases_of is not None:
-            arg = -2j * np.pi * exact_phases_of(k)
+            terms = w * unit_phase(exact_phases_of(k))
         else:
             kv = k.value if isinstance(k, FourierModuleElement) else float(k)
-            arg = -2j * np.pi * kv * x
-        return np.abs(block_sums(w * np.exp(arg), starts, stops)) ** 2 / norm
+            terms = w * unit_phase(x, kv)
+        return np.abs(block_sums(terms, starts, stops)) ** 2 / norm
 
     return profile
+
+
+# points per block of the factor tables: bounds their memory at
+# (|A| + |B|) * _TABLE_CHUNK complex numbers, whatever the sample size
+_TABLE_CHUNK = 8192
+
+
+def intensity_table_at(ps: PointSet1D, ks, radii) -> np.ndarray:
+    """Intensities of every module element in ks at every radius.
+
+    Returns an array of shape (len(ks), len(radii)), the rows of
+    intensity_profile_at.  Every exact phase is linear in k, so
+    e(k x) = e(a alpha_x) e(b beta_x) with alpha, beta the phases at
+    k = (1, 0) and (0, 1).  One factor row per distinct a (reduced
+    exactly at k = (a, 0)) and one per distinct b (at k = (0, b)), each
+    followed by one exponential, give every sum of the list as one
+    matrix product (U w) V^T; each term carries one rounded product
+    more than the direct sum, whatever the size of a and b.  The points
+    are walked in blocks cut at the window ends, and the block products
+    are accumulated into the nested window sums.
+
+    With real weights the sum at -k is the conjugate of the sum at k,
+    so k and -k share one entry and have equal intensities.  The table
+    costs |A| + |B| exponential rows, A and B the distinct a and b left
+    after that folding, against |K| for the direct route; it is used
+    when |A| + |B| < |K| on an exact point set, and otherwise every k
+    goes through intensity_profile_at.
+    """
+    ks = list(ks)
+    stops, norm = _nested_windows(ps, radii)
+    pairs = np.array([(k.a, k.b) for k in ks], dtype=np.int64).reshape(len(ks), 2)
+    if not np.any(ps.weights.imag):
+        # real weights: the sum at -k is the conjugate of the sum at k
+        flip = (pairs[:, 0] < 0) | ((pairs[:, 0] == 0) & (pairs[:, 1] < 0))
+        pairs[flip] *= -1
+    a_vals, a_idx = np.unique(pairs[:, 0], return_inverse=True)
+    b_vals, b_idx = np.unique(pairs[:, 1], return_inverse=True)
+    if ps.exact is None or len(a_vals) + len(b_vals) >= len(ks):
+        profile = intensity_profile_at(ps, radii)
+        return np.array([profile(k) for k in ks]).reshape(len(ks), len(norm))
+
+    cuts = np.unique(np.concatenate([[0], stops]))
+    n = int(cuts[-1])
+    c = np.ascontiguousarray(ps.exact[:n, 0])
+    d = np.ascontiguousarray(ps.exact[:n, 1])
+    w = ps.weights[:n]
+    c_max, d_max = _coord_bounds(c, d)
+    for k in ks:
+        _check_phase_range(k, c_max, d_max)
+    a_col, b_col = a_vals[:, None], b_vals[:, None]
+
+    # cum[j] holds the sums over the points before cuts[j]
+    cum = np.zeros((len(cuts), len(a_vals), len(b_vals)), dtype=np.complex128)
+    for j in range(len(cuts) - 1):
+        cum[j + 1] = cum[j]
+        for lo in range(cuts[j], cuts[j + 1], _TABLE_CHUNK):
+            hi = min(lo + _TABLE_CHUNK, cuts[j + 1])
+            u = unit_phase(_reduce_phases(c[lo:hi], d[lo:hi], a_col, 0)) * w[lo:hi]
+            v = unit_phase(_reduce_phases(c[lo:hi], d[lo:hi], 0, b_col))
+            cum[j + 1] += u @ v.T
+    sums = cum[np.searchsorted(cuts, stops)][:, a_idx, b_idx]  # (radii, ks)
+    return (np.abs(sums) ** 2 / norm[:, None]).T
+
+
+def intensities_at(ps: PointSet1D, ks) -> list[float]:
+    """intensity_at over the whole sample for every k in ks, as one table."""
+    return intensity_table_at(ps, ks, [ps.extent / 2.0])[:, 0].tolist()
 
 
 def intensity_at(
@@ -292,10 +412,23 @@ def weighted_silver_comb(
     return PointSet1D(ps.coords[:-1], w.astype(np.complex128), exact)
 
 
+# the most elements, (2 a_max + 1)(2 b_max + 1), that module_box lists
+MODULE_BOX_LIMIT = 10**6
+
+
 def module_box(
     a_max: int, b_max: int, k_max: float | None = None
 ) -> list[FourierModuleElement]:
-    """All module elements with |a| <= a_max, |b| <= b_max (and |k| <= k_max)."""
+    """All module elements with |a| <= a_max, |b| <= b_max (and |k| <= k_max).
+
+    Raises OutOfRange for a negative bound or a box of more than
+    MODULE_BOX_LIMIT elements, before anything is listed.
+    """
+    if a_max < 0 or b_max < 0:
+        raise OutOfRange(f"module box bounds must be nonnegative, got {a_max}, {b_max}")
+    size = (2 * a_max + 1) * (2 * b_max + 1)
+    if size > MODULE_BOX_LIMIT:
+        raise OutOfRange(f"module box of {size} elements exceeds {MODULE_BOX_LIMIT}")
     out = []
     for a in range(-a_max, a_max + 1):
         for b in range(-b_max, b_max + 1):
@@ -337,7 +470,9 @@ def verify_inflation_identity(
     sides zero and are skipped; the remaining ones are ranked by
     inflated intensity and the strongest ``top`` are compared.
     Additionally every extinct candidate is checked to carry intensity
-    in the inflated chain (extinctions do not transport).
+    in the inflated chain (extinctions do not transport).  The inflated
+    chain is evaluated once over the candidates and the original once
+    over their lambda k, each as one table (intensities_at).
     """
     infl = inflate_factor(ps)
     dens_orig = len(ps) / ps.extent
@@ -345,24 +480,21 @@ def verify_inflation_identity(
     ratio = dens_infl / dens_orig
     c_scale = ratio * ratio
 
+    candidates = list(candidates)
+    i_infl = intensities_at(infl, candidates)
+    compared = [j for j, k in enumerate(candidates) if not is_extinct(k.times_lambda())]
+    i_orig = intensities_at(ps, [candidates[j].times_lambda() for j in compared])
+
     rows: list[InflationRow] = []
-    for k in candidates:
-        lk = k.times_lambda()
-        if is_extinct(lk):
+    for j, orig in zip(compared, i_orig):
+        target = c_scale * orig
+        if max(i_infl[j], target) < intensity_floor:
             continue
-        i_infl = intensity_at(infl, k)
-        i_orig = intensity_at(ps, lk)
-        target = c_scale * i_orig
-        if max(i_infl, target) < intensity_floor:
-            continue
-        rel = abs(i_infl - target) / max(target, 1e-300)
-        rows.append(InflationRow(k, i_infl, i_orig, rel))
+        rel = abs(i_infl[j] - target) / max(target, 1e-300)
+        rows.append(InflationRow(candidates[j], i_infl[j], orig, rel))
     rows.sort(key=lambda r: -r.inflated_intensity)
     rows = rows[:top]
     max_rel = max((r.rel_error for r in rows), default=0.0)
 
-    transport = []
-    for k in candidates:
-        if is_extinct(k):
-            transport.append((k, intensity_at(infl, k)))
+    transport = [(k, i) for k, i in zip(candidates, i_infl) if is_extinct(k)]
     return InflationReport(rows, ratio, c_scale, max_rel, transport)

@@ -33,7 +33,13 @@ from .errors import (
     OutOfRange,
     ZeroMass,
 )
-from .modelset import FourierModuleElement, block_sums, intensity_profile_at
+from .modelset import (
+    FourierModuleElement,
+    block_sums,
+    intensity_profile_at,
+    intensity_table_at,
+    unit_phase,
+)
 from .subshift import SymbolicWindow
 
 
@@ -61,7 +67,7 @@ def intensity_profile_symbolic(window: SymbolicWindow, sizes):
 
     def profile(k: "FourierModuleElement | float") -> np.ndarray:
         kv = k.value if isinstance(k, FourierModuleElement) else float(k)
-        terms = vals * np.exp(-2j * np.pi * kv * idx)
+        terms = vals * unit_phase(idx, kv)
         return np.abs(block_sums(terms, starts, stops)) ** 2 / norm
 
     return profile
@@ -100,7 +106,7 @@ def sampled_comb_intensity(
     """
     t_samples = np.asarray(t_samples, dtype=float)
     h = float(t_samples[1] - t_samples[0])
-    s = h * np.sum(f_samples * np.exp(-2j * np.pi * k * t_samples))
+    s = h * np.sum(f_samples * unit_phase(t_samples, k))
     return float(abs(s) ** 2) / norm_length**2
 
 
@@ -175,9 +181,11 @@ def detect_atoms(
     intensity at the largest size exceeds min_intensity and the maximal
     relative variation across the last two doublings is at most
     rel_tol.  Each candidate costs one exponential sum over the largest
-    block or window, read at every size (intensity_profile).  Results
-    are sorted by frequency regardless of evaluation order, so parallel
-    evaluation cannot change the output.
+    block or window, read at every size (intensity_profile); module
+    elements on an exact point set are evaluated together, as one table
+    (intensity_table_at), and n_jobs threads share the remaining
+    candidates.  Results are sorted by frequency regardless of
+    evaluation order, so parallel evaluation cannot change the output.
     """
     schedule = list(schedule)
     if len(schedule) < 3:
@@ -186,10 +194,15 @@ def detect_atoms(
         raise ValueError("schedule must increase")
 
     profile = intensity_profile(source, schedule)
+    exact_source = isinstance(source, PointSet1D) and source.exact is not None
+    tabled, rest = [], []
+    for k in candidates:
+        exact_k = exact_source and isinstance(k, FourierModuleElement)
+        (tabled if exact_k else rest).append(k)
+    rows = intensity_table_at(source, tabled, schedule).tolist() if tabled else []
 
-    def eval_candidate(k) -> Atom | None:
+    def classify(k, vals: list[float]) -> Atom | None:
         kv = k.value if isinstance(k, FourierModuleElement) else float(k)
-        vals = profile(k).tolist()
         last = vals[-3:]
         rels = [
             abs(b - a) / max(abs(a), abs(b), 1e-300)
@@ -201,13 +214,17 @@ def detect_atoms(
             return Atom(kv, vals[-1], stability, exact)
         return None
 
+    def eval_candidate(k) -> Atom | None:
+        return classify(k, profile(k).tolist())
+
+    found = [classify(k, vals) for k, vals in zip(tabled, rows)]
     if n_jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            found = list(pool.map(eval_candidate, candidates))
+            found += pool.map(eval_candidate, rest)
     else:
-        found = [eval_candidate(k) for k in candidates]
+        found += [eval_candidate(k) for k in rest]
     atoms = sorted((a for a in found if a is not None), key=lambda a: a.k)
     return SpectralEstimate(atoms, [float(s) for s in schedule])
 
@@ -243,6 +260,8 @@ def intensity_ratios(source, candidates, schedule) -> np.ndarray:
 
 def sobol_candidates(n: int) -> np.ndarray:
     """n deterministic quasirandom frequencies in the open interval (0, 1)."""
+    if n < 1:
+        raise OutOfRange(f"need at least one candidate, got {n}")
     from scipy.stats import qmc
 
     m = 1
@@ -257,6 +276,8 @@ def sobol_candidates(n: int) -> np.ndarray:
 
 def kronecker_candidates(n: int) -> np.ndarray:
     """n irrational frequencies frac(i * golden mean); never dyadic."""
+    if n < 1:
+        raise OutOfRange(f"need at least one candidate, got {n}")
     g = (np.sqrt(5.0) - 1.0) / 2.0
     return np.sort((np.arange(1, n + 1) * g) % 1.0)
 
@@ -381,7 +402,7 @@ def fejer_density(eta: CorrelationSeq, t: np.ndarray | float) -> np.ndarray | fl
     w = 1.0 - lags / (m + 1.0)
     coeff = eta.data[m + 1 :]  # eta(1) ... eta(M)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    phases = np.exp(-2j * np.pi * np.outer(t_arr, lags))
+    phases = unit_phase(np.outer(t_arr, lags))
     vals = eta.value(0).real + 2.0 * (phases * (w * coeff)).real.sum(axis=1)
     return float(vals[0]) if np.isscalar(t) else vals
 

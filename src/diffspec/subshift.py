@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotAFixedPointSeed, NotPrimitive, WindowTooShort
+from .errors import MalformedInput, NotAFixedPointSeed, NotPrimitive, WindowTooShort
 
 LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
@@ -143,29 +143,35 @@ BUILTIN_RULES: dict[str, SubstitutionRule] = {
 
 
 def parse_rule(text: str) -> SubstitutionRule:
-    """Parse lines of the form ``a -> ab`` into a SubstitutionRule."""
-    raw: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        left, arrow, right = line.partition("->")
-        if not arrow:
-            raise ValueError(f"bad rule line {line!r}")
-        src = left.strip()
-        dst = right.strip()
-        if len(src) != 1 or not dst:
-            raise ValueError(f"bad rule line {line!r}")
-        raw[src] = dst
-    names = sorted(raw)
-    expect = [LETTER_NAMES[i] for i in range(len(names))]
-    if names != expect:
-        raise ValueError(f"alphabet must be contiguous letters, got {names}")
-    n = len(names)
-    images = tuple(
-        tuple(letter_id(c, n) for c in raw[LETTER_NAMES[i]]) for i in range(n)
-    )
-    return SubstitutionRule(images)
+    """Parse lines of the form ``a -> ab`` into a SubstitutionRule.
+
+    Raises MalformedInput for text that is not such a rule.
+    """
+    try:
+        raw: dict[str, str] = {}
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            left, arrow, right = line.partition("->")
+            if not arrow:
+                raise ValueError(f"bad rule line {line!r}")
+            src = left.strip()
+            dst = right.strip()
+            if len(src) != 1 or not dst:
+                raise ValueError(f"bad rule line {line!r}")
+            raw[src] = dst
+        names = sorted(raw)
+        expect = [LETTER_NAMES[i] for i in range(len(names))]
+        if names != expect:
+            raise ValueError(f"alphabet must be contiguous letters, got {names}")
+        n = len(names)
+        images = tuple(
+            tuple(letter_id(c, n) for c in raw[LETTER_NAMES[i]]) for i in range(n)
+        )
+        return SubstitutionRule(images)
+    except ValueError as exc:
+        raise MalformedInput(str(exc)) from exc
 
 
 def rule_by_name(name: str) -> SubstitutionRule:

@@ -16,7 +16,7 @@ from .delone import BumpFunction, enumerate_k_clusters, locator_set, smooth_comb
 from .errors import DiffspecError
 from .factors import BlockMap, apply_block_map, identity_map, indicator_block_map, xor_map
 from .modelset import (
-    intensity_at,
+    intensities_at,
     is_extinct,
     module_box,
     silver_mean_chain,
@@ -178,7 +178,8 @@ def verify_smoothing(
     locator = locator_set(chain, singleton)
 
     candidates = module_box(6, 3, 3.0)
-    ranked = sorted(candidates, key=lambda k: -intensity_at(locator, k))[:top]
+    by_intensity = zip(candidates, intensities_at(locator, candidates))
+    ranked = sorted(by_intensity, key=lambda kr: -kr[1])[:top]
 
     phi = BumpFunction("tent", eps)
     x0 = float(locator.coords[0])
@@ -188,8 +189,7 @@ def verify_smoothing(
 
     worst = 0.0
     lines = []
-    for k in ranked:
-        raw = intensity_at(locator, k)
+    for k, raw in ranked:
         smoothed = sampled_comb_intensity(t_grid, f, k.value, locator.extent)
         target = tent_ft(eps, k.value) ** 2 * raw
         rel = abs(smoothed - target) / max(target, 1e-300)
@@ -258,10 +258,8 @@ def verify_extinction(
     worst_extinct = 0.0
     smallest_live = np.inf
     misclassified = 0
-    for k in module_box(a_max, b_max, k_max):
-        if k.a == 0 and k.b == 0:
-            continue
-        i = intensity_at(chain, k)
+    box = [k for k in module_box(a_max, b_max, k_max) if (k.a, k.b) != (0, 0)]
+    for k, i in zip(box, intensities_at(chain, box)):
         if is_extinct(k):
             worst_extinct = max(worst_extinct, i)
             if i >= threshold:

@@ -1,13 +1,14 @@
 """End-to-end command line checks: round trips, exit codes, determinism."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from diffspec import cli
 from diffspec.delone import PointSet1D, cluster_frequency, enumerate_k_clusters
-from diffspec.modelset import silver_mean_chain
+from diffspec.modelset import intensity_at, is_extinct, module_box, silver_mean_chain
 
 
 def run(capsys, argv):
@@ -257,3 +258,44 @@ class TestConfigAndErrors:
         code, _, err = run(capsys, ["modelset", "--points", "1"])
         assert code == 2
         assert "zero extent" in err and "Traceback" not in err
+
+
+class TestModuleBoxBound:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["modelset", "--points", "100", "--box", "1000000000000,1,1"],
+            ["diffract", "--silver-mean", "--points", "1000", "--module-box", "99999999999,3,3"],
+            ["modelset", "--points", "100", "--box=-1,1,1"],
+            ["modelset", "--points", "100", "--box", "inf,1,1"],
+        ],
+    )
+    def test_oversized_or_negative_box_exits_2_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 10.0  # the box is refused, not listed
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_box_lines_match_single_k_evaluations(self, capsys):
+        code, out, _ = run(capsys, ["modelset", "--points", "3000", "--box", "4,2,3"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "a,b,value,extinct,intensity"
+        ps = silver_mean_chain(3000)
+        box = module_box(4, 2, 3.0)
+        assert len(lines) == len(box) + 1
+        for line, k in zip(lines[1:], box):
+            a, b, _value, extinct, intensity = line.split(",")
+            assert (int(a), int(b)) == (k.a, k.b)
+            assert extinct == str(is_extinct(k)).lower()
+            assert float(intensity) == pytest.approx(intensity_at(ps, k), rel=1e-11, abs=1e-18)
+
+
+class TestCandidateCounts:
+    @pytest.mark.parametrize("flag", [["--kronecker", "-3"], ["--sobol", "0"]])
+    def test_empty_candidate_source_is_usage_error(self, capsys, flag):
+        argv = ["diffract", "--rule", "period-doubling", "--len", "4096"] + flag
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err

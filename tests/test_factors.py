@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from diffspec.errors import MissingTableEntry, WindowTooShort
+from diffspec.errors import MalformedInput, MissingTableEntry, WindowTooShort
 from diffspec.factors import (
     BlockMap,
     apply_block_map,
@@ -160,3 +160,12 @@ def test_public_api_lists_xor_map():
 
     assert "xor_map" in diffspec.__all__
     assert all(hasattr(diffspec, name) for name in diffspec.__all__)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["nonsense", "offset x length 2\n", "offset 0 length 2\nab 1\n", "offset 0 length 2\nab -> q\n"],
+)
+def test_block_map_parse_raises_malformed_input(text):
+    with pytest.raises(MalformedInput):
+        BlockMap.parse(text)

@@ -224,3 +224,21 @@ class TestWeightedComb:
     def test_exact_phases_need_exact_coords(self):
         with pytest.raises(NotSilverMean):
             exact_phases(PointSet1D(np.arange(5.0)), FourierModuleElement(1, 0))
+
+
+@pytest.mark.parametrize("a_max, b_max", [(10**12, 1), (99999999999, 3), (-1, 0), (0, -2)])
+def test_module_box_refuses_oversized_and_negative_bounds(a_max, b_max):
+    with pytest.raises(OutOfRange):
+        module_box(a_max, b_max, 1.0)
+
+
+def test_module_box_limit_counts_the_full_box(monkeypatch):
+    from diffspec import modelset
+
+    assert modelset.MODULE_BOX_LIMIT == 10**6
+    with pytest.raises(OutOfRange):
+        module_box(0, modelset.MODULE_BOX_LIMIT // 2)
+    monkeypatch.setattr(modelset, "MODULE_BOX_LIMIT", 15)
+    assert len(module_box(2, 1)) == 15
+    with pytest.raises(OutOfRange):
+        module_box(2, 2, 0.5)  # 25 elements, even though few pass k_max

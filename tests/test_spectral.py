@@ -301,3 +301,10 @@ class TestMeasureFamilies:
         phi = BumpFunction("custom", samples=(np.array([-1, 0, 1.0]), np.array([0, 1, 0.0])))
         with pytest.raises(DiffspecError):
             regularised_diffraction(est, phi)
+
+
+@pytest.mark.parametrize("make", [sobol_candidates, kronecker_candidates])
+@pytest.mark.parametrize("n", [0, -3])
+def test_candidate_generators_refuse_empty_lists(make, n):
+    with pytest.raises(OutOfRange):
+        make(n)

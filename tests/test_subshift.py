@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffspec.errors import NotAFixedPointSeed, NotPrimitive
+from diffspec.errors import MalformedInput, NotAFixedPointSeed, NotPrimitive
 from diffspec.subshift import (
     SubstitutionRule,
     SymbolicWindow,
@@ -178,3 +178,9 @@ class TestWordStatistics:
         w = window(name, 512)
         for word in dictionary(w, max_len):
             assert word_occurrences(w, word) > 0
+
+
+@pytest.mark.parametrize("text", ["garbage", "a -> az\n", "ab -> a\n", "a ->\n"])
+def test_parse_rule_raises_malformed_input(text):
+    with pytest.raises(MalformedInput):
+        parse_rule(text)
