@@ -48,17 +48,20 @@ from .verify import SUITE_NAMES, named_block_map, run_suite
 
 
 def _parse_floats(text: str) -> list[float]:
+    """A nonempty list of finite numbers, separated by , or ;."""
     vals = [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
     if not vals:
         raise DiffspecError(f"empty number list {text!r}")
+    if not all(np.isfinite(vals)):
+        raise DiffspecError(f"number list {text!r} holds inf or nan")
     return vals
 
 
 def _parse_box(text: str) -> tuple[int, int, float]:
     """Module box bounds "A,B,KMAX"; A and B are truncated to integers."""
     vals = _parse_floats(text)
-    if len(vals) != 3 or not all(np.isfinite(vals)):
-        raise DiffspecError(f"module box needs three finite numbers A,B,KMAX, got {text!r}")
+    if len(vals) != 3:
+        raise DiffspecError(f"module box needs three numbers A,B,KMAX, got {text!r}")
     return int(vals[0]), int(vals[1]), vals[2]
 
 
@@ -72,10 +75,9 @@ def _parse_weights(text: str, n_letters: int) -> dict[int, complex]:
         name, _, val = tok.partition("=")
         if not val:
             raise DiffspecError(f"weight entry {tok!r} is not letter=value")
+        letter = letter_id(name.strip(), n_letters)
         try:
-            weights[letter_id(name.strip(), n_letters)] = complex(
-                val.strip().replace("i", "j")
-            )
+            weights[letter] = complex(val.strip().replace("i", "j"))
         except ValueError as exc:
             raise DiffspecError(f"bad weight value {val!r}") from exc
     return weights
@@ -293,7 +295,10 @@ def cmd_modelset(args) -> int:
 
     buf = []
     if args.k:
-        a, b = (int(v) for v in _parse_floats(args.k))
+        vals = _parse_floats(args.k)
+        if len(vals) != 2:
+            raise DiffspecError(f"--k needs two numbers a,b, got {args.k!r}")
+        a, b = (int(v) for v in vals)
         k = FourierModuleElement(a, b)
         buf.append(
             f"k {k.value:.12g} a {a} b {b} "
@@ -318,7 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value file overriding flags")
     common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument("--threads", type=int, default=1, help="parallel workers")
+    common.add_argument(
+        "--threads", type=int, default=1,
+        help="threads for point-set candidates evaluated one by one (diffract); "
+        "windows and module elements on exact chains are evaluated as one table",
+    )
 
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--rule", help="built-in rule name")

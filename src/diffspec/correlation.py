@@ -63,17 +63,33 @@ class CorrelationSeq:
         return buf.getvalue()
 
 
+# sites per chunk of the lag loop: every lag runs on one chunk before the
+# next, so both slices of each vdot come from cache, not from memory
+_LAG_CHUNK = 2**16
+
+
 def _correlate_values(values: np.ndarray, max_lag: int) -> CorrelationSeq:
+    """eta(m) = sum conj(y_n) y_{n+m} / (n - m), one vdot per lag and chunk.
+
+    A window no longer than one chunk makes one vdot per lag over all
+    its pairs; longer ones add up the chunks' vdots, starting from -0.0,
+    the exact additive identity.
+    """
     n = len(values)
     if n < 2 * max_lag + 4:
         raise WindowTooShort(
             f"{n} values cannot support max_lag {max_lag} (need {2 * max_lag + 4})"
         )
+    sums = np.full(max_lag + 1, complex(-0.0, -0.0))
+    for lo in range(0, n, _LAG_CHUNK):
+        hi = min(lo + _LAG_CHUNK, n)
+        for m in range(min(max_lag, n - 1 - lo) + 1):
+            top = min(hi, n - m)  # pairs (u, u + m) with lo <= u < top
+            sums[m] += np.vdot(values[lo:top], values[lo + m : top + m])
+    pairs = n - np.arange(max_lag + 1)
     data = np.empty(2 * max_lag + 1, dtype=np.complex128)
-    for m in range(max_lag + 1):
-        s = np.vdot(values[: n - m], values[m:])  # sum conj(y_n) y_{n+m}
-        data[max_lag + m] = s / (n - m)
-        data[max_lag - m] = np.conj(s) / (n - m)
+    data[max_lag:] = sums / pairs
+    data[max_lag::-1] = np.conj(sums) / pairs
     return CorrelationSeq(max_lag, data, n)
 
 

@@ -28,6 +28,7 @@ the direct sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import total_ordering
 
@@ -180,10 +181,22 @@ def _reduce_phases(c: np.ndarray, d: np.ndarray, a, b) -> np.ndarray:
     range (_check_phase_range).
     """
     half = ((b * c + a * d) & 1) * 0.5  # & 1 is the parity for negatives too
-    m = a * c + 2 * b * d
-    frac = (m.view(np.uint64) * _Q).astype(np.float64) * 2.0**-64
-    frac += m * (_EPS * 2.0**-64)
-    frac += half
+    return wrap_phases(a * c + 2 * b * d, _Q, _EPS, half)
+
+
+def wrap_phases(m: np.ndarray, q, eps, offset=0.0) -> np.ndarray:
+    """Fractional parts of offset + m (q + eps) / 2^64 for int64 m.
+
+    q is a uint64 and eps a float in [0, 1), or arrays of them that
+    broadcast against m: the fixed-point form of a real number modulo 1.
+    The uint64 product m q wraps exactly modulo 2^64, which is the
+    reduction modulo 1, and m eps / 2^64 is a float term that stays
+    small while |m| does.  The result is accurate to a few 1e-16 on the
+    circle, however large m q is.
+    """
+    frac = (m.view(np.uint64) * q).astype(np.float64) * 2.0**-64
+    frac += m * (eps * 2.0**-64)
+    frac += offset
     frac -= np.floor(frac)
     # a phase just below an integer can round up to 1.0, which is 0
     # on the circle; the largest double below 1 is as close
@@ -421,6 +434,8 @@ def module_box(
 ) -> list[FourierModuleElement]:
     """All module elements with |a| <= a_max, |b| <= b_max (and |k| <= k_max).
 
+    Sorted by (k, a).  Only the b with |b/2 + a sqrt(2)/4| <= k_max are
+    listed for each a, so a small k_max costs little in a large box.
     Raises OutOfRange for a negative bound or a box of more than
     MODULE_BOX_LIMIT elements, before anything is listed.
     """
@@ -429,9 +444,20 @@ def module_box(
     size = (2 * a_max + 1) * (2 * b_max + 1)
     if size > MODULE_BOX_LIMIT:
         raise OutOfRange(f"module box of {size} elements exceeds {MODULE_BOX_LIMIT}")
+    if k_max is not None and k_max < 0:
+        return []
+    s = SQRT2 / 4.0
+    # a bound below the box's largest |k| cuts a b-range per a; nan never cuts
+    cut = k_max is not None and k_max < b_max / 2.0 + a_max * s
     out = []
     for a in range(-a_max, a_max + 1):
-        for b in range(-b_max, b_max + 1):
+        b_lo, b_hi = -b_max, b_max
+        if cut:
+            # |b/2 + a sqrt(2)/4| <= k_max, widened by one b at each end
+            # against rounding; the float check below decides those
+            b_lo = max(b_lo, math.ceil(-2.0 * (k_max + a * s)) - 1)
+            b_hi = min(b_hi, math.floor(2.0 * (k_max - a * s)) + 1)
+        for b in range(b_lo, b_hi + 1):
             k = FourierModuleElement(a, b)
             if k_max is not None and abs(k.value) > k_max:
                 continue

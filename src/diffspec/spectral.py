@@ -35,60 +35,126 @@ from .errors import (
 )
 from .modelset import (
     FourierModuleElement,
-    block_sums,
     intensity_profile_at,
     intensity_table_at,
     unit_phase,
+    wrap_phases,
 )
 from .subshift import SymbolicWindow
 
 
-def intensity_profile_symbolic(window: SymbolicWindow, sizes):
-    """The evaluator k -> I_N(k) for every block size N in sizes.
+def _symbolic_blocks(window: SymbolicWindow, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop site of the block of every size N, validated.
 
     A block starts at the index origin when the window allows, so
     doubling N extends a substitution-aligned sample; it slides left
-    only when the right half is too short.  Every block lies inside the
-    largest, so each k costs one exponential sum over that block, read
-    at each size's own start and end.
+    only when the right half is too short.
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    for n in (sizes.min(), sizes.max()):
-        if n < 1 or n > len(window):
+    sizes = list(sizes)
+    if not sizes:
+        raise OutOfRange("no block sizes")
+    for n in sizes:  # checked before any conversion, so 1e300 or inf cannot overflow
+        if not 1 <= n <= len(window):
             raise OutOfRange(f"N = {n} outside window of {len(window)} sites")
+    sizes = np.array(sizes, dtype=np.int64)
     starts = np.maximum(window.lo, np.minimum(0, window.hi - sizes + 1))
-    lo = int(starts.min())
-    hi = int((starts + sizes).max())
-    idx = np.arange(lo, hi)
-    vals = window.values()[lo - window.lo : hi - window.lo]
-    starts -= lo
-    stops = starts + sizes
-    norm = sizes.astype(np.float64) ** 2
+    return starts, starts + sizes
 
-    def profile(k: "FourierModuleElement | float") -> np.ndarray:
-        kv = k.value if isinstance(k, FourierModuleElement) else float(k)
-        terms = vals * unit_phase(idx, kv)
-        return np.abs(block_sums(terms, starts, stops)) ** 2 / norm
 
-    return profile
+def _fixed_point(ks: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Every k modulo 1 as (q + eps) / 2^64, q uint64 and eps in [0, 1).
+
+    A double is m / 2^j exactly, so q and eps come from one integer
+    division; k n mod 1 is then wrap_phases(n, q, eps) for any int64 n.
+    """
+    q = np.empty(len(ks), dtype=np.uint64)
+    eps = np.empty(len(ks))
+    for i, k in enumerate(ks):
+        if not np.isfinite(k):
+            raise OutOfRange(f"candidate frequency {k} is not finite")
+        num, den = k.as_integer_ratio()
+        top, rem = divmod(num << 64, den)
+        q[i] = top & 0xFFFFFFFFFFFFFFFF
+        eps[i] = rem / den
+    return q, eps
+
+
+# candidates per group of the symbolic table: its factor tables hold
+# (B + Q + segments) * _TABLE_GROUP complex numbers, whatever len(ks)
+_TABLE_GROUP = 64
+
+
+def intensity_table_symbolic(window: SymbolicWindow, ks, sizes) -> np.ndarray:
+    """I_N(k) for every candidate in ks and every block size N in sizes.
+
+    Returns an array of shape (len(ks), len(sizes)).  The block ends cut
+    the largest block into segments.  A site of the segment starting at
+    s is n = s + qB + r, with B a power of two near the square root of
+    the longest segment, so e(-k n) = e(-k s) e(-k qB) e(-k r): the
+    letters of a segment form a (Q, B) matrix Y, the sum at every k of a
+    group is the row-wise dot of Y R with P, where R[r, k] = e(-k r) and
+    P[q, k] = e(-k qB), and the candidates cost K (B + Q + segments)
+    exponentials in all.  Each k n is reduced modulo 1 in 64-bit fixed
+    point before its exponential (wrap_phases), so the phases are exact
+    to a few 1e-16 however large k n is.  Segment sums are added up into
+    every block; candidates go in groups of _TABLE_GROUP, so memory does
+    not grow with len(ks).
+    """
+    ks = [k.value if isinstance(k, FourierModuleElement) else float(k) for k in ks]
+    starts, stops = _symbolic_blocks(window, sizes)
+    norm = (stops - starts).astype(np.float64) ** 2
+    cuts = np.unique(np.concatenate([starts, stops]))
+    first, last = np.searchsorted(cuts, starts), np.searchsorted(cuts, stops)
+    vals = window.values()[cuts[0] - window.lo : cuts[-1] - window.lo]
+    if not np.any(vals.imag):
+        vals = vals.real  # real letters: half the multiplies
+    lengths = np.diff(cuts)
+    b = 1 << (int(lengths.max()).bit_length() // 2)
+    segments = []  # (Q, B) letter matrices, zero-padded at the end
+    for lo, n in zip(cuts[:-1] - cuts[0], lengths):
+        y = np.zeros(-(-n // b) * b, dtype=vals.dtype)
+        y[:n] = vals[lo : lo + n]
+        segments.append(y.reshape(-1, b))
+    r = np.arange(b, dtype=np.int64)[:, None]
+    qb = np.arange(max(len(y) for y in segments), dtype=np.int64)[:, None] * b
+    s = cuts[:-1, None]
+
+    out = np.empty((len(ks), len(norm)))
+    for g in range(0, len(ks), _TABLE_GROUP):
+        q, eps = _fixed_point(ks[g : g + _TABLE_GROUP])
+        rk = unit_phase(wrap_phases(r, q, eps))
+        pk = unit_phase(wrap_phases(qb, q, eps))
+        seg = unit_phase(wrap_phases(s, q, eps))  # e(-k s), one row per segment
+        for j, y in enumerate(segments):
+            if y.dtype == np.float64:  # real Y times complex R, as one real product
+                yr = (y @ rk.view(np.float64)).view(np.complex128)
+            else:
+                yr = y @ rk
+            seg[j] *= np.einsum("qk,qk->k", yr, pk[: len(y)])
+        sums = np.array([seg[i:j].sum(axis=0) for i, j in zip(first, last)])
+        out[g : g + _TABLE_GROUP] = (np.abs(sums) ** 2 / norm[:, None]).T
+    return out
 
 
 def intensity_profile(source, sizes):
     """The nested-size evaluator of a source: k -> intensities at all sizes.
 
     sizes are block sizes N for a SymbolicWindow and radii R for a
-    PointSet1D; the sizes are validated here, once for all k.
+    PointSet1D; the sizes are validated here, once for all k.  On a
+    window each k is a one-row intensity_table_symbolic.
     """
     if isinstance(source, SymbolicWindow):
-        return intensity_profile_symbolic(source, [int(s) for s in sizes])
+        sizes = list(sizes)
+        _symbolic_blocks(source, sizes)
+        return lambda k: intensity_table_symbolic(source, [k], sizes)[0]
     if isinstance(source, PointSet1D):
         return intensity_profile_at(source, [float(s) for s in sizes])
     raise TypeError(f"cannot estimate intensity of {type(source).__name__}")
 
 
 def intensity_symbolic(window: SymbolicWindow, k: float, n_sites: int) -> float:
-    """I_N(k) over a block of n_sites letters (see intensity_profile_symbolic)."""
-    return float(intensity_profile_symbolic(window, [n_sites])(k)[0])
+    """I_N(k) over a block of n_sites letters (see intensity_table_symbolic)."""
+    return float(intensity_table_symbolic(window, [k], [n_sites])[0, 0])
 
 
 def intensity_estimate(source, k, n_or_r) -> float:
@@ -180,12 +246,14 @@ def detect_atoms(
     N (sequences) or radii R (point sets); a candidate is kept when its
     intensity at the largest size exceeds min_intensity and the maximal
     relative variation across the last two doublings is at most
-    rel_tol.  Each candidate costs one exponential sum over the largest
-    block or window, read at every size (intensity_profile); module
-    elements on an exact point set are evaluated together, as one table
-    (intensity_table_at), and n_jobs threads share the remaining
-    candidates.  Results are sorted by frequency regardless of
-    evaluation order, so parallel evaluation cannot change the output.
+    rel_tol.  Every candidate is read at all sizes from one evaluation.
+    On a window all candidates form one table
+    (intensity_table_symbolic); on an exact point set the module
+    elements form one table (intensity_table_at).  n_jobs threads serve
+    only the candidates left over on a point set, which are evaluated
+    one by one (intensity_profile).  Results are sorted by frequency
+    regardless of evaluation order, so parallel evaluation cannot change
+    the output.
     """
     schedule = list(schedule)
     if len(schedule) < 3:
@@ -193,13 +261,16 @@ def detect_atoms(
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must increase")
 
-    profile = intensity_profile(source, schedule)
-    exact_source = isinstance(source, PointSet1D) and source.exact is not None
-    tabled, rest = [], []
-    for k in candidates:
-        exact_k = exact_source and isinstance(k, FourierModuleElement)
-        (tabled if exact_k else rest).append(k)
-    rows = intensity_table_at(source, tabled, schedule).tolist() if tabled else []
+    if isinstance(source, SymbolicWindow):
+        tabled, rest = list(candidates), []
+        rows = intensity_table_symbolic(source, tabled, schedule).tolist()
+    else:
+        profile = intensity_profile(source, schedule)
+        tabled, rest = [], []
+        for k in candidates:
+            exact_k = source.exact is not None and isinstance(k, FourierModuleElement)
+            (tabled if exact_k else rest).append(k)
+        rows = intensity_table_at(source, tabled, schedule).tolist() if tabled else []
 
     def classify(k, vals: list[float]) -> Atom | None:
         kv = k.value if isinstance(k, FourierModuleElement) else float(k)
@@ -237,8 +308,9 @@ NOISE_FLOOR = 1e-18
 def intensity_ratios(source, candidates, schedule) -> np.ndarray:
     """Mean of I_{next}/I_{prev} over candidates, one per schedule step.
 
-    Every candidate's intensities come from one nested-size evaluation
-    (intensity_profile), as in detect_atoms.
+    Every candidate's intensities come from one nested-size evaluation,
+    as in detect_atoms: one table on a window (intensity_table_symbolic),
+    one profile per candidate on a point set (intensity_profile).
 
     Pairs where both intensities sit below NOISE_FLOOR count as fully
     decayed (ratio 0): the underlying sums are exact zeros and the
@@ -246,10 +318,13 @@ def intensity_ratios(source, candidates, schedule) -> np.ndarray:
     information.
     """
     schedule = list(schedule)
-    profile = intensity_profile(source, schedule)
-    ratios = np.zeros((len(candidates), len(schedule) - 1))
-    for i, k in enumerate(candidates):
-        vals = profile(k).tolist()
+    if isinstance(source, SymbolicWindow):
+        rows = intensity_table_symbolic(source, candidates, schedule).tolist()
+    else:
+        profile = intensity_profile(source, schedule)
+        rows = [profile(k).tolist() for k in candidates]
+    ratios = np.zeros((len(rows), len(schedule) - 1))
+    for i, vals in enumerate(rows):
         for j in range(len(schedule) - 1):
             if max(vals[j], vals[j + 1]) < NOISE_FLOOR:
                 ratios[i, j] = 0.0

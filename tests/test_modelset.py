@@ -1,5 +1,7 @@
 """Silver-mean chain: exact arithmetic, intensities, extinctions, inflation."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,3 +244,41 @@ def test_module_box_limit_counts_the_full_box(monkeypatch):
     assert len(module_box(2, 1)) == 15
     with pytest.raises(OutOfRange):
         module_box(2, 2, 0.5)  # 25 elements, even though few pass k_max
+
+
+def brute_force_box(a_max, b_max, k_max):
+    """The whole box as arrays, filtered by |k| <= k_max and sorted by (k, a)."""
+    a, b = np.meshgrid(np.arange(-a_max, a_max + 1), np.arange(-b_max, b_max + 1))
+    a, b = a.ravel(), b.ravel()
+    value = b / 2.0 + a * SQRT2 / 4.0
+    keep = ~(np.abs(value) > k_max)
+    a, b, value = a[keep], b[keep], value[keep]
+    order = np.lexsort((a, value))
+    return list(zip(a[order].tolist(), b[order].tolist()))
+
+
+@pytest.mark.parametrize(
+    "a_max, b_max, k_max",
+    [(6, 3, 3.0), (30, 30, 0.5), (30, 30, SQRT2 / 2), (40, 0, 1.0), (5, 5, 0.0),
+     (5, 5, -0.0), (5, 5, -1e-300), (5, 5, float("nan")), (5, 5, float("inf")),
+     (20, 7, 1e300)],
+)
+def test_module_box_lists_only_the_wanted_band(a_max, b_max, k_max):
+    got = [(k.a, k.b) for k in module_box(a_max, b_max, k_max)]
+    assert got == brute_force_box(a_max, b_max, k_max)
+
+
+def test_small_bound_in_a_large_box_is_fast():
+    start = time.perf_counter()
+    box = module_box(499, 499, 0.1)
+    assert time.perf_counter() - start < 1.0
+    assert [(k.a, k.b) for k in box] == brute_force_box(499, 499, 0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 60), st.integers(0, 60), st.integers(-60, 60), st.integers(-60, 60))
+def test_module_box_bound_at_an_element_keeps_that_element(a_max, b_max, a, b):
+    # k_max equal to an element's |k| is the case where rounding decides
+    k_max = abs(FourierModuleElement(a, b).value)
+    got = [(k.a, k.b) for k in module_box(a_max, b_max, k_max)]
+    assert got == brute_force_box(a_max, b_max, k_max)

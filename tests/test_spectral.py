@@ -1,6 +1,7 @@
 """Intensities, atom detection, circle-grid measures, and Fejer densities."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,12 @@ from diffspec.spectral import (
 )
 from diffspec.modelset import intensity_at, is_extinct, module_box, silver_mean_chain
 from diffspec.subshift import SymbolicWindow, fixed_point_window, rule_by_name
+
+
+def exact_phases(k, idx) -> np.ndarray:
+    """k n mod 1 for every n in idx, reduced in exact rational arithmetic."""
+    kf = Fraction(k)
+    return np.array([float(kf * n % 1) for n in idx])
 
 
 def pm_window(name="thue-morse", min_len=1024):
@@ -98,10 +105,10 @@ class TestNestedSizes:
             for n, got in zip(sizes, intensity_profile(w, sizes)(k)):
                 start = max(w.lo, min(0, w.hi - n + 1))
                 block = vals[start - w.lo : start - w.lo + n]
-                terms = block * np.exp(-2j * np.pi * k * np.arange(start, start + n))
-                direct = abs(np.sum(terms)) ** 2 / n**2
+                phases = exact_phases(k, range(start, start + n))
+                direct = abs(np.sum(block * np.exp(-2j * np.pi * phases))) ** 2 / n**2
                 assert got == pytest.approx(intensity_symbolic(w, k, n), rel=1e-12)
-                assert got == pytest.approx(direct, rel=1e-12)
+                assert got == pytest.approx(direct, rel=1e-12, abs=0)
 
     def test_pointset_radii_match_single_radius(self):
         ps = silver_mean_chain(5000)

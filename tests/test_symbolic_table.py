@@ -1,0 +1,227 @@
+"""The symbolic candidate table and the chunked lag loop, against exact references."""
+
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diffspec import correlation
+from diffspec.correlation import autocorr_symbolic
+from diffspec.errors import OutOfRange
+from diffspec.modelset import FourierModuleElement, wrap_phases
+from diffspec.spectral import (
+    _fixed_point,
+    detect_atoms,
+    intensity_symbolic,
+    intensity_table_symbolic,
+    kronecker_candidates,
+)
+from diffspec.subshift import SymbolicWindow, fixed_point_window, rule_by_name
+
+
+def exact_phases(k: float, idx) -> np.ndarray:
+    """k n mod 1 for every n in idx, reduced in exact rational arithmetic."""
+    num, den = float(k).as_integer_ratio()
+    return np.array([(num * n % den) / den for n in idx])
+
+
+def exact_table(window: SymbolicWindow, ks, sizes) -> np.ndarray:
+    """I_N(k) as direct sums over exactly reduced phases, block by block."""
+    vals = window.values()
+    out = np.empty((len(ks), len(sizes)))
+    for i, k in enumerate(ks):
+        kv = k.value if isinstance(k, FourierModuleElement) else float(k)
+        for j, n in enumerate(sizes):
+            start = max(window.lo, min(0, window.hi - n + 1))
+            block = vals[start - window.lo : start - window.lo + n]
+            phases = exact_phases(kv, range(start, start + n))
+            out[i, j] = abs(np.sum(block * np.exp(-2j * np.pi * phases))) ** 2 / n**2
+    return out
+
+
+def assert_matches_exact(table, exact):
+    """1e-12 relative, or 1e-18 absolute for sums that cancel to residue."""
+    assert table.shape == exact.shape
+    np.testing.assert_allclose(table, exact, rtol=1e-12, atol=1e-18)
+
+
+FREQS = st.one_of(
+    st.floats(-2.0, 2.0, allow_nan=False),
+    st.floats(-2e4, 2e4, allow_nan=False),
+    st.integers(-64, 64).map(lambda p: p / 64),
+    st.sampled_from([0.0, -0.0, 1 / 3, -1 / 3, 1.0, 12345.678, -9999.5, 1e4 + 1 / 7]),
+)
+
+
+@st.composite
+def windows(draw):
+    n_letters = draw(st.integers(1, 4))
+    length = draw(st.integers(1, 400))
+    letters = draw(
+        st.lists(st.integers(0, n_letters - 1), min_size=length, max_size=length)
+    )
+    lo = -draw(st.integers(0, length - 1))
+    part = st.floats(-2.0, 2.0, allow_nan=False)
+    if draw(st.booleans()):
+        weights = {c: complex(draw(part), draw(part)) for c in range(n_letters)}
+    else:
+        weights = {c: complex(draw(part)) for c in range(n_letters)}
+    return SymbolicWindow(np.array(letters, dtype=np.int16), lo, weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.floats(-1e4, 1e4, allow_nan=False), n=st.integers(-(2**62), 2**62))
+def test_fixed_point_phase_is_k_n_mod_1(k, n):
+    """Exact to rounding for any int64 n, including bits of k below 2^-64."""
+    q, eps = _fixed_point([k])
+    got = wrap_phases(np.array([n], dtype=np.int64), q, eps)[0]
+    num, den = k.as_integer_ratio()
+    dist = abs(got - (num * n % den) / den)
+    assert 0.0 <= got < 1.0
+    assert min(dist, 1.0 - dist) <= 1e-15
+
+
+class TestTableAgainstExactSums:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_random_windows_sizes_and_frequencies(self, data):
+        w = data.draw(windows())
+        sizes = sorted(
+            data.draw(st.sets(st.integers(1, len(w)), min_size=1, max_size=4))
+        )
+        ks = data.draw(st.lists(FREQS, min_size=1, max_size=6))
+        table = intensity_table_symbolic(w, ks, sizes)
+        assert_matches_exact(table, exact_table(w, ks, sizes))
+        # a single k is a one-row table, the same numbers as intensity_symbolic
+        k, n = ks[0], sizes[-1]
+        one = intensity_table_symbolic(w, [k], [n])[0, 0]
+        assert one == intensity_symbolic(w, k, n)
+        assert one == pytest.approx(table[0, -1], rel=1e-12, abs=1e-18)
+
+    def test_blocks_that_slide_left_on_a_long_window(self):
+        letters = fixed_point_window(rule_by_name("rudin-shapiro"), 0, 4096).letters
+        w = SymbolicWindow(letters, -(len(letters) - 300), {0: 1, 1: 1j, 2: -1, 3: 0.5})
+        sizes = [100, 300, 1000, 4000, len(letters)]
+        ks = [0.25, -1 / 3, 7.125, 1e4 + 0.1, *kronecker_candidates(5)]
+        assert_matches_exact(
+            intensity_table_symbolic(w, ks, sizes), exact_table(w, ks, sizes)
+        )
+
+    def test_candidate_groups_do_not_change_the_rows(self):
+        w = fixed_point_window(rule_by_name("period-doubling"), 0, 2048,
+                               weights={0: 1.0, 1: -1.0})
+        ks = [p / 64 for p in range(64)] + list(kronecker_candidates(100))
+        sizes = [512, 1024, 2048]
+        table = intensity_table_symbolic(w, ks, sizes)
+        singles = np.array([intensity_table_symbolic(w, [k], sizes)[0] for k in ks])
+        np.testing.assert_allclose(table, singles, rtol=1e-12, atol=1e-18)
+
+    def test_module_elements_are_read_by_value(self):
+        w = fixed_point_window(rule_by_name("thue-morse"), 0, 512, weights={0: 1, 1: -1})
+        k = FourierModuleElement(3, 1)
+        table = intensity_table_symbolic(w, [k, k.value], [256, 512])
+        assert table[0].tolist() == table[1].tolist()
+
+    def test_empty_list_and_bad_input(self):
+        w = fixed_point_window(rule_by_name("thue-morse"), 0, 64)
+        assert intensity_table_symbolic(w, [], [16, 32]).shape == (0, 2)
+        with pytest.raises(OutOfRange):
+            intensity_table_symbolic(w, [0.5], [len(w) + 1])
+        with pytest.raises(OutOfRange):
+            intensity_table_symbolic(w, [0.5], [0])
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(OutOfRange):
+                intensity_table_symbolic(w, [0.25, bad], [16, 32])
+
+
+class TestDetectAtomsOnWindows:
+    def test_thread_count_does_not_change_output(self):
+        w = fixed_point_window(rule_by_name("period-doubling"), 0, 4096,
+                               weights={0: 1.0, 1: -1.0})
+        cands = [p / 32 for p in range(32)] + list(kronecker_candidates(40))
+        one = detect_atoms(w, cands, [1024, 2048, 4096, 8192], n_jobs=1)
+        four = detect_atoms(w, cands, [1024, 2048, 4096, 8192], n_jobs=4)
+        assert one.to_json() == four.to_json()
+        assert [a.k for a in one.atoms] == [p / 32 for p in range(32)]
+
+
+def correlate_loop(values: np.ndarray, max_lag: int) -> np.ndarray:
+    """The single-pass lag loop: one vdot per lag over the whole window."""
+    n = len(values)
+    data = np.empty(2 * max_lag + 1, dtype=np.complex128)
+    for m in range(max_lag + 1):
+        s = np.vdot(values[: n - m], values[m:])
+        data[max_lag + m] = s / (n - m)
+        data[max_lag - m] = np.conj(s) / (n - m)
+    return data
+
+
+@contextmanager
+def lag_chunk(chunk: int):
+    """Run the lag loop with chunks of the given number of sites."""
+    old = correlation._LAG_CHUNK
+    correlation._LAG_CHUNK = chunk
+    try:
+        yield
+    finally:
+        correlation._LAG_CHUNK = old
+
+
+def pair_count_eta(letters: np.ndarray, weights: dict, max_lag: int) -> np.ndarray:
+    """eta(m) (N - m) = sum_uv conj(w_u) w_v C_uv(m) from exact pair counts."""
+    n_letters = int(letters.max()) + 1
+    w = [complex(weights.get(c, 0)) for c in range(n_letters)]
+    ids = letters.astype(np.int64)
+    out = []
+    for m in range(max_lag + 1):
+        counts = np.bincount(ids[: len(ids) - m] * n_letters + ids[m:],
+                             minlength=n_letters**2).tolist()
+        total = sum(
+            w[u].conjugate() * w[v] * counts[u * n_letters + v]
+            for u in range(n_letters) for v in range(n_letters)
+        )
+        out.append(total / (len(ids) - m))
+    return np.array(out)
+
+
+class TestChunkedLagLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(w=windows(), frac=st.floats(0.0, 1.0))
+    def test_windows_of_one_chunk_give_the_same_bits(self, w, frac):
+        if len(w) < 4:
+            return
+        max_lag = int(frac * (len(w) - 4) // 2)
+        got = autocorr_symbolic(w, max_lag).data
+        assert got.tobytes() == correlate_loop(w.values(), max_lag).tobytes()
+
+    def test_full_chunk_gives_the_same_bits(self):
+        w = fixed_point_window(rule_by_name("rudin-shapiro"), 0, 2**15,
+                               weights={0: 1, 1: 1j, 2: -1, 3: -0.5j})
+        values = w.values()[: correlation._LAG_CHUNK]
+        got = correlation._correlate_values(values, 64).data
+        assert got.tobytes() == correlate_loop(values, 64).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(w=windows(), chunk=st.integers(1, 40))
+    def test_many_chunks_match_exact_pair_counts(self, w, chunk):
+        if len(w) < 4:
+            return
+        max_lag = (len(w) - 4) // 2  # the 2M + 4 limit
+        with lag_chunk(chunk):
+            eta = autocorr_symbolic(w, max_lag)
+        eta.check_hermitian(0.0)
+        want = pair_count_eta(w.letters, w.weights, max_lag)
+        scale = max(abs(eta.value(0)), 1e-300)
+        dev = np.abs(eta.data[max_lag:] - want).max()
+        assert dev <= 1e-12 * scale
+
+    def test_long_window_matches_exact_pair_counts(self):
+        w = fixed_point_window(rule_by_name("thue-morse"), 0, 2**17,
+                               weights={0: 0.6 + 0.8j, 1: -0.6 - 0.8j})
+        assert len(w) >= 4 * correlation._LAG_CHUNK
+        eta = autocorr_symbolic(w, 96)
+        eta.check_hermitian(0.0)
+        want = pair_count_eta(w.letters, w.weights, 96)
+        assert np.abs(eta.data[96:] - want).max() <= 1e-12 * abs(eta.value(0))
