@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 
@@ -43,8 +44,14 @@ from .subshift import (
     letter_name,
     parse_rule,
     rule_by_name,
+    word_letters,
 )
 from .verify import SUITE_NAMES, named_block_map, run_suite
+
+
+# the largest |weight| accepted: |sum of w e(-kx)|^2 and every correlation
+# sum then stay inside the float range for any sample that fits in memory
+MAX_WEIGHT = 1e100
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -80,7 +87,16 @@ def _parse_weights(text: str, n_letters: int) -> dict[int, complex]:
             weights[letter] = complex(val.strip().replace("i", "j"))
         except ValueError as exc:
             raise DiffspecError(f"bad weight value {val!r}") from exc
+        if not abs(weights[letter]) <= MAX_WEIGHT:
+            raise DiffspecError(f"weight value {val!r} is not finite or above {MAX_WEIGHT:g}")
     return weights
+
+
+def _parse_pointset_text(text: str) -> PointSet1D:
+    ps = PointSet1D.parse(text)
+    if not (np.abs(ps.weights) <= MAX_WEIGHT).all():
+        raise DiffspecError(f"point set weights must be finite and at most {MAX_WEIGHT:g}")
+    return ps
 
 
 def _write_out(args, text: str):
@@ -96,13 +112,12 @@ def _serialize_window(window: SymbolicWindow) -> str:
 
 def _parse_window_text(text: str, weights_spec: str | None) -> SymbolicWindow:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    head = lines[0].split()
-    if len(lines) < 2 or head[0] != "window" or head[1] != "lo":
+    head = lines[0].split() if lines else []
+    if len(lines) < 2 or len(head) < 3 or head[:2] != ["window", "lo"]:
         raise DiffspecError("window file must start with 'window lo <lo> letters <n>'")
     lo = int(head[2])
-    word = lines[1].strip()
-    n_letters = max(ord(c) - ord("a") for c in word) + 1
-    letters = np.array([letter_id(c, n_letters) for c in word], dtype=np.int16)
+    letters = word_letters(lines[1].strip())
+    n_letters = int(letters.max()) + 1
     weights = _parse_weights(weights_spec, n_letters) if weights_spec else {}
     return SymbolicWindow(letters, lo, weights)
 
@@ -127,9 +142,11 @@ def _window_from_args(args) -> SymbolicWindow:
 def _load_source(args) -> SymbolicWindow | PointSet1D:
     if getattr(args, "infile", None):
         text = Path(args.infile).read_text()
-        if text.startswith("pointset"):
-            return PointSet1D.parse(text)
-        if text.startswith("window"):
+        words = (ln.partition("#")[0].split() for ln in io.StringIO(text))
+        kind = next((w[0] for w in words if w), "")
+        if kind == "pointset":
+            return _parse_pointset_text(text)
+        if kind == "window":
             return _parse_window_text(text, getattr(args, "weights", None))
         raise DiffspecError("input file must start with 'pointset' or 'window'")
     if getattr(args, "silver_mean", False):
@@ -283,7 +300,7 @@ def cmd_verify(args) -> int:
 
 def cmd_modelset(args) -> int:
     if getattr(args, "infile", None):
-        ps = PointSet1D.parse(Path(args.infile).read_text())
+        ps = _parse_pointset_text(Path(args.infile).read_text())
     else:
         ps = silver_mean_chain(args.points)
     if ps.extent <= 0:
@@ -435,12 +452,24 @@ def _apply_config(args, parser: argparse.ArgumentParser):
             raise DiffspecError(f"bad config value for {key.strip()!r}: {val.strip()!r}") from exc
 
 
+# scalar float options that must be finite
+_FINITE = ("zmax", "merge_tol", "rel_tol", "min_intensity", "k_radius", "eps")
+
+
+def _check_finite(args):
+    for dest in _FINITE:
+        val = getattr(args, dest, None)
+        if val is not None and not np.isfinite(val):
+            raise DiffspecError(f"--{dest.replace('_', '-')} must be finite, got {val}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
             _apply_config(args, parser)
+        _check_finite(args)
         return args.func(args)
     except (DiffspecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,6 @@ into one global merge of all float offsets; locator sets are row masks.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -103,53 +102,83 @@ class PointSet1D:
         return PointSet1D(self.coords[i:j], self.weights[i:j], exact)
 
     def serialize(self) -> str:
-        buf = io.StringIO()
+        """Header line, then one point per line; floats to 12 significant digits."""
         mode = "exact" if self.exact is not None else "float"
         pr = self.packing_radius
         pr_s = "inf" if np.isinf(pr) else f"{pr:.12g}"
-        buf.write(f"pointset {mode} packing_radius {pr_s}\n")
-        lead = self.exact.tolist() if self.exact is not None else self.coords.tolist()
-        for x, w in zip(lead, self.weights.tolist()):
-            x_s = f"{x[0]} {x[1]}" if self.exact is not None else f"{x:.12g}"
-            buf.write(f"{x_s} {w.real:.12g} {w.imag:.12g}\n")
-        return buf.getvalue()
+        if self.exact is not None:
+            fmt = "%d %d %.12g %.12g\n"
+            cols = [self.exact[:, 0], self.exact[:, 1]]
+        else:
+            fmt = "%.12g %.12g %.12g\n"
+            cols = [self.coords]
+        cols += [self.weights.real, self.weights.imag]
+        fields = [None] * (len(cols) * len(self))
+        for j, col in enumerate(cols):
+            fields[j :: len(cols)] = col.tolist()
+        return f"pointset {mode} packing_radius {pr_s}\n" + (fmt * len(self)) % tuple(fields)
 
     @classmethod
     def parse(cls, text: str) -> "PointSet1D":
-        """Read the serialize() format; MalformedInput on any bad line."""
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
-        head = lines[0].split() if lines else []
+        """Read the serialize() format; MalformedInput naming the first bad line.
+
+        The header is the first line that is neither blank nor a comment;
+        the point lines after it are read by one np.loadtxt, which skips
+        blank lines and full-line or trailing # comments.
+        """
+        lines = text.splitlines()
+        i_head = next((i for i, ln in enumerate(lines) if _is_data(ln)), len(lines))
+        head = lines[i_head].partition("#")[0].split() if i_head < len(lines) else []
         if not head or head[0] != "pointset":
             raise MalformedInput("point set file must start with a pointset header")
         if len(head) < 2 or head[1] not in ("exact", "float"):
             raise MalformedInput("pointset header needs mode 'exact' or 'float'")
         exact_mode = head[1] == "exact"
-        n_fields = 4 if exact_mode else 3
-        rows: list[list[int]] = []
-        coords: list[float] = []
-        weights: list[complex] = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != n_fields:
-                raise MalformedInput(
-                    f"{head[1]} point line {ln!r} needs {n_fields} fields, got {len(parts)}"
-                )
+        dtype = _EXACT_ROW if exact_mode else _FLOAT_ROW
+        body = lines[i_head + 1 :]
+        if any(_is_data(ln) for ln in body):
             try:
-                if exact_mode:
-                    rows.append([int(parts[0]), int(parts[1])])
-                else:
-                    coords.append(float(parts[0]))
-                weights.append(complex(float(parts[-2]), float(parts[-1])))
+                rows = np.loadtxt(body, dtype=dtype, comments="#", ndmin=1)
             except ValueError as exc:
-                raise MalformedInput(f"bad number in point line {ln!r}") from exc
-        if not exact_mode:
-            return cls(np.array(coords), np.array(weights))
+                raise _bad_line(lines, i_head + 1, dtype, head[1]) from exc
+        else:  # loadtxt warns on input without data
+            rows = np.empty(0, dtype=dtype)
+        weights = np.empty(len(rows), dtype=np.complex128)
+        weights.real = rows["wr"]
+        weights.imag = rows["wi"]
+        exact = np.stack([rows["a"], rows["b"]], axis=1) if exact_mode else None
+        coords = exact_coords(exact) if exact_mode else rows["x"].copy()
+        bad, why = np.flatnonzero(~np.isfinite(coords)), "coordinate is not finite"
+        if not len(bad):
+            bad, why = np.flatnonzero(~(np.diff(coords) > 0)) + 1, "coordinates must increase"
+        if len(bad):
+            data = [i for i in range(i_head + 1, len(lines)) if _is_data(lines[i])]
+            raise MalformedInput(f"line {data[bad[0]] + 1}: {why}")
+        return cls(coords, weights, exact)
+
+
+_EXACT_ROW = np.dtype([("a", "i8"), ("b", "i8"), ("wr", "f8"), ("wi", "f8")])
+_FLOAT_ROW = np.dtype([("x", "f8"), ("wr", "f8"), ("wi", "f8")])
+
+
+def _is_data(line: str) -> bool:
+    """Whether a text line holds more than blanks and a # comment."""
+    return bool(line.partition("#")[0].strip())
+
+
+def _bad_line(lines: list[str], first: int, dtype: np.dtype, mode: str) -> MalformedInput:
+    """The error for the first point line of lines[first:] that np.loadtxt refuses."""
+    want = "int64 a, b and floats w_re, w_im" if mode == "exact" else "floats x, w_re, w_im"
+    for i in range(first, len(lines)):
+        if not _is_data(lines[i]):
+            continue
         try:
-            exact = np.array(rows, dtype=np.int64).reshape(-1, 2)
-        except OverflowError as exc:
-            raise MalformedInput("exact coordinate outside the int64 range") from exc
-        return cls(exact_coords(exact), np.array(weights), exact)
+            np.loadtxt(lines[i : i + 1], dtype=dtype, comments="#", ndmin=1)
+        except ValueError:
+            return MalformedInput(
+                f"line {i + 1}: {mode} point line {lines[i].strip()!r} needs {want}"
+            )
+    return MalformedInput(f"{mode} point lines need {want}")
 
 
 @dataclass(frozen=True)

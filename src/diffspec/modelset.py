@@ -260,6 +260,10 @@ def block_sums(terms: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.n
     return cum[np.searchsorted(cuts, stops)] - cum[np.searchsorted(cuts, starts)]
 
 
+# window widths 2R whose square is a normal float
+_WIDTHS = (math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max))
+
+
 def _nested_windows(ps: PointSet1D, radii) -> tuple[np.ndarray, np.ndarray]:
     """Window ends and (2R)^2 normalizers for the radii, validated.
 
@@ -274,6 +278,8 @@ def _nested_windows(ps: PointSet1D, radii) -> tuple[np.ndarray, np.ndarray]:
         raise OutOfRange(f"2R = {2 * radii.max():g} exceeds extent {extent:g}")
     if radii.min() <= 0:
         raise OutOfRange(f"radius {radii.min():g} is not positive (extent {extent:g})")
+    if not (_WIDTHS[0] <= 2 * radii.min() and 2 * radii.max() <= _WIDTHS[1]):
+        raise OutOfRange(f"a window width 2R leaves [{_WIDTHS[0]:g}, {_WIDTHS[1]:g}]")
     x = ps.coords
     stops = np.searchsorted(x, x[0] + 2 * radii + 1e-9, side="right")
     return stops, (2 * radii) ** 2

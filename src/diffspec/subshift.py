@@ -20,6 +20,7 @@ import numpy as np
 from .errors import MalformedInput, NotAFixedPointSeed, NotPrimitive, WindowTooShort
 
 LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
+_LETTER_BYTES = np.frombuffer(LETTER_NAMES.encode("ascii"), dtype=np.uint8)
 
 
 def letter_name(i: int) -> str:
@@ -31,6 +32,19 @@ def letter_id(name: str, n_letters: int) -> int:
     if i < 0 or i >= n_letters:
         raise ValueError(f"unknown letter {name!r}")
     return i
+
+
+def word_letters(word: str) -> np.ndarray:
+    """Letter ids of a word written in LETTER_NAMES; MalformedInput on any other character."""
+    try:
+        codes = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError as exc:
+        raise MalformedInput(f"unknown letter {word[exc.start]!r}") from None
+    ids = codes.astype(np.int16) - ord("a")
+    bad = np.flatnonzero((ids < 0) | (ids >= len(LETTER_NAMES)))
+    if len(bad):
+        raise MalformedInput(f"unknown letter {word[bad[0]]!r}")
+    return ids
 
 
 @dataclass(frozen=True)
@@ -237,7 +251,7 @@ class SymbolicWindow:
         return SymbolicWindow(self.letters, self.lo, dict(weights))
 
     def word_string(self) -> str:
-        return "".join(LETTER_NAMES[c] for c in self.letters)
+        return _LETTER_BYTES[self.letters].tobytes().decode("ascii")
 
 
 def _left_seed(rule: SubstitutionRule, seed: int) -> tuple[int, int]:

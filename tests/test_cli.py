@@ -254,6 +254,57 @@ class TestConfigAndErrors:
         assert code == 2
         assert "mode" in err
 
+    def test_malformed_pointset_error_names_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# chain\npointset exact packing_radius 0.5\n0 0 1 0\n\n1 0 1\n")
+        code, _, err = run(capsys, ["freq", "--in", str(path)])
+        assert code == 2
+        assert err.startswith("error: line 5: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("word", ["abA", "ab{", "ab\u00e9a", "a b"])
+    def test_window_letter_outside_alphabet(self, capsys, tmp_path, word):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"window lo 0 letters {len(word)}\n{word}\n", encoding="utf-8")
+        code, _, err = run(capsys, ["autocorr", "--in", str(path), "--lags", "1"])
+        assert code == 2
+        assert "unknown letter" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("head", ["window\n", "window lo\n", "window at 0\n"])
+    def test_window_header_without_lo(self, capsys, tmp_path, head):
+        path = tmp_path / "bad.txt"
+        path.write_text(head + "abba\n")
+        code, _, err = run(capsys, ["gen", "--in", str(path)])
+        assert code == 2
+        assert "window lo" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["autocorr", "--silver-mean", "--points", "40", "--zmax", "nan"],
+            ["autocorr", "--silver-mean", "--points", "40", "--merge-tol", "inf"],
+            ["diffract", "--rule", "period-doubling", "--len", "256", "--dyadic", "3",
+             "--rel-tol", "nan"],
+            ["diffract", "--rule", "period-doubling", "--len", "256", "--dyadic", "3",
+             "--min-intensity", "nan"],
+            ["freq", "--silver-mean", "--points", "40", "--k-radius", "inf"],
+            ["verify", "smoothing", "--points", "200", "--eps", "inf"],
+        ],
+        ids=["zmax", "merge-tol", "rel-tol", "min-intensity", "k-radius", "eps"],
+    )
+    def test_non_finite_scalar_option(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {argv[-2]} must be finite")
+
+    def test_non_finite_option_from_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("zmax=nan\n")
+        code, _, err = run(
+            capsys, ["autocorr", "--silver-mean", "--points", "40", "--config", str(cfg)]
+        )
+        assert code == 2
+        assert err.startswith("error: --zmax must be finite")
+
     def test_zero_extent_chain_is_out_of_range(self, capsys):
         code, _, err = run(capsys, ["modelset", "--points", "1"])
         assert code == 2

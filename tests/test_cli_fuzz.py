@@ -115,3 +115,58 @@ def test_fuzzed_command_lines_exit_0_or_2(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().strip(), argv
+
+
+HEADS = {
+    "exact": ["pointset exact packing_radius 0.5", "pointset exact",
+              "# comment\n\npointset exact"],
+    "float": ["pointset float packing_radius 0.5", "pointset float # comment",
+              "pointset floats"],
+}
+TOKENS = st.sampled_from(
+    ["0", "1", "-1", "2", "0.5", "-0.0", "1e3", "inf", "-inf", "nan", "1e300", "5e-324",
+     "99999999999999999999", "-9223372036854775808", "x", "#", "# c", ""]
+)
+
+
+@st.composite
+def point_lines(draw, mode, i):
+    """Point line i of a file in this mode; now and then a line of random tokens."""
+    if draw(st.integers(0, 9)) == 0:
+        return " ".join(draw(st.lists(TOKENS, max_size=5)))
+    w = f"{draw(NUMBER)} {draw(NUMBER)}"
+    if mode == "exact":
+        return f"{i} {draw(st.sampled_from(['0', '1', '-1']))} {w}"
+    return f"{draw(st.sampled_from([0.7, 1.3, 1e300])) * i:.12g} {w}"
+
+
+@st.composite
+def pointset_files(draw):
+    """A point-set file of 0 to 12 points, with blank, comment and noise lines."""
+    mode = draw(st.sampled_from(["exact", "float"]))
+    lines = [draw(st.sampled_from(HEADS[mode] + ["pointset"]))]
+    for i in range(draw(st.integers(0, 12))):
+        lines.append(draw(point_lines(mode, i)))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=pointset_files(), command=st.sampled_from(["modelset", "freq"]), data=st.data())
+def test_fuzzed_pointset_files_exit_0_or_2(text, command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "points.txt"
+        path.write_bytes(text.encode())
+        argv = [command, "--in", str(path), "--out", str(Path(tmp) / "out.txt")]
+        if command == "modelset":
+            argv += data.draw(st.sampled_from(
+                [[], ["--k=1,1"], ["--box=2,1,1"], ["--inflate"]]))
+        else:
+            argv += data.draw(optional("--k-radius", NUMBER))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    event(f"{command} exit {code}")
+    assert code in (0, 2), (text, argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: "), (text, argv)

@@ -107,7 +107,7 @@ class TestNestedSizes:
                 block = vals[start - w.lo : start - w.lo + n]
                 phases = exact_phases(k, range(start, start + n))
                 direct = abs(np.sum(block * np.exp(-2j * np.pi * phases))) ** 2 / n**2
-                assert got == pytest.approx(intensity_symbolic(w, k, n), rel=1e-12)
+                assert got == pytest.approx(intensity_symbolic(w, k, n), rel=1e-12, abs=0)
                 assert got == pytest.approx(direct, rel=1e-12, abs=0)
 
     def test_pointset_radii_match_single_radius(self):
@@ -117,7 +117,7 @@ class TestNestedSizes:
         live = [k for k in module_box(4, 2, 2.0) if not is_extinct(k)]
         for k in live + [0.3, 1.7]:
             for radius, got in zip(radii, intensity_profile(ps, radii)(k)):
-                assert got == pytest.approx(intensity_at(ps, k, radius), rel=1e-12)
+                assert got == pytest.approx(intensity_at(ps, k, radius), rel=1e-12, abs=0)
 
     def test_ratios_use_the_same_intensities(self):
         w = pm_window("period-doubling", 2048)
