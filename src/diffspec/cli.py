@@ -342,8 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output path (default stdout)")
     common.add_argument(
         "--threads", type=int, default=1,
-        help="threads for point-set candidates evaluated one by one (diffract); "
-        "windows and module elements on exact chains are evaluated as one table",
+        help="threads for the point-set candidates summed one by one (diffract): "
+        "floats, module elements on a float point set, and module lists too short "
+        "for the factor table; windows and the other module lists are one table",
     )
 
     source = argparse.ArgumentParser(add_help=False)

@@ -14,16 +14,22 @@ reduction is accurate to a few 1e-16 on every platform and keeps
 extinctions clean at sample sizes where naively multiplied float phases
 would drown them in rounding noise.
 
-A list of module elements is evaluated as one table (intensity_table_at).
-The phase of k = (a, b) at x is a alpha_x + b beta_x, so e(k x) is the
-product of two factors: one row per distinct a, reduced exactly at
-k = (a, 0), and one per distinct b, reduced at k = (0, b), each followed
-by one exponential.  Every box sum is then an entry of one matrix
-product, taken over blocks of 8192 points cut at the window ends, so
-memory stays flat.  The table is used when it needs fewer exponential
-rows than the list has elements (|A| + |B| < |K|, after k and -k are
-folded together for real weights); a single k, as in intensity_at, keeps
-the direct sum.
+Every point-set intensity is read from one evaluator,
+intensity_table_at(ps, ks, radii), which takes any list of candidates:
+module elements and float frequencies, on exact or float samples, at
+nested window radii.  It has two kinds of rows.  The phase of k = (a, b)
+at x is a alpha_x + b beta_x, so e(k x) is the product of two factors:
+the factor rows reduce one row per distinct a exactly at k = (a, 0) and
+one per distinct b at k = (0, b), each followed by one exponential, and
+every sum is an entry of one matrix product, taken over blocks of 8192
+points cut at the window ends, so memory stays flat.  The module
+elements K of the list take them on an exact sample when they need fewer
+exponential rows than there are module elements: |A| + |B| < |K|, with
+A and B the distinct a and b after k and -k are folded together for real
+weights.  Every other candidate takes a direct row, one exponential sum
+over the largest window read at every radius: floats, module elements
+on a float sample, and short module lists, among them the single k of
+intensity_at.
 """
 
 from __future__ import annotations
@@ -203,32 +209,18 @@ def wrap_phases(m: np.ndarray, q, eps, offset=0.0) -> np.ndarray:
     return np.minimum(frac, _BELOW_ONE, out=frac)
 
 
-def _phase_reducer(exact: np.ndarray):
-    """k -> fractional parts of k x for the exact points x = c + d sqrt(2).
-
-    Raises OutOfRange when k is so large that the integer sums could
-    leave +-2^62 (see _reduce_phases).
-    """
-    c = np.ascontiguousarray(exact[:, 0])
-    d = np.ascontiguousarray(exact[:, 1])
-    c_max, d_max = _coord_bounds(c, d)
-
-    def phases(k: FourierModuleElement) -> np.ndarray:
-        _check_phase_range(k, c_max, d_max)
-        return _reduce_phases(c, d, k.a, k.b)
-
-    return phases
-
-
 def exact_phases(ps: PointSet1D, k: FourierModuleElement) -> np.ndarray:
     """Fractional parts of k * x for every exact point x = c + d sqrt(2).
 
     Exact up to a few 1e-16 on the circle at any coordinate size the
-    int64 pairs hold (see _reduce_phases).
+    int64 pairs hold (see _reduce_phases); OutOfRange when k is so large
+    that the integer sums could leave +-2^62.
     """
     if ps.exact is None:
         raise NotSilverMean("operation needs exact coordinates")
-    return _phase_reducer(ps.exact)(k)
+    c, d = ps.exact[:, 0], ps.exact[:, 1]
+    _check_phase_range(k, *_coord_bounds(c, d))
+    return _reduce_phases(c, d, k.a, k.b)
 
 
 def unit_phase(theta, scale: float = 1.0) -> np.ndarray:
@@ -285,81 +277,20 @@ def _nested_windows(ps: PointSet1D, radii) -> tuple[np.ndarray, np.ndarray]:
     return stops, (2 * radii) ** 2
 
 
-def intensity_profile_at(ps: PointSet1D, radii):
-    """The evaluator k -> normalized intensities at every radius in radii.
-
-    The window of radius R holds the points in [x_0, x_0 + 2R], anchored
-    at the left end of the sample (the chains here grow rightward from
-    0), so the windows are nested prefixes: each k costs one exponential
-    sum over the largest window, read at every radius.  Exact phase
-    reduction is used when both the point set and k are exact.
-    """
-    stops, norm = _nested_windows(ps, radii)
-    n = int(stops.max())
-    x, w = ps.coords[:n], ps.weights[:n]
-    starts = np.zeros_like(stops)
-    exact_phases_of = _phase_reducer(ps.exact[:n]) if ps.exact is not None else None
-
-    def profile(k: "FourierModuleElement | float") -> np.ndarray:
-        if isinstance(k, FourierModuleElement) and exact_phases_of is not None:
-            terms = w * unit_phase(exact_phases_of(k))
-        else:
-            kv = k.value if isinstance(k, FourierModuleElement) else float(k)
-            terms = w * unit_phase(x, kv)
-        return np.abs(block_sums(terms, starts, stops)) ** 2 / norm
-
-    return profile
-
-
-# points per block of the factor tables: bounds their memory at
+# points per block of the factor rows: bounds their memory at
 # (|A| + |B|) * _TABLE_CHUNK complex numbers, whatever the sample size
 _TABLE_CHUNK = 8192
 
 
-def intensity_table_at(ps: PointSet1D, ks, radii) -> np.ndarray:
-    """Intensities of every module element in ks at every radius.
+def _factor_sums(c, d, w, stops, a_vals, b_vals) -> np.ndarray:
+    """Window sums of w e(a alpha_x) e(b beta_x) for every a and b.
 
-    Returns an array of shape (len(ks), len(radii)), the rows of
-    intensity_profile_at.  Every exact phase is linear in k, so
-    e(k x) = e(a alpha_x) e(b beta_x) with alpha, beta the phases at
-    k = (1, 0) and (0, 1).  One factor row per distinct a (reduced
-    exactly at k = (a, 0)) and one per distinct b (at k = (0, b)), each
-    followed by one exponential, give every sum of the list as one
-    matrix product (U w) V^T; each term carries one rounded product
-    more than the direct sum, whatever the size of a and b.  The points
-    are walked in blocks cut at the window ends, and the block products
-    are accumulated into the nested window sums.
-
-    With real weights the sum at -k is the conjugate of the sum at k,
-    so k and -k share one entry and have equal intensities.  The table
-    costs |A| + |B| exponential rows, A and B the distinct a and b left
-    after that folding, against |K| for the direct route; it is used
-    when |A| + |B| < |K| on an exact point set, and otherwise every k
-    goes through intensity_profile_at.
+    Returns an array of shape (len(stops), len(a_vals), len(b_vals)).
+    The points are walked in blocks cut at the window ends; each block
+    adds one matrix product U V^T of its factor rows to the running sums.
     """
-    ks = list(ks)
-    stops, norm = _nested_windows(ps, radii)
-    pairs = np.array([(k.a, k.b) for k in ks], dtype=np.int64).reshape(len(ks), 2)
-    if not np.any(ps.weights.imag):
-        # real weights: the sum at -k is the conjugate of the sum at k
-        flip = (pairs[:, 0] < 0) | ((pairs[:, 0] == 0) & (pairs[:, 1] < 0))
-        pairs[flip] *= -1
-    a_vals, a_idx = np.unique(pairs[:, 0], return_inverse=True)
-    b_vals, b_idx = np.unique(pairs[:, 1], return_inverse=True)
-    if ps.exact is None or len(a_vals) + len(b_vals) >= len(ks):
-        profile = intensity_profile_at(ps, radii)
-        return np.array([profile(k) for k in ks]).reshape(len(ks), len(norm))
-
     cuts = np.unique(np.concatenate([[0], stops]))
-    n = int(cuts[-1])
-    c = np.ascontiguousarray(ps.exact[:n, 0])
-    d = np.ascontiguousarray(ps.exact[:n, 1])
-    w = ps.weights[:n]
-    c_max, d_max = _coord_bounds(c, d)
-    for k in ks:
-        _check_phase_range(k, c_max, d_max)
     a_col, b_col = a_vals[:, None], b_vals[:, None]
-
     # cum[j] holds the sums over the points before cuts[j]
     cum = np.zeros((len(cuts), len(a_vals), len(b_vals)), dtype=np.complex128)
     for j in range(len(cuts) - 1):
@@ -369,7 +300,79 @@ def intensity_table_at(ps: PointSet1D, ks, radii) -> np.ndarray:
             u = unit_phase(_reduce_phases(c[lo:hi], d[lo:hi], a_col, 0)) * w[lo:hi]
             v = unit_phase(_reduce_phases(c[lo:hi], d[lo:hi], 0, b_col))
             cum[j + 1] += u @ v.T
-    sums = cum[np.searchsorted(cuts, stops)][:, a_idx, b_idx]  # (radii, ks)
+    return cum[np.searchsorted(cuts, stops)]
+
+
+def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray:
+    """Intensities of every candidate in ks at every radius in radii.
+
+    Returns an array of shape (len(ks), len(radii)); a candidate is a
+    FourierModuleElement or a float frequency.  The window of radius R
+    holds the points in [x_0, x_0 + 2R], anchored at the left end of
+    the sample (the chains here grow rightward from 0), so the windows
+    are nested prefixes and every sum is read at all radii from one
+    pass over the largest window.
+
+    On an exact sample the module elements take the factor rows (see
+    the module docstring) when |A| + |B| is smaller than their number,
+    A and B the distinct a and b after k and -k are folded together for
+    real weights; each term then carries one rounded product more than
+    the direct sum.  Every other candidate takes a direct row, one
+    exponential per point: floats, module elements on a float sample
+    (at k.value), and short module lists (with exact phases, as in
+    exact_phases).  n_jobs > 1 threads share the direct rows; the
+    result does not depend on n_jobs.  Non-finite floats, and module
+    elements so large that the exact integer sums could leave +-2^62,
+    raise OutOfRange.
+    """
+    ks = list(ks)
+    stops, norm = _nested_windows(ps, radii)
+    n = int(stops.max())
+    x, w = ps.coords[:n], ps.weights[:n]
+    sums = np.empty((len(norm), len(ks)), dtype=np.complex128)
+    direct = np.ones(len(ks), dtype=bool)
+    module = []  # the module elements, which take exact phases
+    if ps.exact is not None:
+        module = [j for j, k in enumerate(ks) if isinstance(k, FourierModuleElement)]
+    if module:
+        c = np.ascontiguousarray(ps.exact[:n, 0])
+        d = np.ascontiguousarray(ps.exact[:n, 1])
+        c_max, d_max = _coord_bounds(c, d)
+        for j in module:
+            _check_phase_range(ks[j], c_max, d_max)
+    if len(module) > 2:  # |A| + |B| >= 2, so shorter lists take the direct rows
+        pairs = np.array([(ks[j].a, ks[j].b) for j in module], dtype=np.int64)
+        if not np.any(w.imag):
+            # real weights: the sum at -k is the conjugate of the sum at k
+            flip = (pairs[:, 0] < 0) | ((pairs[:, 0] == 0) & (pairs[:, 1] < 0))
+            pairs[flip] *= -1
+        a_vals, a_idx = np.unique(pairs[:, 0], return_inverse=True)
+        b_vals, b_idx = np.unique(pairs[:, 1], return_inverse=True)
+        if len(a_vals) + len(b_vals) < len(module):
+            sums[:, module] = _factor_sums(c, d, w, stops, a_vals, b_vals)[:, a_idx, b_idx]
+            direct[module] = False
+    starts = np.zeros_like(stops)
+
+    def direct_sums(k) -> np.ndarray:
+        if isinstance(k, FourierModuleElement) and ps.exact is not None:
+            terms = w * unit_phase(_reduce_phases(c, d, k.a, k.b))
+        else:
+            kv = k.value if isinstance(k, FourierModuleElement) else float(k)
+            if not math.isfinite(kv):
+                raise OutOfRange(f"candidate frequency {kv} is not finite")
+            terms = w * unit_phase(x, kv)
+        return block_sums(terms, starts, stops)
+
+    rows = np.flatnonzero(direct)
+    todo = [ks[j] for j in rows]
+    if n_jobs > 1 and len(todo) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            found = list(pool.map(direct_sums, todo))
+    else:
+        found = [direct_sums(k) for k in todo]
+    sums[:, rows] = np.reshape(found, (len(rows), len(norm))).T
     return (np.abs(sums) ** 2 / norm[:, None]).T
 
 
@@ -385,10 +388,10 @@ def intensity_at(
 
     The sum runs over the points within a window of length 2R anchored
     at the left end of the sample; radius None uses the whole sample.
-    The one-radius case of intensity_profile_at.
+    A one-entry intensity_table_at, so always the direct sum.
     """
     r = ps.extent / 2.0 if radius is None else radius
-    return float(intensity_profile_at(ps, [r])(k)[0])
+    return float(intensity_table_at(ps, [k], [r])[0, 0])
 
 
 def _gap_kinds(ps: PointSet1D) -> np.ndarray:

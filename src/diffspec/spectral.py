@@ -11,6 +11,15 @@ decays.  Atom detection turns that dichotomy into a criterion: a
 candidate is an atom when the intensity is positive and its relative
 variation across the last two schedule doublings stays within rel_tol.
 
+There is one intensity table per source type, and intensity_table
+dispatches to it: intensity_table_symbolic for a SymbolicWindow (every
+candidate, block-factored), intensity_table_at for a PointSet1D (factor
+rows for module lists on an exact sample when they need fewer
+exponentials than the list has module elements, direct rows for every
+other candidate).  detect_atoms, intensity_ratios, intensity_estimate
+and intensity_symbolic each read one table; a single k is a one-row
+table.
+
 Spectral distribution functions are represented as measures on a
 uniform grid; the Fejer (Cesaro) average of a correlation sequence
 gives a nonnegative density whose grid masses total eta(0).
@@ -35,7 +44,6 @@ from .errors import (
 )
 from .modelset import (
     FourierModuleElement,
-    intensity_profile_at,
     intensity_table_at,
     unit_phase,
     wrap_phases,
@@ -136,19 +144,18 @@ def intensity_table_symbolic(window: SymbolicWindow, ks, sizes) -> np.ndarray:
     return out
 
 
-def intensity_profile(source, sizes):
-    """The nested-size evaluator of a source: k -> intensities at all sizes.
+def intensity_table(source, ks, sizes, n_jobs: int = 1) -> np.ndarray:
+    """Intensities of every candidate in ks at every size, one table.
 
-    sizes are block sizes N for a SymbolicWindow and radii R for a
-    PointSet1D; the sizes are validated here, once for all k.  On a
-    window each k is a one-row intensity_table_symbolic.
+    Returns an array of shape (len(ks), len(sizes)).  sizes are block
+    sizes N for a SymbolicWindow (intensity_table_symbolic) and radii R
+    for a PointSet1D (intensity_table_at, whose direct rows n_jobs
+    threads share); a single k is a one-row table.
     """
     if isinstance(source, SymbolicWindow):
-        sizes = list(sizes)
-        _symbolic_blocks(source, sizes)
-        return lambda k: intensity_table_symbolic(source, [k], sizes)[0]
+        return intensity_table_symbolic(source, ks, sizes)
     if isinstance(source, PointSet1D):
-        return intensity_profile_at(source, [float(s) for s in sizes])
+        return intensity_table_at(source, ks, sizes, n_jobs)
     raise TypeError(f"cannot estimate intensity of {type(source).__name__}")
 
 
@@ -159,7 +166,7 @@ def intensity_symbolic(window: SymbolicWindow, k: float, n_sites: int) -> float:
 
 def intensity_estimate(source, k, n_or_r) -> float:
     """Dispatch on the source type: sequence block size N or radius R."""
-    return float(intensity_profile(source, [n_or_r])(k)[0])
+    return float(intensity_table(source, [k], [n_or_r])[0, 0])
 
 
 def sampled_comb_intensity(
@@ -246,14 +253,13 @@ def detect_atoms(
     N (sequences) or radii R (point sets); a candidate is kept when its
     intensity at the largest size exceeds min_intensity and the maximal
     relative variation across the last two doublings is at most
-    rel_tol.  Every candidate is read at all sizes from one evaluation.
-    On a window all candidates form one table
-    (intensity_table_symbolic); on an exact point set the module
-    elements form one table (intensity_table_at).  n_jobs threads serve
-    only the candidates left over on a point set, which are evaluated
-    one by one (intensity_profile).  Results are sorted by frequency
-    regardless of evaluation order, so parallel evaluation cannot change
-    the output.
+    rel_tol.  All candidates are read at all sizes from one
+    intensity_table.  n_jobs threads serve only the direct rows of a
+    point set: float candidates, module elements on a float sample, and
+    module lists too short for the factor rows (intensity_table_at).
+    Windows, and module lists on an exact sample that take the factor
+    rows, are one table and need no threads.  Results are sorted by
+    frequency, so parallel evaluation cannot change the output.
     """
     schedule = list(schedule)
     if len(schedule) < 3:
@@ -261,19 +267,10 @@ def detect_atoms(
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must increase")
 
-    if isinstance(source, SymbolicWindow):
-        tabled, rest = list(candidates), []
-        rows = intensity_table_symbolic(source, tabled, schedule).tolist()
-    else:
-        profile = intensity_profile(source, schedule)
-        tabled, rest = [], []
-        for k in candidates:
-            exact_k = source.exact is not None and isinstance(k, FourierModuleElement)
-            (tabled if exact_k else rest).append(k)
-        rows = intensity_table_at(source, tabled, schedule).tolist() if tabled else []
-
-    def classify(k, vals: list[float]) -> Atom | None:
-        kv = k.value if isinstance(k, FourierModuleElement) else float(k)
+    candidates = list(candidates)
+    rows = intensity_table(source, candidates, schedule, n_jobs).tolist()
+    atoms = []
+    for k, vals in zip(candidates, rows):
         last = vals[-3:]
         rels = [
             abs(b - a) / max(abs(a), abs(b), 1e-300)
@@ -281,22 +278,10 @@ def detect_atoms(
         ]
         stability = max(rels)
         if stability <= rel_tol and vals[-1] >= min_intensity:
+            kv = k.value if isinstance(k, FourierModuleElement) else float(k)
             exact = (k.a, k.b) if isinstance(k, FourierModuleElement) else None
-            return Atom(kv, vals[-1], stability, exact)
-        return None
-
-    def eval_candidate(k) -> Atom | None:
-        return classify(k, profile(k).tolist())
-
-    found = [classify(k, vals) for k, vals in zip(tabled, rows)]
-    if n_jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            found += pool.map(eval_candidate, rest)
-    else:
-        found += [eval_candidate(k) for k in rest]
-    atoms = sorted((a for a in found if a is not None), key=lambda a: a.k)
+            atoms.append(Atom(kv, vals[-1], stability, exact))
+    atoms.sort(key=lambda a: a.k)
     return SpectralEstimate(atoms, [float(s) for s in schedule])
 
 
@@ -308,28 +293,23 @@ NOISE_FLOOR = 1e-18
 def intensity_ratios(source, candidates, schedule) -> np.ndarray:
     """Mean of I_{next}/I_{prev} over candidates, one per schedule step.
 
-    Every candidate's intensities come from one nested-size evaluation,
-    as in detect_atoms: one table on a window (intensity_table_symbolic),
-    one profile per candidate on a point set (intensity_profile).
+    Every candidate's intensities come from one intensity_table, as in
+    detect_atoms.  Raises OutOfRange for an empty candidate list, whose
+    mean would be undefined.
 
     Pairs where both intensities sit below NOISE_FLOOR count as fully
     decayed (ratio 0): the underlying sums are exact zeros and the
     stored values are rounding residue, so their quotient carries no
     information.
     """
-    schedule = list(schedule)
-    if isinstance(source, SymbolicWindow):
-        rows = intensity_table_symbolic(source, candidates, schedule).tolist()
-    else:
-        profile = intensity_profile(source, schedule)
-        rows = [profile(k).tolist() for k in candidates]
-    ratios = np.zeros((len(rows), len(schedule) - 1))
-    for i, vals in enumerate(rows):
-        for j in range(len(schedule) - 1):
-            if max(vals[j], vals[j + 1]) < NOISE_FLOOR:
-                ratios[i, j] = 0.0
-            else:
-                ratios[i, j] = vals[j + 1] / max(vals[j], NOISE_FLOOR)
+    candidates = list(candidates)
+    if not candidates:
+        raise OutOfRange("need at least one candidate, got 0")
+    rows = intensity_table(source, candidates, list(schedule))
+    prev, nxt = rows[:, :-1], rows[:, 1:]
+    ratios = np.where(
+        np.maximum(prev, nxt) < NOISE_FLOOR, 0.0, nxt / np.maximum(prev, NOISE_FLOOR)
+    )
     return ratios.mean(axis=0)
 
 

@@ -99,6 +99,14 @@ class TestDiffract:
         assert cli.main(self.ARGS + ["--out", str(p2), "--threads", "2"]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_threads_do_not_change_pointset_output(self, tmp_path):
+        # float candidates on a point set are the rows the threads serve
+        args = ["diffract", "--silver-mean", "--points", "20000", "--kronecker", "16"]
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert cli.main(args + ["--threads", "1", "--out", str(p1)]) == 0
+        assert cli.main(args + ["--threads", "2", "--out", str(p2)]) == 0
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_exactly_one_candidate_source(self, capsys):
         base = ["diffract", "--rule", "thue-morse", "--len", "256"]
         code, _, err = run(capsys, base + ["--dyadic", "2", "--sobol", "8"])

@@ -159,6 +159,7 @@ def test_public_api_lists_xor_map():
     import diffspec
 
     assert "xor_map" in diffspec.__all__
+    assert "intensity_table" in diffspec.__all__
     assert all(hasattr(diffspec, name) for name in diffspec.__all__)
 
 

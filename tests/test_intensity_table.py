@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from diffspec.errors import OutOfRange
 from diffspec.modelset import (
     FourierModuleElement,
+    intensities_at,
     intensity_at,
-    intensity_profile_at,
     intensity_table_at,
     is_extinct,
     module_box,
@@ -21,7 +21,7 @@ from diffspec.modelset import (
     verify_inflation_identity,
     weighted_silver_comb,
 )
-from diffspec.spectral import detect_atoms
+from diffspec.spectral import detect_atoms, kronecker_candidates
 
 SQRT2 = np.sqrt(2.0)
 
@@ -37,8 +37,7 @@ def big_chain():
 
 
 def per_k(ps, ks, radii):
-    profile = intensity_profile_at(ps, radii)
-    return np.array([profile(k) for k in ks])
+    return np.array([intensity_table_at(ps, [k], radii)[0] for k in ks])
 
 
 def assert_matches_per_k(table, direct):
@@ -90,6 +89,20 @@ def box_of(a0, da, b0, db):
             for b in range(b0, b0 + db + 1)]
 
 
+def float_copy(ps):
+    return type(ps)(ps.coords, ps.weights, None)
+
+
+KRONECKER = kronecker_candidates(64).tolist()
+module_elements = st.builds(FourierModuleElement, st.integers(-8, 8), st.integers(-6, 6))
+# a module element, its float value, or an irrational float frequency
+mixed_candidates = st.one_of(
+    module_elements,
+    module_elements.map(lambda k: k.value),
+    st.sampled_from(KRONECKER),
+)
+
+
 class TestTableAgainstPerK:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([300, 1500, 20000]), boxes, radius_fractions)
@@ -134,7 +147,7 @@ class TestTableAgainstPerK:
 
     def test_float_point_set_takes_the_direct_route(self):
         ps = chain(1500)
-        floats = type(ps)(ps.coords, ps.weights, None)
+        floats = float_copy(ps)
         ks = module_box(2, 1)
         radii = [ps.extent / 2]
         np.testing.assert_array_equal(intensity_table_at(floats, ks, radii),
@@ -148,13 +161,73 @@ class TestTableAgainstPerK:
         with pytest.raises(OutOfRange):
             intensity_table_at(ps, ks, [ps.extent / 2])
 
+    @pytest.mark.parametrize("k", [float("inf"), float("-inf"), float("nan")])
+    def test_refuses_non_finite_floats(self, k):
+        ps = chain(300)
+        with pytest.raises(OutOfRange):
+            intensity_at(ps, k)
+        with pytest.raises(OutOfRange):
+            intensity_table_at(float_copy(ps), [0.25, k], [ps.extent / 2], n_jobs=2)
+
     def test_windows_are_validated(self):
         ps = chain(300)
         with pytest.raises(OutOfRange):
             intensity_table_at(ps, module_box(2, 1), [ps.extent])
 
 
+class TestMixedLists:
+    """Module elements, floats and both at once on exact and float samples."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from(["exact", "complex", "float"]),
+           st.one_of(st.none(), boxes.filter(lambda b: abs(b[0]) < 100 and abs(b[2]) < 100)),
+           st.lists(mixed_candidates, min_size=1, max_size=12), radius_fractions)
+    def test_mixed_lists_match_one_row_calls(self, data, kind, box, extras, fractions):
+        ps = {"exact": chain(1500),
+              "complex": weighted_silver_comb(chain(1500), 1.0, 0.5 + 1j),
+              "float": float_copy(chain(1500))}[kind]
+        ks = data.draw(st.permutations((box_of(*box) if box else []) + extras))
+        radii = [f * ps.extent / 2 for f in fractions]
+        assert_matches_per_k(intensity_table_at(ps, ks, radii), per_k(ps, ks, radii))
+
+    def test_float_lists_on_an_exact_sample(self):
+        ps = chain(2000)
+        table = intensity_table_at(ps, [0.25], [100.0])
+        assert table.shape == (1, 1)
+        assert table[0, 0] == intensity_at(ps, 0.25, 100.0)
+        assert intensities_at(ps, [0.0]) == [intensity_at(ps, 0.0)]
+        assert intensities_at(ps, [0.0])[0] == pytest.approx((len(ps) / ps.extent) ** 2)
+
+    def test_threads_share_the_direct_rows(self):
+        ps = chain(1500)
+        ks = module_box(2, 1) + KRONECKER[:8] + [k.value for k in module_box(1, 1)]
+        radii = [ps.extent / 4, ps.extent / 2]
+        one = intensity_table_at(ps, ks, radii)
+        np.testing.assert_array_equal(intensity_table_at(ps, ks, radii, n_jobs=2), one)
+        np.testing.assert_array_equal(intensity_table_at(float_copy(ps), ks, radii, n_jobs=3),
+                                      intensity_table_at(float_copy(ps), ks, radii))
+
+
 class TestCallers:
+    @pytest.mark.parametrize("kind", ["kronecker on the exact chain", "module box on floats"])
+    def test_detect_atoms_threads_serve_direct_rows(self, kind):
+        ps = chain(20000)
+        if kind == "module box on floats":
+            # shuffled: the sorted box pairs k with -k, whose rows are equal
+            box = module_box(2, 1)
+            order = np.random.default_rng(3).permutation(len(box))
+            ps, ks = float_copy(ps), [box[i] for i in order]
+        else:
+            ks = kronecker_candidates(16)
+        r = ps.extent / 2
+        radii = [r / 8, r / 4, r / 2, r]
+        one = detect_atoms(ps, ks, radii, n_jobs=1)
+        two = detect_atoms(ps, ks, radii, n_jobs=2)
+        assert one.to_json() == two.to_json()
+        if kind == "module box on floats":
+            assert {a.k_exact for a in one.atoms} == {
+                (k.a, k.b) for k in ks if not is_extinct(k)}
+
     def test_detect_atoms_thread_count_does_not_change_output(self):
         ps = chain(20000)
         r = ps.extent / 2

@@ -19,9 +19,9 @@ from diffspec.spectral import (
     detect_atoms,
     fejer_density,
     intensity_estimate,
-    intensity_profile,
     intensity_ratios,
     intensity_symbolic,
+    intensity_table,
     kronecker_candidates,
     maximal_measure_mix,
     nu_family,
@@ -102,7 +102,7 @@ class TestNestedSizes:
         sizes = [64, 128, 512, len(letters)]
         vals = w.values()
         for k in [0.0, 1 / 3, 0.1234, *kronecker_candidates(8)]:
-            for n, got in zip(sizes, intensity_profile(w, sizes)(k)):
+            for n, got in zip(sizes, intensity_table(w, [k], sizes)[0]):
                 start = max(w.lo, min(0, w.hi - n + 1))
                 block = vals[start - w.lo : start - w.lo + n]
                 phases = exact_phases(k, range(start, start + n))
@@ -116,7 +116,7 @@ class TestNestedSizes:
         radii = [r / 8, r / 4, r / 2, r]
         live = [k for k in module_box(4, 2, 2.0) if not is_extinct(k)]
         for k in live + [0.3, 1.7]:
-            for radius, got in zip(radii, intensity_profile(ps, radii)(k)):
+            for radius, got in zip(radii, intensity_table(ps, [k], radii)[0]):
                 assert got == pytest.approx(intensity_at(ps, k, radius), rel=1e-12, abs=0)
 
     def test_ratios_use_the_same_intensities(self):
@@ -152,6 +152,28 @@ class TestAtomDetection:
         a = detect_atoms(w, cands, [512, 1024, 2048], n_jobs=1)
         b = detect_atoms(w, cands, [512, 1024, 2048], n_jobs=4)
         assert a.to_json() == b.to_json()
+
+    def test_ratios_refuse_an_empty_candidate_list(self):
+        w = pm_window("period-doubling", 2048)
+        ps = silver_mean_chain(500)
+        r = ps.extent / 2
+        with pytest.raises(OutOfRange):
+            intensity_ratios(w, [], [512, 1024, 2048])
+        with pytest.raises(OutOfRange):
+            intensity_ratios(ps, [], [r / 4, r / 2, r])
+
+    def test_pointset_ratios_use_the_same_intensities(self):
+        ps = silver_mean_chain(5000)
+        r = ps.extent / 2
+        radii = [r / 8, r / 4, r / 2, r]
+        live = [k for k in module_box(4, 2, 2.0) if not is_extinct(k)]
+        got = intensity_ratios(ps, live, radii)
+        want = np.mean(
+            [[intensity_at(ps, k, b) / intensity_at(ps, k, a)
+              for a, b in zip(radii, radii[1:])] for k in live],
+            axis=0,
+        )
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_ratio_floor_treats_exact_zeros_as_decayed(self):
         w = SymbolicWindow(np.zeros(4096, dtype=np.int16), -2048, {0: 0.0})
