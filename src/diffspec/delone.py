@@ -102,7 +102,12 @@ class PointSet1D:
         return PointSet1D(self.coords[i:j], self.weights[i:j], exact)
 
     def serialize(self) -> str:
-        """Header line, then one point per line; floats to 12 significant digits."""
+        """Header line, then one point per line.
+
+        Float coordinates are written to 17 significant digits, which
+        round-trips every double, so parse(serialize(ps)) gives the same
+        coordinates bit for bit; weights keep 12 significant digits.
+        """
         mode = "exact" if self.exact is not None else "float"
         pr = self.packing_radius
         pr_s = "inf" if np.isinf(pr) else f"{pr:.12g}"
@@ -110,7 +115,7 @@ class PointSet1D:
             fmt = "%d %d %.12g %.12g\n"
             cols = [self.exact[:, 0], self.exact[:, 1]]
         else:
-            fmt = "%.12g %.12g %.12g\n"
+            fmt = "%.17g %.12g %.12g\n"
             cols = [self.coords]
         cols += [self.weights.real, self.weights.imag]
         fields = [None] * (len(cols) * len(self))

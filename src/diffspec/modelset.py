@@ -50,6 +50,9 @@ _EPS = 0.17478590312625418
 # |m| and |b c + a d| stay below this, so no int64 product or sum wraps
 _INT_LIMIT = 2**62
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+# a float phase k x is a rounded product, off by up to |k x| 2^-53 cycles;
+# past this many cycles of error the phases, and the sum, are noise
+FLOAT_PHASE_ERROR_LIMIT = 2.0**-20
 
 
 @total_ordering
@@ -321,9 +324,10 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
     exponential per point: floats, module elements on a float sample
     (at k.value), and short module lists (with exact phases, as in
     exact_phases).  n_jobs > 1 threads share the direct rows; the
-    result does not depend on n_jobs.  Non-finite floats, and module
-    elements so large that the exact integer sums could leave +-2^62,
-    raise OutOfRange.
+    result does not depend on n_jobs.  Non-finite floats, float phases
+    whose rounding error |k| max|x| 2^-53 passes FLOAT_PHASE_ERROR_LIMIT
+    cycles, and module elements so large that the exact integer sums
+    could leave +-2^62, raise OutOfRange.
     """
     ks = list(ks)
     stops, norm = _nested_windows(ps, radii)
@@ -353,6 +357,8 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
             direct[module] = False
     starts = np.zeros_like(stops)
 
+    x_max = max(abs(x[0]), abs(x[-1]))  # the coordinates are sorted
+
     def direct_sums(k) -> np.ndarray:
         if isinstance(k, FourierModuleElement) and ps.exact is not None:
             terms = w * unit_phase(_reduce_phases(c, d, k.a, k.b))
@@ -360,6 +366,11 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
             kv = k.value if isinstance(k, FourierModuleElement) else float(k)
             if not math.isfinite(kv):
                 raise OutOfRange(f"candidate frequency {kv} is not finite")
+            if abs(kv) * x_max * 2.0**-53 > FLOAT_PHASE_ERROR_LIMIT:
+                raise OutOfRange(
+                    f"candidate frequency {kv:g} too large for float phases of "
+                    f"coordinates up to {x_max:g}"
+                )
             terms = w * unit_phase(x, kv)
         return block_sums(terms, starts, stops)
 

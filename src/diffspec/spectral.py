@@ -314,19 +314,27 @@ def intensity_ratios(source, candidates, schedule) -> np.ndarray:
 
 
 def sobol_candidates(n: int) -> np.ndarray:
-    """n deterministic quasirandom frequencies in the open interval (0, 1)."""
+    """The first n nonzero points of the unscrambled one-dimensional Sobol
+    sequence, sorted.
+
+    These are dyadic rationals j/2^m, not generic frequencies: in one
+    dimension the Sobol sequence is the van der Corput sequence in
+    Gray-code order, point i being the bits of i ^ (i >> 1) reversed over
+    m bits, over 2^m.  Any m with 2^m > n gives the same points; m here
+    is the bit length of n.  The
+    dyadics are the eigenvalues of Thue-Morse (Z[1/2]), at which it has no
+    diffraction atoms, so checks that find no Thue-Morse atoms among these
+    candidates test the paper's example.
+    """
     if n < 1:
         raise OutOfRange(f"need at least one candidate, got {n}")
-    from scipy.stats import qmc
-
-    m = 1
-    while 2**m < 4 * n:
-        m += 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pts = qmc.Sobol(d=1, scramble=False).random(2**m).ravel()
-    pts = pts[(pts > 0.0) & (pts < 1.0)]
-    return np.sort(pts[:n])
+    m = int(n).bit_length()
+    i = np.arange(1, n + 1, dtype=np.int64)
+    gray = i ^ (i >> 1)
+    rev = np.zeros_like(gray)
+    for b in range(m):
+        rev |= ((gray >> b) & 1) << (m - 1 - b)
+    return np.sort(rev / 2.0**m)
 
 
 def kronecker_candidates(n: int) -> np.ndarray:

@@ -284,6 +284,21 @@ def _left_seed(rule: SubstitutionRule, seed: int) -> tuple[int, int]:
     return p, k
 
 
+def _grow(rule: SubstitutionRule, letter: int, k: int, min_len: int) -> np.ndarray:
+    """image^(k t)(letter) as int16 letters, for the least t that gives at
+    least min_len of them.
+
+    words[a] holds image^j(a) for every letter a, so one inflation step is
+    image^(j+1)(a) = image^j(image(a)): the concatenation of the words of
+    the letters of image(a).  No step reads single sites.
+    """
+    words = [np.array([a], dtype=np.int16) for a in range(rule.n_letters)]
+    while len(words[letter]) < min_len:
+        for _ in range(k):
+            words = [np.concatenate([words[c] for c in img]) for img in rule.images]
+    return words[letter]
+
+
 def fixed_point_window(
     rule: SubstitutionRule,
     seed: int,
@@ -317,17 +332,10 @@ def fixed_point_window(
         letters = np.full(2 * min_len, seed, dtype=np.int16)
         return SymbolicWindow(letters, -min_len, weights or {})
 
-    right: tuple[int, ...] = (seed,)
-    while len(right) < min_len:
-        right = rule.apply(right)
-
+    right = _grow(rule, seed, 1, min_len)
     p, k = _left_seed(rule, seed)
-    left: tuple[int, ...] = (p,)
-    while len(left) < min_len:
-        left = rule.apply_power(left, k)
-
-    letters = np.array(left + right, dtype=np.int16)
-    return SymbolicWindow(letters, -len(left), weights or {})
+    left = _grow(rule, p, k, min_len)
+    return SymbolicWindow(np.concatenate([left, right]), -len(left), weights or {})
 
 
 def sliding_words(letters: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from diffspec.errors import OutOfRange
 from diffspec.modelset import (
+    FLOAT_PHASE_ERROR_LIMIT,
     FourierModuleElement,
     intensities_at,
     intensity_at,
@@ -168,6 +169,36 @@ class TestTableAgainstPerK:
             intensity_at(ps, k)
         with pytest.raises(OutOfRange):
             intensity_table_at(float_copy(ps), [0.25, k], [ps.extent / 2], n_jobs=2)
+
+    def test_float_phases_near_the_error_limit_match_mpmath(self):
+        # at the limit each phase is off by at most 3 |k| max|x| 2^-53 cycles
+        # (2 pi, its product with k and the product with x are each rounded)
+        mpmath = pytest.importorskip("mpmath")
+        ps = float_copy(chain(100))
+        k_limit = FLOAT_PHASE_ERROR_LIMIT * 2.0**53 / ps.coords[-1]
+        ds = 2 * np.pi * 3 * FLOAT_PHASE_ERROR_LIMIT * len(ps)  # bounds |got S - S|
+        for k in (0.5 * k_limit, 0.999 * k_limit, -0.999 * k_limit, (1 - 1e-9) * k_limit):
+            got = intensity_at(ps, k)
+            with mpmath.workdps(50):
+                s = mpmath.fsum(mpmath.expjpi(-2 * mpmath.mpf(k) * mpmath.mpf(x))
+                                for x in ps.coords.tolist())
+                want = abs(s) ** 2 / mpmath.mpf(ps.extent) ** 2
+                tol = (2 * abs(s) + ds) * ds / mpmath.mpf(ps.extent) ** 2
+                assert abs(got - want) <= tol, (k, got, float(want), float(tol))
+
+    def test_refuses_float_phases_past_the_error_limit(self):
+        ps = chain(100)
+        k_limit = FLOAT_PHASE_ERROR_LIMIT * 2.0**53 / ps.coords[-1]
+        for k in (1e300, -1e300, 1.001 * k_limit):
+            with pytest.raises(OutOfRange):
+                intensity_at(ps, k)
+            with pytest.raises(OutOfRange):
+                intensity_table_at(ps, [0.25, k], [ps.extent / 2], n_jobs=2)
+        # a module element on a float sample is evaluated at its float value
+        big = FourierModuleElement(int(4 * k_limit), 0)  # value about sqrt(2) k_limit
+        assert intensity_at(ps, big) >= 0.0
+        with pytest.raises(OutOfRange):
+            intensity_at(float_copy(ps), big)
 
     def test_windows_are_validated(self):
         ps = chain(300)

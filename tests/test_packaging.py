@@ -1,0 +1,71 @@
+"""Declared dependencies against what the library really imports."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import diffspec
+
+PACKAGE = Path(diffspec.__file__).resolve().parent
+PYPROJECT = PACKAGE.parent.parent / "pyproject.toml"
+
+
+def normalized(name: str) -> str:
+    return re.sub(r"[-_.]+", "_", name).lower()
+
+
+def third_party_imports() -> set[str]:
+    """Top-level names of every absolute import in the package, lazy ones
+    included, that are neither standard library nor diffspec itself."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found |= {name.split(".")[0] for name in names}
+    return {
+        normalized(name)
+        for name in found
+        if name not in sys.stdlib_module_names and name != "diffspec"
+    }
+
+
+def declared_dependencies() -> set[str]:
+    tomllib = pytest.importorskip("tomllib")
+    if not PYPROJECT.is_file():
+        pytest.skip("diffspec is not imported from a source checkout")
+    deps = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
+    return {normalized(re.match(r"[A-Za-z0-9_.-]+", dep).group()) for dep in deps}
+
+
+def test_every_third_party_import_is_declared():
+    assert third_party_imports() <= declared_dependencies()
+
+
+def test_every_declared_dependency_is_imported():
+    assert declared_dependencies() <= third_party_imports()
+
+
+def test_import_and_candidates_and_fixed_points_leave_scipy_unloaded():
+    code = (
+        "import sys\n"
+        "import diffspec\n"
+        "diffspec.sobol_candidates(64)\n"
+        "diffspec.fixed_point_window(diffspec.rule_by_name('thue-morse'), 0, 4096)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

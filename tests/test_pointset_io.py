@@ -1,7 +1,9 @@
 """Point-set text I/O against the per-line code it replaced.
 
 reference_serialize and reference_parse below are the earlier per-line
-implementations of PointSet1D.serialize and PointSet1D.parse.  On every
+implementations of PointSet1D.serialize and PointSet1D.parse, with float
+coordinates written to 17 significant digits as serialize now does, so
+that every double round-trips.  On every
 file the old code accepted, the array code must give the same bytes and
 bit-identical arrays; the malformed cases must raise MalformedInput and
 name the offending line.
@@ -29,7 +31,7 @@ def reference_serialize(ps: PointSet1D) -> str:
     buf.write(f"pointset {mode} packing_radius {pr_s}\n")
     lead = ps.exact.tolist() if ps.exact is not None else ps.coords.tolist()
     for x, w in zip(lead, ps.weights.tolist()):
-        x_s = f"{x[0]} {x[1]}" if ps.exact is not None else f"{x:.12g}"
+        x_s = f"{x[0]} {x[1]}" if ps.exact is not None else f"{x:.17g}"
         buf.write(f"{x_s} {w.real:.12g} {w.imag:.12g}\n")
     return buf.getvalue()
 
@@ -128,9 +130,20 @@ class TestAgainstPerLineCode:
         text = ps.serialize()
         back = PointSet1D.parse(text)
         assert_bit_identical(back, reference_parse(text))
+        assert back.coords.tobytes() == ps.coords.tobytes()
         if ps.exact is not None:
             assert back.exact.tobytes() == ps.exact.tobytes()
-            assert back.coords.tobytes() == ps.coords.tobytes()
+
+    def test_coordinates_equal_to_twelve_digits_stay_distinct(self):
+        # 12 significant digits wrote both as -1e+300, and the file then
+        # failed to parse ("coordinates must increase")
+        x = np.array([-1e300, np.nextafter(-1e300, 0)])
+        ps = PointSet1D(x, np.ones(2, dtype=complex))
+        text = ps.serialize()
+        assert text == reference_serialize(ps)
+        back = PointSet1D.parse(text)
+        assert back.coords.tobytes() == x.tobytes()
+        assert_bit_identical(back, reference_parse(text))
 
     def test_silver_chain_file(self):
         ps = silver_mean_chain(3000)

@@ -1,6 +1,7 @@
 """Intensities, atom detection, circle-grid measures, and Fejer densities."""
 
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -204,6 +205,25 @@ class TestCandidates:
         assert np.all(ks == np.sort(ks))
         assert np.all(ks * 256 == np.round(ks * 256))
         np.testing.assert_array_equal(ks, sobol_candidates(64))
+
+    def test_sobol_candidates_match_scipy_sobol(self):
+        # the earlier route, which drew the points from scipy's Sobol engine
+        qmc = pytest.importorskip("scipy.stats").qmc
+
+        def scipy_route(n):
+            m = 1
+            while 2**m < 4 * n:
+                m += 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                pts = qmc.Sobol(d=1, scramble=False).random(2**m).ravel()
+            pts = pts[(pts > 0.0) & (pts < 1.0)]
+            return np.sort(pts[:n])
+
+        for n in [*range(1, 300), 1000, 5000, 16384]:
+            got = sobol_candidates(n)
+            assert got.dtype == np.float64
+            assert got.tobytes() == scipy_route(n).tobytes(), n
 
     def test_kronecker_candidates_avoid_dyadics(self):
         ks = kronecker_candidates(64)

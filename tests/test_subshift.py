@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diffspec.errors import MalformedInput, NotAFixedPointSeed, NotPrimitive
 from diffspec.subshift import (
+    LETTER_NAMES,
     SubstitutionRule,
     SymbolicWindow,
+    _left_seed,
     build_frequency_table,
     dictionary,
     fixed_point_window,
@@ -125,6 +127,62 @@ class TestFixedPointWindow:
     def test_subword_and_letter_agree(self):
         w = window("fibonacci", 32)
         assert w.subword(-3, 5) == tuple(w.letter(n) for n in range(-3, 2))
+
+
+def tuple_route(rule, seed, min_len):
+    """(letters, lo) as the earlier fixed_point_window built them: tuples
+    grown by rule.apply on the right and rule.apply_power on the left."""
+    if len(rule.image(seed)) == 1:
+        return np.full(2 * min_len, seed, dtype=np.int16), -min_len
+    right = (seed,)
+    while len(right) < min_len:
+        right = rule.apply(right)
+    p, k = _left_seed(rule, seed)
+    left = (p,)
+    while len(left) < min_len:
+        left = rule.apply_power(left, k)
+    return np.array(left + right, dtype=np.int16), -len(left)
+
+
+def assert_matches_tuple_route(rule, seed, min_len):
+    w = fixed_point_window(rule, seed, min_len)
+    letters, lo = tuple_route(rule, seed, min_len)
+    assert w.letters.dtype == np.int16
+    assert w.letters.tobytes() == letters.tobytes()
+    assert w.lo == lo
+
+
+@st.composite
+def primitive_rules(draw):
+    """A primitive rule from parse_rule whose letter a starts its own image."""
+    n = draw(st.integers(1, 4))
+    names = LETTER_NAMES[:n]
+    images = ["a" + draw(st.text(names, max_size=3))]
+    images += [draw(st.text(names, min_size=1, max_size=4)) for _ in range(n - 1)]
+    rule = parse_rule("\n".join(f"{names[i]} -> {img}" for i, img in enumerate(images)))
+    assume(rule.is_primitive())
+    return rule
+
+
+class TestAgainstTupleRoute:
+    @pytest.mark.parametrize("name", sorted(PREFIXES))
+    def test_builtin_rules(self, name):
+        rule = rule_by_name(name)
+        for min_len in [*range(1, 301), 2**16]:
+            assert_matches_tuple_route(rule, 0, min_len)
+
+    def test_unequal_images_with_left_power_above_one(self):
+        # the last letters of the images swap a and b, so the left half
+        # grows by the square of the rule
+        rule = parse_rule("a -> aab\nb -> ba\n")
+        assert _left_seed(rule, 0)[1] == 2
+        for min_len in [1, 2, 3, 5, 17, 1000]:
+            assert_matches_tuple_route(rule, 0, min_len)
+
+    @settings(max_examples=200, deadline=None)
+    @given(primitive_rules(), st.integers(1, 3000))
+    def test_random_primitive_rules(self, rule, min_len):
+        assert_matches_tuple_route(rule, 0, min_len)
 
 
 class TestWordStatistics:
