@@ -16,7 +16,9 @@ weighted point density.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -68,24 +70,30 @@ class CorrelationSeq:
 _LAG_CHUNK = 2**16
 
 
-def _correlate_values(values: np.ndarray, max_lag: int) -> CorrelationSeq:
-    """eta(m) = sum conj(y_n) y_{n+m} / (n - m), one vdot per lag and chunk.
+def _correlate_values(
+    values: np.ndarray, max_lag: int, norm: float = 1.0
+) -> CorrelationSeq:
+    """eta(m) = norm sum conj(y_n) y_{n+m} / (n - m), one vdot per lag and chunk.
 
     A window no longer than one chunk makes one vdot per lag over all
     its pairs; longer ones add up the chunks' vdots, starting from -0.0,
-    the exact additive identity.
+    the exact additive identity.  A real y is summed in real arithmetic
+    and scaled by norm once per lag; complex callers leave norm at 1.
     """
     n = len(values)
     if n < 2 * max_lag + 4:
         raise WindowTooShort(
             f"{n} values cannot support max_lag {max_lag} (need {2 * max_lag + 4})"
         )
-    sums = np.full(max_lag + 1, complex(-0.0, -0.0))
+    zero = complex(-0.0, -0.0) if np.iscomplexobj(values) else -0.0
+    sums = np.full(max_lag + 1, zero)
     for lo in range(0, n, _LAG_CHUNK):
         hi = min(lo + _LAG_CHUNK, n)
         for m in range(min(max_lag, n - 1 - lo) + 1):
             top = min(hi, n - m)  # pairs (u, u + m) with lo <= u < top
             sums[m] += np.vdot(values[lo:top], values[lo + m : top + m])
+    if norm != 1.0:
+        sums *= norm
     pairs = n - np.arange(max_lag + 1)
     data = np.empty(2 * max_lag + 1, dtype=np.complex128)
     data[max_lag:] = sums / pairs
@@ -93,11 +101,47 @@ def _correlate_values(values: np.ndarray, max_lag: int) -> CorrelationSeq:
     return CorrelationSeq(max_lag, data, n)
 
 
+def _line_coordinates(table: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Real r and |v|^2 with table == r v for one complex v, else None.
+
+    v = p + iq is the first weight of largest modulus, so |r| <= 1 and
+    no product r_u r_v can overflow.  Whether x q == y p holds for every
+    weight x + iy is decided in exact rationals, so no rounding or
+    underflow of the products can fake or miss a line.  r divides by
+    the larger of p and q, so the weight -v gives r = -1 exactly.
+    """
+    weights = table.tolist()
+    if not all(math.isfinite(w.real) and math.isfinite(w.imag) for w in weights):
+        return None
+    v = max(weights, key=abs) or 1.0 + 0j
+    p, q = v.real, v.imag
+    if any(Fraction(w.real) * Fraction(q) != Fraction(w.imag) * Fraction(p)
+           for w in weights):
+        return None
+    norm = p * p + q * q
+    if not math.isfinite(norm):
+        return None
+    if abs(p) >= abs(q):
+        return np.array([w.real / p for w in weights]), norm
+    return np.array([w.imag / q for w in weights]), norm
+
+
 def autocorr_symbolic(window: SymbolicWindow, max_lag: int) -> CorrelationSeq:
-    """Boundary-exact autocorrelation of the window's weight sequence."""
+    """Boundary-exact autocorrelation of the window's weight sequence.
+
+    When every weight is a real multiple r of one complex v (real
+    weights, +-w, the 0/1 images of indicator maps) the lag loop runs
+    on the real sequence r and eta(m) = |v|^2 sum r_u r_{u+m} / (n - m),
+    with an imaginary part of exactly 0.
+    """
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
-    return _correlate_values(window.values(), max_lag)
+    table = window.weight_table()
+    line = _line_coordinates(table)
+    if line is None:
+        return _correlate_values(table[window.letters], max_lag)
+    r, norm = line
+    return _correlate_values(r[window.letters], max_lag, norm)
 
 
 def autocorr_via_spectral_inner(
@@ -108,23 +152,13 @@ def autocorr_via_spectral_inner(
     g(S^n x) is g evaluated on the block of x anchored at n, so the
     average runs over exactly the n where both evaluation blocks fit.
     The result is the spectral inner product <g | U^m g> of the shift
-    operator U, and coincides term by term with autocorr_symbolic of
-    the factor image.
+    operator U.  It is computed as autocorr_symbolic of the factor
+    image, through the same lag kernel, so comparing the two checks the
+    factor-image lookup, not a second algorithm.
     """
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
-    image = apply_block_map(window, g)
-    z = image.values()
-    n = len(z)
-    if n < 2 * max_lag + 4:
-        raise WindowTooShort("factor image too short for requested max_lag")
-    data = np.empty(2 * max_lag + 1, dtype=np.complex128)
-    for m in range(max_lag + 1):
-        prod = np.conj(z[: n - m]) * z[m:]
-        s = complex(np.add.reduce(prod))
-        data[max_lag + m] = s / (n - m)
-        data[max_lag - m] = np.conj(s) / (n - m)
-    return CorrelationSeq(max_lag, data, n)
+    return autocorr_symbolic(apply_block_map(window, g), max_lag)
 
 
 @dataclass

@@ -21,6 +21,7 @@ from .errors import MalformedInput, NotAFixedPointSeed, NotPrimitive, WindowTooS
 
 LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 _LETTER_BYTES = np.frombuffer(LETTER_NAMES.encode("ascii"), dtype=np.uint8)
+_MAX_ID = int(np.iinfo(np.int16).max)  # letters are stored as int16
 
 
 def letter_name(i: int) -> str:
@@ -198,9 +199,9 @@ def rule_by_name(name: str) -> SubstitutionRule:
 class SymbolicWindow:
     """A finite block x_lo ... x_hi of a bi-infinite sequence.
 
-    letters holds integer ids; weights maps each id to the complex value
-    used when the window is read as a weighted comb.  The index origin
-    must lie inside the window (lo <= 0 <= hi).
+    letters holds nonnegative integer ids; weights maps each id to the
+    complex value used when the window is read as a weighted comb.  The
+    index origin must lie inside the window (lo <= 0 <= hi).
     """
 
     letters: np.ndarray
@@ -208,13 +209,21 @@ class SymbolicWindow:
     weights: dict[int, complex] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.letters = np.asarray(self.letters, dtype=np.int16)
+        ids = np.asarray(self.letters)
+        self.letters = ids.astype(np.int16, copy=False)
         if self.letters.ndim != 1 or len(self.letters) == 0:
             raise WindowTooShort("window needs at least one letter")
         if not (self.lo <= 0 <= self.hi):
             raise ValueError("index origin must lie inside the window")
+        # checked before the cast, which would wrap an id past the int16 range
+        low, high = int(ids.min()), int(ids.max())
+        if low < 0 or high > _MAX_ID:
+            bad = low if low < 0 else high
+            raise ValueError(f"letter id {bad} outside 0..{_MAX_ID}")
         if not self.weights:
-            self.weights = {int(c): complex(1.0) for c in np.unique(self.letters)}
+            present = np.zeros(high + 1, dtype=bool)
+            present[self.letters] = True
+            self.weights = {int(c): complex(1.0) for c in np.flatnonzero(present)}
 
     @property
     def hi(self) -> int:
@@ -234,14 +243,18 @@ class SymbolicWindow:
         i = n - self.lo
         return tuple(int(c) for c in self.letters[i : i + length])
 
-    def values(self) -> np.ndarray:
-        """Complex weight sequence of the window."""
+    def weight_table(self) -> np.ndarray:
+        """The weight of every id up to the largest letter, 0 where unweighted."""
         n = int(self.letters.max()) + 1
         table = np.zeros(n, dtype=np.complex128)
         for c, w in self.weights.items():
-            if c < n:
+            if 0 <= c < n:
                 table[c] = w
-        return table[self.letters]
+        return table
+
+    def values(self) -> np.ndarray:
+        """Complex weight sequence of the window."""
+        return self.weight_table()[self.letters]
 
     def shifted(self, t: int) -> "SymbolicWindow":
         """The window of the t-fold shifted sequence: (S^t x)_n = x_{n+t}."""

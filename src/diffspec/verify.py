@@ -86,7 +86,10 @@ def verify_dual_route(
     Route one averages conj(y_n) y_{n+m} over the factor image y; route
     two takes the inner products <g | U^m g> along the original window.
     Both the term-by-term deviation and the L1 distance between the two
-    Fejer distributions on the circle grid must be small.
+    Fejer distributions on the circle grid must be small.  Route two is
+    route one on the image that apply_block_map builds, through the same
+    lag kernel, so this checks the factor-image lookup, not two
+    algorithms.
     """
     rule = rule_by_name(rule_name)
     window = fixed_point_window(rule, 0, min_len)

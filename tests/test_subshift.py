@@ -124,6 +124,25 @@ class TestFixedPointWindow:
         assert vals[-w.lo] == 1.0 + 0.0j
         assert set(np.unique(vals.real)) == {-1.0, 1.0}
 
+    @pytest.mark.parametrize("ids", [[0], [1, 1], [0, 1, 0], [0, 2, 2, 0], [3, 1, 3]])
+    def test_default_weights_cover_the_ids_present(self, ids):
+        w = SymbolicWindow(np.array(ids), 0)
+        assert sorted(w.weights) == sorted(set(ids))
+        assert set(w.weights.values()) == {1.0 + 0j}
+
+    def test_negative_letter_id_raises(self):
+        with pytest.raises(ValueError, match="letter id -1 "):
+            SymbolicWindow(np.array([-1, 1, -1, 1]), 0, {-1: 5.0, 1: 2.0})
+
+    @pytest.mark.parametrize("bad", [32768, 65537])
+    def test_letter_id_past_int16_raises_instead_of_wrapping(self, bad):
+        with pytest.raises(ValueError, match=f"letter id {bad} "):
+            SymbolicWindow(np.array([0, bad, 1]), 0)
+
+    def test_negative_weight_key_is_ignored(self):
+        w = SymbolicWindow(np.array([0, 1, 0, 1]), 0, {1: 2.0, -1: 5.0})
+        assert w.values().tolist() == [0, 2, 0, 2]
+
     def test_subword_and_letter_agree(self):
         w = window("fibonacci", 32)
         assert w.subword(-3, 5) == tuple(w.letter(n) for n in range(-3, 2))

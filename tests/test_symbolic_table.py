@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffspec import correlation
-from diffspec.correlation import autocorr_symbolic
+from diffspec.correlation import autocorr_symbolic, autocorr_via_spectral_inner
 from diffspec.errors import OutOfRange
+from diffspec.factors import (
+    apply_block_map,
+    identity_map,
+    indicator_block_map,
+    xor_map,
+)
 from diffspec.modelset import FourierModuleElement, wrap_phases
 from diffspec.spectral import (
     _fixed_point,
@@ -18,7 +24,12 @@ from diffspec.spectral import (
     intensity_table_symbolic,
     kronecker_candidates,
 )
-from diffspec.subshift import SymbolicWindow, fixed_point_window, rule_by_name
+from diffspec.subshift import (
+    SymbolicWindow,
+    dictionary,
+    fixed_point_window,
+    rule_by_name,
+)
 
 
 def exact_phases(k: float, idx) -> np.ndarray:
@@ -64,10 +75,16 @@ def windows(draw):
     )
     lo = -draw(st.integers(0, length - 1))
     part = st.floats(-2.0, 2.0, allow_nan=False)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["complex", "real", "line"]))
+    if kind == "complex":
         weights = {c: complex(draw(part), draw(part)) for c in range(n_letters)}
-    else:
+    elif kind == "real":
         weights = {c: complex(draw(part)) for c in range(n_letters)}
+    else:
+        # real multiples of one complex w; powers of 2 keep r w exact
+        w = complex(draw(part), draw(part))
+        scale = st.sampled_from([1.0, -1.0, 0.0, 2.0, -0.5, 0.25, -8.0])
+        weights = {c: draw(scale) * w for c in range(n_letters)}
     return SymbolicWindow(np.array(letters, dtype=np.int16), lo, weights)
 
 
@@ -147,12 +164,15 @@ class TestDetectAtomsOnWindows:
         assert [a.k for a in one.atoms] == [p / 32 for p in range(32)]
 
 
-def correlate_loop(values: np.ndarray, max_lag: int) -> np.ndarray:
-    """The single-pass lag loop: one vdot per lag over the whole window."""
+def correlate_loop(values: np.ndarray, max_lag: int, norm: float = 1.0) -> np.ndarray:
+    """The single-pass lag loop: one vdot per lag over the whole window,
+    each scaled by norm unless norm is 1."""
     n = len(values)
     data = np.empty(2 * max_lag + 1, dtype=np.complex128)
     for m in range(max_lag + 1):
         s = np.vdot(values[: n - m], values[m:])
+        if norm != 1.0:
+            s = s * norm
         data[max_lag + m] = s / (n - m)
         data[max_lag - m] = np.conj(s) / (n - m)
     return data
@@ -194,7 +214,14 @@ class TestChunkedLagLoop:
             return
         max_lag = int(frac * (len(w) - 4) // 2)
         got = autocorr_symbolic(w, max_lag).data
-        assert got.tobytes() == correlate_loop(w.values(), max_lag).tobytes()
+        # weights on one line r v are correlated as the real r, times |v|^2
+        line = correlation._line_coordinates(w.weight_table())
+        if line is None:
+            want = correlate_loop(w.values(), max_lag)
+        else:
+            r, norm = line
+            want = correlate_loop(r[w.letters], max_lag, norm)
+        assert got.tobytes() == want.tobytes()
 
     def test_full_chunk_gives_the_same_bits(self):
         w = fixed_point_window(rule_by_name("rudin-shapiro"), 0, 2**15,
@@ -225,3 +252,66 @@ class TestChunkedLagLoop:
         eta.check_hermitian(0.0)
         want = pair_count_eta(w.letters, w.weights, 96)
         assert np.abs(eta.data[96:] - want).max() <= 1e-12 * abs(eta.value(0))
+
+    def test_plus_minus_w_is_real_and_matches_pair_counts(self):
+        w = 0.123457 - 0.992350j
+        tm = fixed_point_window(rule_by_name("thue-morse"), 0, 2**13,
+                                weights={0: w, 1: -w})
+        eta = autocorr_symbolic(tm, 512)
+        assert not eta.data.imag.any()
+        want = pair_count_eta(tm.letters, tm.weights, 512)
+        assert np.abs(eta.data[512:] - want).max() <= 1e-15 * abs(eta.value(0))
+
+    def test_plus_minus_one_sums_are_exact_integers(self):
+        tm = fixed_point_window(rule_by_name("thue-morse"), 0, 2**17,
+                                weights={0: 1.0, 1: -1.0})
+        n, max_lag = len(tm), 512
+        eta = autocorr_symbolic(tm, max_lag).data[max_lag:]
+        signs = np.where(tm.letters == 0, 1, -1).astype(np.int64)
+        exact = np.array([int(signs[: n - m] @ signs[m:]) for m in range(max_lag + 1)])
+        pairs = n - np.arange(max_lag + 1)
+        assert np.rint(eta.real * pairs).astype(np.int64).tolist() == exact.tolist()
+        # the lag sum is the integer itself, rounded once by the division
+        assert (eta == exact / pairs).all()
+
+    @pytest.mark.parametrize("size", [1e-200, 1e-160, 1e100])
+    def test_extreme_line_weights_neither_raise_nor_warn(self, size):
+        tm = fixed_point_window(rule_by_name("thue-morse"), 0, 256,
+                                weights={0: size, 1: -size})
+        eta = autocorr_symbolic(tm, 16)
+        assert np.isfinite(eta.data).all()
+        if size == 1e-200:
+            assert not eta.data.any()
+        else:
+            assert eta.value(0).real > 0
+
+
+def route_two_maps(window: SymbolicWindow):
+    maps = [identity_map(window)]
+    maps += [indicator_block_map(w) for w in sorted(dictionary(window, 3))]
+    if window.letters.max() == 1:
+        maps.append(xor_map())
+    return maps
+
+
+class TestRouteTwoAgainstPairCounts:
+    """autocorr_via_spectral_inner against exact pair counts on the factor image."""
+
+    @pytest.mark.parametrize("name, weights", [
+        ("thue-morse", {0: 0.123457 - 0.992350j, 1: -0.123457 + 0.992350j}),
+        ("period-doubling", {0: 1.0, 1: 0.5j}),
+        ("rudin-shapiro", {0: 1, 1: 1j, 2: -1, 3: -0.5j}),
+        ("fibonacci", None),
+    ])
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 16])
+    def test_every_map_over_chunk_edges(self, name, weights, chunk):
+        window = fixed_point_window(rule_by_name(name), 0, 48, weights=weights)
+        max_lag = 20
+        for g in route_two_maps(window):
+            image = apply_block_map(window, g)
+            with lag_chunk(chunk):
+                eta = autocorr_via_spectral_inner(window, g, max_lag)
+            eta.check_hermitian(0.0)
+            want = pair_count_eta(image.letters, image.weights, max_lag)
+            scale = max(abs(eta.value(0)), 1e-300)
+            assert np.abs(eta.data[max_lag:] - want).max() <= 1e-12 * scale, g
