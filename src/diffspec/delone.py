@@ -12,9 +12,9 @@ pattern; its density is the cluster's absolute frequency, which ties
 point-set geometry to the correlation and diffraction machinery.
 
 The window of x is the points in [x - K - 1e-9, x + K + 1e-9], found for
-all interior points by one np.searchsorted per bound.  Windows of equal
-size are compared as rows of offsets, exactly ((a, b) rows) or as indices
-into one global merge of all float offsets; locator sets are row masks.
+all interior points by one np.searchsorted per bound.  A window is keyed
+by its left count and its word (subshift.sliding_words) of gap classes:
+exact (a, b) gap rows, or float gaps chain-merged within 1e-9.
 """
 
 from __future__ import annotations
@@ -25,8 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInterior, EmptyPointSet, IncompatibleCluster, MalformedInput
+from .subshift import sliding_words
 
 MERGE_TOL = 1e-9
+# an int64 (a, b) row as one raw 16-byte key; np.unique(axis=0) is far slower
+_ROW_KEY = np.dtype((np.void, 16))
 SQRT2 = math.sqrt(2.0)
 
 
@@ -88,12 +91,8 @@ class PointSet1D:
         return np.diff(self.coords)
 
     def distinct_gaps(self, tol: float = MERGE_TOL) -> np.ndarray:
-        """Sorted distinct gap values after merging within tol."""
-        g = np.sort(self.gaps())
-        if len(g) == 0:
-            return g
-        keep = np.concatenate([[True], np.diff(g) > tol])
-        return g[keep]
+        """The smallest gap of each class of the float gap merge, sorted."""
+        return _gap_classes(self.gaps(), tol)[1]
 
     def restrict(self, lo: float, hi: float) -> "PointSet1D":
         i = int(np.searchsorted(self.coords, lo, side="left"))
@@ -226,20 +225,15 @@ def _windows(ps: PointSet1D, k_radius: float) -> tuple[np.ndarray, np.ndarray, n
     return idx, lo, hi
 
 
-def _window_rows(values: np.ndarray, idx: np.ndarray, lo: np.ndarray, length: int) -> np.ndarray:
-    """values[lo : lo + length] - values[i] for every point i of idx, one row each."""
-    rows = values[lo[:, None] + np.arange(length)]
-    rows -= values[idx][:, None]
-    return rows
-
-
-
-def _nearest(merged: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Index of the merged value nearest each offset; ties go right."""
-    idx = np.clip(np.searchsorted(merged, offsets), 0, len(merged) - 1)
-    left = np.clip(idx - 1, 0, len(merged) - 1)
-    use_left = np.abs(merged[left] - offsets) < np.abs(merged[idx] - offsets)
-    return np.where(use_left, left, idx)
+def _gap_classes(gaps: np.ndarray, tol: float = MERGE_TOL) -> tuple[np.ndarray, ...]:
+    """Chain merge: in sorted order, a gap more than tol above the one before opens
+    a class.  Returns each gap's class and the smallest and largest gap per class."""
+    order = np.argsort(gaps)
+    g = gaps[order]
+    first = np.diff(g, prepend=-np.inf) > tol
+    ids = np.empty(len(g), dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    return ids, g[first], g[np.append(first[1:], True)[: len(g)]]
 
 
 def enumerate_k_clusters(
@@ -247,44 +241,68 @@ def enumerate_k_clusters(
 ) -> list[tuple[Cluster, int]]:
     """Distinct K-clusters over interior points with their sample counts.
 
-    Patterns are compared exactly when exact coordinates are present,
-    otherwise through a global merge of all observed offsets within
-    1e-9.  Points closer than K to either end are excluded (their
-    pattern could be truncated), so counts refer to interior points.
+    Points closer than K to either end are excluded (their pattern could
+    be truncated), so counts refer to interior points.  Exact clusters
+    carry the float offsets of their first occurrence, float clusters the
+    sums of their gap classes' smallest gaps outward from the centre.
     Clusters come sorted by offsets; equal offsets keep the order of
     first occurrence.
     """
     from .modelset import QuadraticInt
 
     idx, lo, hi = _windows(ps, k_radius)
-    sizes = hi - lo
+    sizes, left = hi - lo, idx - lo
     if sizes.min() < 1:
         raise IncompatibleCluster("cluster must contain its own center 0")
-    groups = [np.nonzero(sizes == size)[0] for size in np.unique(sizes)]
-    values = ps.coords if ps.exact is None else ps.exact
-    rows = [_window_rows(values, idx[m], lo[m], sizes[m[0]]) for m in groups]
     if ps.exact is None:
-        flat = np.sort(np.concatenate([r.ravel() for r in rows]))
-        merged = flat[np.diff(flat, prepend=-np.inf) > MERGE_TOL]
-        rows = [_nearest(merged, r) for r in rows]
+        gap_ids, minima, _ = _gap_classes(ps.gaps())
+    else:
+        gap_ids = np.unique(np.diff(ps.exact, axis=0).view(_ROW_KEY)[:, 0], return_inverse=True)[1]
 
     found: list[tuple[int, Cluster, int]] = []
-    for members, r in zip(groups, rows):
-        # integer rows compared as raw bytes, one np.void each: np.unique
-        # with axis=0 compares field by field, many times slower on wide rows
-        flat = r.reshape(len(r), -1)
-        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+    for size in np.unique(sizes).tolist():
+        members = np.flatnonzero(sizes == size)
+        keys = left[members]
+        if size > 1:
+            words, first, _ = sliding_words(gap_ids, size - 1)
+            keys = keys * len(first) + words[lo[members]]
         _, firsts, counts = np.unique(keys, return_index=True, return_counts=True)
-        for f, n in zip(firsts.tolist(), counts.tolist()):
-            i, key = members[f], r[f]
+        for i, n in zip(members[firsts].tolist(), counts.tolist()):
+            a, b, x, c = lo[i], hi[i], idx[i], left[i]
             if ps.exact is None:
-                c = Cluster(k_radius, tuple(merged[key].tolist()))
+                steps = minima[gap_ids[a : b - 1]]
+                back, ahead = np.cumsum(steps[:c][::-1])[::-1], np.cumsum(steps[c:])
+                offs, exact = (*(-back).tolist(), 0.0, *ahead.tolist()), None
             else:
-                offs = ps.coords[lo[i] : hi[i]] - ps.coords[idx[i]]
-                exact = tuple(QuadraticInt(a, b) for a, b in key.tolist())
-                c = Cluster(k_radius, tuple(offs.tolist()), exact)
-            found.append((i, c, n))
+                offs = tuple((ps.coords[a:b] - ps.coords[x]).tolist())
+                exact = tuple(QuadraticInt(*r) for r in (ps.exact[a:b] - ps.exact[x]).tolist())
+            found.append((i, Cluster(k_radius, offs, exact), n))
     return [(c, n) for _, c, n in sorted(found, key=lambda icn: (icn[1].offsets, icn[0]))]
+
+
+def _locate(ps: PointSet1D, cluster: Cluster) -> tuple[np.ndarray, np.ndarray]:
+    """Interior points, and the mask of those whose window matches the cluster in
+    size, left count and each gap: as exact rows, or as float gap classes of ps."""
+    if any(abs(z) > cluster.k_radius + MERGE_TOL for z in cluster.offsets):
+        raise IncompatibleCluster("cluster exceeds its stated radius")
+    idx, lo, hi = _windows(ps, cluster.k_radius)
+    if ps.exact is not None and cluster.exact_offsets is not None:
+        rows = np.array([(q.a, q.b) for q in cluster.exact_offsets], dtype=np.int64).reshape(-1, 2)
+        centre = np.append(np.flatnonzero(~rows.any(axis=1)), -1)[0]  # -1: no (0, 0) row
+        keys = np.diff(ps.exact, axis=0).view(_ROW_KEY)[:, 0]
+        want = np.diff(rows, axis=0).view(_ROW_KEY)[:, 0]
+    else:
+        rows = np.asarray(cluster.offsets)
+        centre = np.argmin(np.abs(rows))
+        keys, lows, highs = _gap_classes(ps.gaps())
+        gaps = np.diff(rows)
+        c = np.searchsorted(lows, gaps + MERGE_TOL, side="right") - 1
+        # c = -1, below every class, reads the appended -inf and stays -1
+        want = np.where(gaps <= np.append(highs, -np.inf)[c] + MERGE_TOL, c, -1)
+    hit = (hi - lo == len(rows)) & (idx - lo == centre)
+    for j, w in enumerate(want):
+        hit[hit] = keys[lo[hit] + j] == w
+    return idx, hit
 
 
 def locator_set(ps: PointSet1D, cluster: Cluster) -> PointSet1D:
@@ -293,20 +311,8 @@ def locator_set(ps: PointSet1D, cluster: Cluster) -> PointSet1D:
     The result carries unit weights (and exact coordinates when the
     input has them).  An empty result is returned, not raised.
     """
-    if any(abs(z) > cluster.k_radius + MERGE_TOL for z in cluster.offsets):
-        raise IncompatibleCluster("cluster exceeds its stated radius")
-    idx, lo, hi = _windows(ps, cluster.k_radius)
-    if ps.exact is not None and cluster.exact_offsets is not None:
-        want = np.array([(q.a, q.b) for q in cluster.exact_offsets], dtype=np.int64)
-        fits = hi - lo == len(want)
-        rows = _window_rows(ps.exact, idx[fits], lo[fits], len(want))
-        hit = np.all(rows == want, axis=(1, 2))
-    else:
-        want = np.asarray(cluster.offsets)
-        fits = hi - lo == len(want)
-        rows = _window_rows(ps.coords, idx[fits], lo[fits], len(want))
-        hit = np.all(np.abs(rows - want) <= MERGE_TOL, axis=1)
-    sel = idx[fits][hit]
+    idx, hit = _locate(ps, cluster)
+    sel = idx[hit]
     exact = ps.exact[sel] if ps.exact is not None else None
     return PointSet1D(ps.coords[sel], np.ones(len(sel), dtype=np.complex128), exact)
 
@@ -325,14 +331,12 @@ def cluster_frequency(ps: PointSet1D, cluster: Cluster) -> ClusterFrequency:
     relative divides by the overall point density, i.e. it is the
     fraction of interior points whose pattern matches.
     """
-    t = locator_set(ps, cluster)
-    idx = _interior_indices(ps, cluster.k_radius)
+    idx, hit = _locate(ps, cluster)
+    count = int(np.count_nonzero(hit))
     span = float(ps.coords[idx[-1]] - ps.coords[idx[0]])
     if span <= 0:
         raise EmptyInterior("interior span is empty")
-    absolute = len(t) / span
-    relative = len(t) / len(idx)
-    return ClusterFrequency(absolute, relative, len(t))
+    return ClusterFrequency(count / span, count / len(idx), count)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ import numpy as np
 
 from .delone import SQRT2, PointSet1D, exact_coords
 from .errors import NotSilverMean, OutOfRange
+from .subshift import BUILTIN_RULES, _grow
 
 # sqrt(2)/4 = (_Q + _EPS) / 2^64: _Q holds its first 64 fractional bits
 # and _EPS (in [0, 1)) the rest, both from 50-digit arithmetic
@@ -144,23 +145,16 @@ def silver_mean_chain(n_points: int) -> PointSet1D:
     """Left endpoints of the first n_points tiles of the fixed chain.
 
     Starts at 0; gaps are lambda after a long tile and 1 after a short
-    one, following the substitution long -> long long short,
-    short -> long iterated from a single long tile.
+    one, read off the silver-mean fixed point (long -> long long short,
+    short -> long) grown from a single long tile.
     """
     if n_points < 1:
         raise ValueError("need at least one point")
-    word = np.zeros(1, dtype=np.int8)  # 0 = long, 1 = short
-    while len(word) < n_points:
-        long = word == 0
-        ends = np.cumsum(np.where(long, 3, 1))
-        nxt = np.zeros(int(ends[-1]), dtype=np.int8)
-        nxt[ends[long] - 1] = 1  # the short tile closing each long image
-        word = nxt
-    # gap vectors: lambda = (1, 1), 1 = (1, 0)
-    gaps = np.ones((n_points - 1, 2), dtype=np.int64)
-    gaps[:, 1] = word[: n_points - 1] == 0
+    word = _grow(BUILTIN_RULES["silver-mean"], 0, 1, n_points)[: n_points - 1]
+    # after j tiles, i of them long (letter 0, lambda = 1 + sqrt(2)): j + i sqrt(2)
     exact = np.zeros((n_points, 2), dtype=np.int64)
-    np.cumsum(gaps, axis=0, out=exact[1:])
+    exact[1:, 0] = np.arange(1, n_points)
+    np.cumsum(word == 0, out=exact[1:, 1])
     return PointSet1D(exact_coords(exact), np.ones(n_points, dtype=np.complex128), exact)
 
 

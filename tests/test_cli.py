@@ -172,10 +172,7 @@ class TestFactorAndFreq:
         lines = ["offsets,count,absolute,relative"]
         for cluster, n in enumerate_k_clusters(src, 2.5):
             fr = cluster_frequency(src, cluster)
-            # 12-digit float files carry rounding noise above the 1e-9 merge
-            # tolerance, so there the located count can fall short of n
-            if exact:
-                assert fr.count == n
+            assert fr.count == n
             offs = ";".join(f"{o:.12g}" for o in cluster.offsets)
             lines.append(f"{offs},{fr.count},{fr.absolute:.12g},{fr.relative:.12g}")
         assert len(lines) >= 4

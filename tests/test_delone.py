@@ -1,5 +1,7 @@
 """Point sets, cluster enumeration, locator sets, and bump smoothing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from diffspec.delone import (
     BumpFunction,
     Cluster,
     PointSet1D,
+    _interior_indices,
     cluster_frequency,
     enumerate_k_clusters,
     locator_set,
@@ -112,6 +115,37 @@ class TestClusters:
         found = enumerate_k_clusters(ps, 1.1)
         total = sum(cluster_frequency(ps, c).relative for c, _ in found)
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k_radius", [1.1, 2.5, 6.0])
+    def test_noisy_float_chain_locates_what_it_enumerates(self, k_radius):
+        """Coordinate noise of 1e-7, far above the 1e-9 merge tolerance,
+        splits gap classes into spurious clusters, but enumeration,
+        locator sets and frequencies still count the same points."""
+        x = silver_mean_chain(3000).coords
+        ps = PointSet1D(x + np.random.default_rng(13).uniform(-1e-7, 1e-7, len(x)))
+        found = enumerate_k_clusters(ps, k_radius)
+        for cluster, n in found:
+            assert len(locator_set(ps, cluster)) == n
+            assert cluster_frequency(ps, cluster).count == n
+        assert sum(n for _, n in found) == len(_interior_indices(ps, k_radius))
+
+    def test_wide_windows_take_memory_linear_in_points(self):
+        """At K = 60 a window holds about 50 points; neither call may hold
+        an array of windows times points."""
+        ps = silver_mean_chain(100000)
+        tracemalloc.start()
+        try:
+            found = enumerate_k_clusters(ps, 60.0)
+            enum_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loc = locator_set(ps, found[0][0])
+            loc_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 61
+        assert len(loc) == found[0][1]
+        assert enum_peak < 40e6
+        assert loc_peak < 20e6
 
     def test_absolute_frequency_of_lattice(self):
         ps = PointSet1D(np.arange(101.0))

@@ -3,7 +3,10 @@
 The reference functions below are the earlier loop implementations of
 K-cluster enumeration, locator sets, cluster frequencies, word
 dictionaries, frequency tables and block maps.  The array versions must
-reproduce them exactly: every comparison is ==, never a tolerance.
+reproduce them exactly: every comparison is ==, never a tolerance.  The
+one exception is the offsets of float clusters, which are sums of gap
+class minima: they are == a loop computing those sums, and lie within
+len(offsets) * MERGE_TOL of the loops' merged offsets.
 """
 
 import math
@@ -16,6 +19,7 @@ from diffspec.delone import (
     Cluster,
     ClusterFrequency,
     PointSet1D,
+    _gap_classes,
     _interior_indices,
     cluster_frequency,
     enumerate_k_clusters,
@@ -228,30 +232,68 @@ def _assert_same_points(got, want):
         assert np.array_equal(got.exact, want.exact)
 
 
+def ref_class_minima(ps):
+    """The smallest gap of each gap's class: sorted gaps, a new class
+    wherever one lies more than MERGE_TOL above the one before."""
+    gaps = np.diff(ps.coords).tolist()
+    low, prev = {}, None
+    for g in sorted(gaps):
+        if prev is None or g - prev > MERGE_TOL:
+            start = g
+        low[g], prev = start, g
+    return [low[g] for g in gaps]
+
+
+def ref_class_offsets(ps, i, k_radius, minima):
+    """The window of point i as sums of class minima, outward from i."""
+    _, sl = ref_offsets_at(ps, i, k_radius)
+    left, right, acc = [], [0.0], 0.0
+    for j in range(i, sl.stop - 1):
+        acc += minima[j]
+        right.append(acc)
+    acc = 0.0
+    for j in range(i - 1, sl.start - 1, -1):
+        acc += minima[j]
+        left.append(-acc)
+    return tuple(left[::-1] + right)
+
+
+def _assert_matches_loops(ps, k_radius, n_located=None):
+    """Exact sets: == the loops throughout.  Float sets: the loops' counts,
+    order, locator sets and frequencies; offsets == the sums of class
+    minima, and within len(offsets) * MERGE_TOL of the loops' merged
+    offsets."""
+    got = enumerate_k_clusters(ps, k_radius)
+    want = ref_enumerate_k_clusters(ps, k_radius)
+    assert [n for _, n in got] == [n for _, n in want]
+    if ps.exact is not None:
+        assert [c.offsets for c, _ in got] == [c.offsets for c, _ in want]
+        assert [c.exact_offsets for c, _ in got] == [c.exact_offsets for c, _ in want]
+        assert got == want
+    else:
+        minima = ref_class_minima(ps)
+        for (c, _), (w, _) in zip(got, want):
+            first = int(np.searchsorted(ps.coords, ref_locator_set(ps, w).coords[0]))
+            assert c.offsets == ref_class_offsets(ps, first, k_radius, minima)
+            assert c.exact_offsets is None and c.k_radius == w.k_radius
+            dev = np.abs(np.subtract(c.offsets, w.offsets)).max()
+            assert dev <= len(c.offsets) * MERGE_TOL
+    for (cluster, n), (ref, _) in list(zip(got, want))[:n_located]:
+        loc = locator_set(ps, cluster)
+        _assert_same_points(loc, ref_locator_set(ps, ref))
+        _assert_same_points(loc, ref_locator_set(ps, cluster))
+        assert len(loc) == n
+        assert cluster_frequency(ps, cluster) == ref_cluster_frequency(ps, ref)
+
+
 @pytest.mark.parametrize("k_radius", K_RADII)
 def test_clusters_locators_and_frequencies_match_loops(point_set, k_radius):
-    got = enumerate_k_clusters(point_set, k_radius)
-    want = ref_enumerate_k_clusters(point_set, k_radius)
-    assert [c.offsets for c, _ in got] == [c.offsets for c, _ in want]
-    assert [c.exact_offsets for c, _ in got] == [c.exact_offsets for c, _ in want]
-    assert [n for _, n in got] == [n for _, n in want]
-    assert got == want
-    for (cluster, n), _ in zip(got, want):
-        loc = locator_set(point_set, cluster)
-        _assert_same_points(loc, ref_locator_set(point_set, cluster))
-        assert len(loc) == n
-        assert cluster_frequency(point_set, cluster) == ref_cluster_frequency(
-            point_set, cluster
-        )
+    _assert_matches_loops(point_set, k_radius)
 
 
 @pytest.mark.parametrize("make", [_chain_exact, _chain_jittered])
 def test_wide_windows_match_loops(make):
-    ps = make()
-    got = enumerate_k_clusters(ps, 30.0)
-    assert got == ref_enumerate_k_clusters(ps, 30.0)
-    for cluster, _ in got[:3]:
-        _assert_same_points(locator_set(ps, cluster), ref_locator_set(ps, cluster))
+    _assert_matches_loops(make(), 30.0, n_located=3)
 
 
 def test_float_cluster_against_exact_points_matches_loop():
@@ -269,18 +311,24 @@ def test_absent_cluster_matches_loop():
     _assert_same_points(locator_set(ps, absent), ref_locator_set(ps, absent))
 
 
-def test_equidistant_offsets_tie_like_loop():
-    """Gaps 1, 1 + s, 1 + 2s, 1 + 4s with s = 2**-30 < 1e-9: the offset
-    1 + 2s merges into the run starting at 1 but lies exactly as far
-    from the next merged value 1 + 4s, so the tie rule decides its key."""
+def test_gaps_within_merge_tolerance_share_a_class():
+    """Gaps 1, 1 + s, 1 + 2s, 1 + 4s with s = 2**-30 < 1e-9: the first
+    three chain-merge into one class, 1 + 4s (2s above 1 + 2s) opens its
+    own, and every cluster is located as often as it is enumerated."""
     s = 2.0**-30
     gaps = np.tile([1.0, 1.0 + s, 1.0 + 2 * s, 1.0 + 4 * s, 1.0 + 2 * s], 12)
     ps = PointSet1D(np.concatenate([[0.0], np.cumsum(gaps)]))
+    ids, lows, highs = _gap_classes(ps.gaps())
+    assert ids.tolist() == [0, 0, 0, 1, 0] * 12
+    assert lows.tolist() == [1.0, 1.0 + 4 * s]
+    assert highs.tolist() == [1.0 + 2 * s, 1.0 + 4 * s]
+    assert ps.distinct_gaps().tolist() == [1.0, 1.0 + 4 * s]
     for k_radius in (1.1, 2.1):
-        got = enumerate_k_clusters(ps, k_radius)
-        assert got == ref_enumerate_k_clusters(ps, k_radius)
-        for cluster, _ in got:
-            _assert_same_points(locator_set(ps, cluster), ref_locator_set(ps, cluster))
+        found = enumerate_k_clusters(ps, k_radius)
+        assert sum(n for _, n in found) == len(_interior_indices(ps, k_radius))
+        for cluster, n in found:
+            assert len(locator_set(ps, cluster)) == n
+            assert cluster_frequency(ps, cluster).count == n
 
 
 @pytest.mark.parametrize("make", [_chain_exact, _chain_float])

@@ -60,7 +60,31 @@ class TestQuadraticInt:
         assert not (x < y)
 
 
+def ref_silver_mean_chain_exact(n_points):
+    """The chain's exact rows from the earlier private inflation loop:
+    each long tile's image ends in the one short tile."""
+    word = np.zeros(1, dtype=np.int8)  # 0 = long, 1 = short
+    while len(word) < n_points:
+        long = word == 0
+        ends = np.cumsum(np.where(long, 3, 1))
+        nxt = np.zeros(int(ends[-1]), dtype=np.int8)
+        nxt[ends[long] - 1] = 1
+        word = nxt
+    gaps = np.ones((n_points - 1, 2), dtype=np.int64)
+    gaps[:, 1] = word[: n_points - 1] == 0
+    exact = np.zeros((n_points, 2), dtype=np.int64)
+    np.cumsum(gaps, axis=0, out=exact[1:])
+    return exact
+
+
 class TestChain:
+    def test_exact_rows_match_inflation_loop(self):
+        for n_points in [*range(1, 301), 100000]:
+            ps = silver_mean_chain(n_points)
+            want = ref_silver_mean_chain_exact(n_points)
+            assert ps.exact.dtype == want.dtype
+            assert np.array_equal(ps.exact, want), n_points
+
     def test_gaps_are_long_and_short(self):
         ps = silver_mean_chain(500)
         gaps = set(np.round(ps.distinct_gaps(), 9))
