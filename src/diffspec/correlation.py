@@ -65,33 +65,77 @@ class CorrelationSeq:
         return buf.getvalue()
 
 
-# sites per chunk of the lag loop: every lag runs on one chunk before the
-# next, so both slices of each vdot come from cache, not from memory
-_LAG_CHUNK = 2**16
+# sites per row of the lag kernel's site matrix, at most: each product
+# H_q holds at most _LAG_BLOCK**2 numbers, whatever max_lag asks for
+_LAG_BLOCK = 1024
+# sites per piece of the gather into the kernel's padded buffer
+_GATHER_PIECE = 2**16
+# sites per piece of the conjugated rows of a complex product
+_CONJ_PIECE = 2**18
+
+
+def _gram(y: np.ndarray, q: int, out: np.ndarray) -> None:
+    """out = Y^H Y_{+q}: the rows of y against the rows q further down.
+
+    Complex rows are conjugated _CONJ_PIECE sites at a time and their
+    products added up, so no conjugate of the whole of y is made.
+    """
+    rows = len(y) - q
+    if not np.iscomplexobj(y):
+        np.matmul(y[:rows].T, y[q:], out=out)
+        return
+    step = min(rows, max(1, _CONJ_PIECE // y.shape[1]))
+    np.matmul(np.conj(y[:step]).T, y[q : q + step], out=out)
+    for lo in range(step, rows, step):
+        hi = min(lo + step, rows)
+        out += np.conj(y[lo:hi]).T @ y[lo + q : hi + q]
 
 
 def _correlate_values(
-    values: np.ndarray, max_lag: int, norm: float = 1.0
+    table: np.ndarray, letters: np.ndarray, max_lag: int, norm: float = 1.0
 ) -> CorrelationSeq:
-    """eta(m) = norm sum conj(y_n) y_{n+m} / (n - m), one vdot per lag and chunk.
+    """eta(m) = norm sum conj(y_n) y_{n+m} / (n - m) for y = table[letters].
 
-    A window no longer than one chunk makes one vdot per lag over all
-    its pairs; longer ones add up the chunks' vdots, starting from -0.0,
-    the exact additive identity.  A real y is summed in real arithmetic
-    and scaled by norm once per lag; complex callers leave norm at 1.
+    The zero-padded y is cut into rows of B = min(max_lag + 1,
+    _LAG_BLOCK) sites, Y[i, j] = y[iB + j].  H_q = Y^H Y_{+q}, Y against
+    itself shifted down q rows, holds every pair at offset qB + k - j in
+    H_q[j, k].  So lag m = qB + d (0 <= d < B) is the sum of diagonal d
+    of H_q and diagonal d - B of H_{q+1}, each column d of a sheared
+    view of H's buffer, summed.  y is gathered into its buffer, and
+    conjugated (_gram), piece by piece, so no other array of its length
+    is made.  A real table is summed in real arithmetic and scaled by
+    norm once per lag; complex callers leave norm at 1.  Sums of
+    integers (weights +-1 and 0/1) are exact in any order, so their eta
+    does not depend on B.
     """
-    n = len(values)
+    n = len(letters)
     if n < 2 * max_lag + 4:
         raise WindowTooShort(
             f"{n} values cannot support max_lag {max_lag} (need {2 * max_lag + 4})"
         )
-    zero = complex(-0.0, -0.0) if np.iscomplexobj(values) else -0.0
-    sums = np.full(max_lag + 1, zero)
-    for lo in range(0, n, _LAG_CHUNK):
-        hi = min(lo + _LAG_CHUNK, n)
-        for m in range(min(max_lag, n - 1 - lo) + 1):
-            top = min(hi, n - m)  # pairs (u, u + m) with lo <= u < top
-            sums[m] += np.vdot(values[lo:top], values[lo + m : top + m])
+    b = min(max_lag + 1, _LAG_BLOCK)
+    y = np.zeros(-(-n // b) * b, dtype=table.dtype)
+    for lo in range(0, n, _GATHER_PIECE):
+        hi = min(lo + _GATHER_PIECE, n)
+        y[lo:hi] = table[letters[lo:hi]]
+    y = y.reshape(-1, b)
+    # H_q in the right half of a buffer whose left half and last row
+    # stay 0: upper[j, d] = H_q[j, j + d] and lower[j, d] = H_q[j, j + d - b]
+    # where those exist and 0 elsewhere, both reshapes of the flat buffer
+    pair = np.zeros((b + 1, 2 * b), dtype=y.dtype)
+    flat = pair.reshape(-1)
+    lower = flat[: b * (2 * b + 1)].reshape(b, -1)[:, :b]
+    upper = flat[b:].reshape(b, -1)[:, :b]
+    blocks = max_lag // b + 1
+    sums = np.empty((blocks, b), dtype=y.dtype)
+    for q in range(blocks + 1):
+        _gram(y, q, pair[:b, b:])
+        if q:
+            sums[q - 1] += lower.sum(axis=0)
+        if q < blocks:
+            upper.sum(axis=0, out=sums[q])
+    sums = sums.reshape(-1)[: max_lag + 1]
+    sums[0] = sums[0].real  # sum |y_n|^2, whatever a fused multiply-add left
     if norm != 1.0:
         sums *= norm
     pairs = n - np.arange(max_lag + 1)
@@ -130,7 +174,7 @@ def autocorr_symbolic(window: SymbolicWindow, max_lag: int) -> CorrelationSeq:
     """Boundary-exact autocorrelation of the window's weight sequence.
 
     When every weight is a real multiple r of one complex v (real
-    weights, +-w, the 0/1 images of indicator maps) the lag loop runs
+    weights, +-w, the 0/1 images of indicator maps) the lag kernel runs
     on the real sequence r and eta(m) = |v|^2 sum r_u r_{u+m} / (n - m),
     with an imaginary part of exactly 0.
     """
@@ -139,9 +183,9 @@ def autocorr_symbolic(window: SymbolicWindow, max_lag: int) -> CorrelationSeq:
     table = window.weight_table()
     line = _line_coordinates(table)
     if line is None:
-        return _correlate_values(table[window.letters], max_lag)
+        return _correlate_values(table, window.letters, max_lag)
     r, norm = line
-    return _correlate_values(r[window.letters], max_lag, norm)
+    return _correlate_values(r, window.letters, max_lag, norm)
 
 
 def autocorr_via_spectral_inner(

@@ -457,16 +457,24 @@ def fejer_density(eta: CorrelationSeq, t: np.ndarray | float) -> np.ndarray | fl
 
     density(t) = sum_{|m| <= M} (1 - |m|/(M+1)) eta(m) e^{-2 pi i m t};
     real by hermiticity and nonnegative up to the finite-sample wobble
-    of the input sequence.
+    of the input sequence.  Lag l is written qB + r with B a power of
+    two near the square root of M + 1, so e(-t l) = e(-t qB) e(-t r)
+    and the sum at every t is the row-wise dot of R C with P, where
+    R[t, r] = e(-t r), P[t, q] = e(-t qB) and C[r, q] holds the weighted
+    eta(qB + r): T (B + Q) exponentials in all, not T M.
     """
     eta.check_hermitian(1e-12)
     m = eta.max_lag
+    b = 1 << ((m + 1).bit_length() // 2)
     lags = np.arange(1, m + 1)
-    w = 1.0 - lags / (m + 1.0)
-    coeff = eta.data[m + 1 :]  # eta(1) ... eta(M)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    phases = unit_phase(np.outer(t_arr, lags))
-    vals = eta.value(0).real + 2.0 * (phases * (w * coeff)).real.sum(axis=1)
+    c = np.zeros(-(-(m + 1) // b) * b, dtype=np.complex128)
+    c[1 : m + 1] = (1.0 - lags / (m + 1.0)) * eta.data[m + 1 :]
+    # fmod is exact and leaves every e(-t l) as it was, but keeps t l small
+    t_arr = np.fmod(np.atleast_1d(np.asarray(t, dtype=float)), 1.0)[:, None]
+    r = unit_phase(t_arr * np.arange(b))
+    p = unit_phase(t_arr * np.arange(0, len(c), b))
+    sums = np.einsum("tq,tq->t", p, r @ c.reshape(-1, b).T)
+    vals = eta.value(0).real + 2.0 * sums.real
     return float(vals[0]) if np.isscalar(t) else vals
 
 

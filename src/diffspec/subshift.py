@@ -351,22 +351,40 @@ def fixed_point_window(
     return SymbolicWindow(np.concatenate([left, right]), -len(left), weights or {})
 
 
+def _ranks(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, counts) for nonnegative codes below size: ids[i] is the rank
+    of codes[i] among the distinct codes in increasing order, and the
+    code of rank k occurs counts[k] times.  A table indexed by the code
+    ranks them in one pass; a code range over 4 len(codes) is sorted
+    instead, so the table never outgrows the codes."""
+    if size > 4 * len(codes):
+        _, ids, counts = np.unique(codes, return_inverse=True, return_counts=True)
+        return ids, counts
+    counts = np.bincount(codes, minlength=size)
+    present = np.flatnonzero(counts)
+    rank = np.zeros(size, dtype=np.intp)
+    rank[present] = np.arange(len(present))
+    return rank[codes], counts[present]
+
+
 def sliding_words(letters: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ids, first, counts): ids[i] is the lexicographic rank of the word
     letters[i : i + ell]; word k is letters[first[k] : first[k] + ell] and
     occurs counts[k] times.  Base-b multiply-add codes are re-ranked
-    (order-preserving np.unique) whenever the next multiply could pass
+    (order-preserving _ranks) whenever the next multiply could pass
     len(letters): no int64 wrap, no array sized by b**ell."""
     letters = np.asarray(letters, dtype=np.int64)
     base = int(letters.max()) + 1
-    codes = letters[: len(letters) - ell + 1]
+    codes, size = letters[: len(letters) - ell + 1], base
     for j in range(1, ell):
-        if (int(codes.max()) + 1) * base > len(letters):
-            codes = np.unique(codes, return_inverse=True)[1]
+        if size * base > len(letters):
+            codes, counts = _ranks(codes, size)
+            size = len(counts)
         codes = codes * base + letters[j : j + len(codes)]
-    _, first, ids, counts = np.unique(
-        codes, return_index=True, return_inverse=True, return_counts=True
-    )
+        size *= base
+    ids, counts = _ranks(codes, size)
+    first = np.full(len(counts), len(ids), dtype=np.intp)
+    np.minimum.at(first, ids, np.arange(len(ids)))
     return ids, first, counts
 
 

@@ -10,6 +10,7 @@ len(offsets) * MERGE_TOL of the loops' merged offsets.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,6 +384,47 @@ def test_missing_entry_raises_like_loop():
     with pytest.raises(MissingTableEntry) as got:
         apply_block_map(window, g)
     assert str(got.value) == str(want.value)
+
+
+def ref_sliding_words(letters, ell):
+    """The same ranks from np.unique: one sort of the codes per re-rank."""
+    letters = np.asarray(letters, dtype=np.int64)
+    base = int(letters.max()) + 1
+    codes = letters[: len(letters) - ell + 1]
+    for j in range(1, ell):
+        if (int(codes.max()) + 1) * base > len(letters):
+            codes = np.unique(codes, return_inverse=True)[1]
+        codes = codes * base + letters[j : j + len(codes)]
+    _, first, ids, counts = np.unique(
+        codes, return_index=True, return_inverse=True, return_counts=True
+    )
+    return ids, first, counts
+
+
+@pytest.mark.parametrize("name, half", [("fibonacci", 75025), ("rudin-shapiro", 2**17)])
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 8, 20])
+def test_sliding_words_match_sorted_ranks(name, half, ell):
+    letters = fixed_point_window(BUILTIN_RULES[name], 0, half).letters
+    for got, want in zip(sliding_words(letters, ell), ref_sliding_words(letters, ell)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_letters", [2, 300, 5000, 30000])
+def test_sliding_words_on_wide_alphabets_match_sorted_ranks(n_letters):
+    """Sparse codes, where a table by code would outgrow the letters: a
+    table over 30000 letters times 3000 words would take gigabytes."""
+    letters = np.random.default_rng(n_letters).integers(0, n_letters, 3000)
+    for ell in (1, 2, 3, 6):
+        tracemalloc.start()
+        try:
+            got = sliding_words(letters, ell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+        for mine, want in zip(got, ref_sliding_words(letters, ell)):
+            assert np.array_equal(mine, want)
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3, 7, 20, 40])

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from diffspec.correlation import autocorr_symbolic
+from diffspec.correlation import CorrelationSeq, autocorr_symbolic
 from diffspec.delone import BumpFunction, PointSet1D
 from diffspec.errors import GridMismatch, OutOfRange, ZeroMass
 from diffspec.spectral import (
@@ -31,7 +31,13 @@ from diffspec.spectral import (
     sobol_candidates,
     spectral_distribution,
 )
-from diffspec.modelset import intensity_at, is_extinct, module_box, silver_mean_chain
+from diffspec.modelset import (
+    intensity_at,
+    is_extinct,
+    module_box,
+    silver_mean_chain,
+    unit_phase,
+)
 from diffspec.subshift import SymbolicWindow, fixed_point_window, rule_by_name
 
 
@@ -285,7 +291,32 @@ class TestGridsAndMeasures:
         assert conv.total_mass == pytest.approx(1.0)
 
 
+def outer_product_fejer(eta: CorrelationSeq, t) -> np.ndarray:
+    """The Fejer density as one exponential per lag and point."""
+    m = eta.max_lag
+    lags = np.arange(1, m + 1)
+    w = 1.0 - lags / (m + 1.0)
+    phases = unit_phase(np.outer(np.atleast_1d(np.asarray(t, dtype=float)), lags))
+    return eta.value(0).real + 2.0 * (phases * (w * eta.data[m + 1 :])).real.sum(axis=1)
+
+
 class TestFejer:
+    @pytest.mark.parametrize("max_lag", [0, 1, 5, 64, 512, 3000])
+    def test_matches_the_outer_product_sum(self, max_lag):
+        rng = np.random.default_rng(max_lag)
+        z = rng.standard_normal(max_lag + 1) + 1j * rng.standard_normal(max_lag + 1)
+        z[0] = abs(z[0])
+        eta = CorrelationSeq(max_lag, np.concatenate([np.conj(z[:0:-1]), z]), 2 * max_lag + 4)
+        weights = 1.0 - np.abs(eta.lags()) / (max_lag + 1.0)
+        scale = np.abs(weights * eta.data).sum()
+        t = np.concatenate([rng.uniform(-1.0, 1.25, 64), [-1.0, -0.5, 0.0, 0.5, 1.0, 1.25]])
+        got = fejer_density(eta, t)
+        assert got.shape == t.shape
+        assert np.abs(got - outer_product_fejer(eta, t)).max() <= 1e-13 * scale
+        one = fejer_density(eta, 0.3)
+        assert type(one) is float
+        assert abs(one - outer_product_fejer(eta, 0.3)[0]) <= 1e-13 * scale
+
     def test_alternating_density_peaks_at_half(self):
         eta = autocorr_symbolic(alternating(512), 128)
         t = np.array([0.5, 0.0, 0.25])

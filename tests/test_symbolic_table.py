@@ -1,5 +1,6 @@
-"""The symbolic candidate table and the chunked lag loop, against exact references."""
+"""The symbolic candidate table and the blocked lag kernel, against exact references."""
 
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -179,14 +180,17 @@ def correlate_loop(values: np.ndarray, max_lag: int, norm: float = 1.0) -> np.nd
 
 
 @contextmanager
-def lag_chunk(chunk: int):
-    """Run the lag loop with chunks of the given number of sites."""
-    old = correlation._LAG_CHUNK
-    correlation._LAG_CHUNK = chunk
+def lag_block(block: int):
+    """Run the lag kernel with rows of at most the given number of sites."""
+    old = correlation._LAG_BLOCK
+    correlation._LAG_BLOCK = block
     try:
         yield
     finally:
-        correlation._LAG_CHUNK = old
+        correlation._LAG_BLOCK = old
+
+
+BLOCKS = [1, 2, 3, 7, 16]
 
 
 def pair_count_eta(letters: np.ndarray, weights: dict, max_lag: int) -> np.ndarray:
@@ -207,13 +211,17 @@ def pair_count_eta(letters: np.ndarray, weights: dict, max_lag: int) -> np.ndarr
 
 
 class TestChunkedLagLoop:
+    """The lag kernel sums rows of B sites as matrix products; B = 1, 2, 3,
+    7 and 16 make several products H_q even on short windows."""
+
     @settings(max_examples=40, deadline=None)
-    @given(w=windows(), frac=st.floats(0.0, 1.0))
-    def test_windows_of_one_chunk_give_the_same_bits(self, w, frac):
+    @given(w=windows(), frac=st.floats(0.0, 1.0), block=st.sampled_from([*BLOCKS, 1024]))
+    def test_random_windows_match_the_single_loop(self, w, frac, block):
         if len(w) < 4:
             return
         max_lag = int(frac * (len(w) - 4) // 2)
-        got = autocorr_symbolic(w, max_lag).data
+        with lag_block(block):
+            got = autocorr_symbolic(w, max_lag).data
         # weights on one line r v are correlated as the real r, times |v|^2
         line = correlation._line_coordinates(w.weight_table())
         if line is None:
@@ -221,22 +229,49 @@ class TestChunkedLagLoop:
         else:
             r, norm = line
             want = correlate_loop(r[w.letters], max_lag, norm)
-        assert got.tobytes() == want.tobytes()
+            assert not got.imag.any()
+        assert np.abs(got - want).max() <= 1e-13 * abs(want[max_lag])
 
-    def test_full_chunk_gives_the_same_bits(self):
-        w = fixed_point_window(rule_by_name("rudin-shapiro"), 0, 2**15,
-                               weights={0: 1, 1: 1j, 2: -1, 3: -0.5j})
-        values = w.values()[: correlation._LAG_CHUNK]
-        got = correlation._correlate_values(values, 64).data
-        assert got.tobytes() == correlate_loop(values, 64).tobytes()
+    @pytest.mark.parametrize("weights, on_a_line", [
+        ({0: 0.3, 1: -1.7, 2: 0.1, 3: 2.9}, True),
+        ({0: 0.6 + 0.8j, 1: -0.3 - 0.4j, 2: 0.0, 3: 1.2 + 1.6j}, True),
+        ({0: 1, 1: 0.3j, 2: -0.7, 3: -0.5j}, False),
+    ], ids=["real", "line", "complex"])
+    def test_long_windows_match_the_single_loop(self, weights, on_a_line, monkeypatch):
+        w = fixed_point_window(rule_by_name("rudin-shapiro"), 0, 2**15, weights=weights)
+        assert (correlation._line_coordinates(w.weight_table()) is not None) == on_a_line
+        for max_lag, block, piece in [(64, 1024, 2**18), (700, 1024, 2**18), (700, 16, 1000)]:
+            monkeypatch.setattr(correlation, "_CONJ_PIECE", piece)
+            with lag_block(block):
+                got = autocorr_symbolic(w, max_lag).data
+            want = correlate_loop(w.values(), max_lag)
+            assert np.abs(got - want).max() <= 1e-13 * abs(want[max_lag])
+
+    @pytest.mark.parametrize("weights, limit", [
+        ({0: 0.123457 - 0.992350j, 1: -0.123457 + 0.992350j}, 24e6),
+        ({0: 1.0, 1: 0.3j}, 52e6),
+    ], ids=["line", "complex"])
+    def test_memory_stays_near_one_padded_copy(self, weights, limit):
+        """2^21 sites at 512 lags: one padded copy of the window (16.8 MB
+        as float64 on a line, 33.6 MB complex), one buffer for H_q and
+        pieces, never another array of the window's length."""
+        tm = fixed_point_window(rule_by_name("thue-morse"), 0, 2**20, weights=weights)
+        assert len(tm) == 2**21
+        tracemalloc.start()
+        try:
+            autocorr_symbolic(tm, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
 
     @settings(max_examples=25, deadline=None)
-    @given(w=windows(), chunk=st.integers(1, 40))
-    def test_many_chunks_match_exact_pair_counts(self, w, chunk):
+    @given(w=windows(), block=st.sampled_from(BLOCKS))
+    def test_many_chunks_match_exact_pair_counts(self, w, block):
         if len(w) < 4:
             return
         max_lag = (len(w) - 4) // 2  # the 2M + 4 limit
-        with lag_chunk(chunk):
+        with lag_block(block):
             eta = autocorr_symbolic(w, max_lag)
         eta.check_hermitian(0.0)
         want = pair_count_eta(w.letters, w.weights, max_lag)
@@ -247,11 +282,12 @@ class TestChunkedLagLoop:
     def test_long_window_matches_exact_pair_counts(self):
         w = fixed_point_window(rule_by_name("thue-morse"), 0, 2**17,
                                weights={0: 0.6 + 0.8j, 1: -0.6 - 0.8j})
-        assert len(w) >= 4 * correlation._LAG_CHUNK
-        eta = autocorr_symbolic(w, 96)
-        eta.check_hermitian(0.0)
         want = pair_count_eta(w.letters, w.weights, 96)
-        assert np.abs(eta.data[96:] - want).max() <= 1e-12 * abs(eta.value(0))
+        for block in (1024, 16):  # two products H_q, then eight
+            with lag_block(block):
+                eta = autocorr_symbolic(w, 96)
+            eta.check_hermitian(0.0)
+            assert np.abs(eta.data[96:] - want).max() <= 1e-12 * abs(eta.value(0))
 
     def test_plus_minus_w_is_real_and_matches_pair_counts(self):
         w = 0.123457 - 0.992350j
@@ -303,13 +339,13 @@ class TestRouteTwoAgainstPairCounts:
         ("rudin-shapiro", {0: 1, 1: 1j, 2: -1, 3: -0.5j}),
         ("fibonacci", None),
     ])
-    @pytest.mark.parametrize("chunk", [1, 3, 7, 16])
-    def test_every_map_over_chunk_edges(self, name, weights, chunk):
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_every_map_over_chunk_edges(self, name, weights, block):
         window = fixed_point_window(rule_by_name(name), 0, 48, weights=weights)
         max_lag = 20
         for g in route_two_maps(window):
             image = apply_block_map(window, g)
-            with lag_chunk(chunk):
+            with lag_block(block):
                 eta = autocorr_via_spectral_inner(window, g, max_lag)
             eta.check_hermitian(0.0)
             want = pair_count_eta(image.letters, image.weights, max_lag)
