@@ -68,6 +68,10 @@ class CorrelationSeq:
 # sites per row of the lag kernel's site matrix, at most: each product
 # H_q holds at most _LAG_BLOCK**2 numbers, whatever max_lag asks for
 _LAG_BLOCK = 1024
+# rows of B sites per product, at least: on a short window at many lags a
+# wide B leaves few rows, and each product's B^2-sized output then costs
+# more than its n B multiply-adds
+_MIN_ROWS = 32
 # sites per piece of the gather into the kernel's padded buffer
 _GATHER_PIECE = 2**16
 # sites per piece of the conjugated rows of a complex product
@@ -97,23 +101,23 @@ def _correlate_values(
     """eta(m) = norm sum conj(y_n) y_{n+m} / (n - m) for y = table[letters].
 
     The zero-padded y is cut into rows of B = min(max_lag + 1,
-    _LAG_BLOCK) sites, Y[i, j] = y[iB + j].  H_q = Y^H Y_{+q}, Y against
-    itself shifted down q rows, holds every pair at offset qB + k - j in
-    H_q[j, k].  So lag m = qB + d (0 <= d < B) is the sum of diagonal d
-    of H_q and diagonal d - B of H_{q+1}, each column d of a sheared
-    view of H's buffer, summed.  y is gathered into its buffer, and
-    conjugated (_gram), piece by piece, so no other array of its length
-    is made.  A real table is summed in real arithmetic and scaled by
-    norm once per lag; complex callers leave norm at 1.  Sums of
-    integers (weights +-1 and 0/1) are exact in any order, so their eta
-    does not depend on B.
+    _LAG_BLOCK, n // _MIN_ROWS) sites (at least 1), Y[i, j] = y[iB + j].
+    H_q = Y^H Y_{+q}, Y against itself shifted down q rows, holds every
+    pair at offset qB + k - j in H_q[j, k].  So lag m = qB + d
+    (0 <= d < B) is the sum of diagonal d of H_q and diagonal d - B of
+    H_{q+1}, each column d of a sheared view of H's buffer, summed.  y
+    is gathered into its buffer, and conjugated (_gram), piece by piece,
+    so no other array of its length is made.  A real table is summed in
+    real arithmetic and scaled by norm once per lag; complex callers
+    leave norm at 1.  Sums of integers (weights +-1 and 0/1) are exact
+    in any order, so their eta does not depend on B.
     """
     n = len(letters)
     if n < 2 * max_lag + 4:
         raise WindowTooShort(
             f"{n} values cannot support max_lag {max_lag} (need {2 * max_lag + 4})"
         )
-    b = min(max_lag + 1, _LAG_BLOCK)
+    b = max(1, min(max_lag + 1, _LAG_BLOCK, n // _MIN_ROWS))
     y = np.zeros(-(-n // b) * b, dtype=table.dtype)
     for lo in range(0, n, _GATHER_PIECE):
         hi = min(lo + _GATHER_PIECE, n)

@@ -257,7 +257,12 @@ def enumerate_k_clusters(
     if ps.exact is None:
         gap_ids, minima, _ = _gap_classes(ps.gaps())
     else:
-        gap_ids = np.unique(np.diff(ps.exact, axis=0).view(_ROW_KEY)[:, 0], return_inverse=True)[1]
+        # rank each column, then the pair of ranks: both ranks stay below
+        # the number of gaps, so their product does not wrap
+        g = np.diff(ps.exact, axis=0)
+        a_rank = np.unique(g[:, 0], return_inverse=True)[1]
+        b_vals, b_rank = np.unique(g[:, 1], return_inverse=True)
+        gap_ids = np.unique(a_rank * len(b_vals) + b_rank, return_inverse=True)[1]
 
     found: list[tuple[int, Cluster, int]] = []
     for size in np.unique(sizes).tolist():

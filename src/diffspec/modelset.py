@@ -6,30 +6,35 @@ coordinates live in Z[sqrt(2)] and are kept as exact integer pairs
 (a, b) <-> a + b sqrt(2): PointSet1D.exact is an int64 array of shape
 (n, 2) with one row per point.  Bragg peak positions live in the Fourier
 module (sqrt(2)/4) Z[sqrt(2)]; their exponential sums are evaluated with
-phases reduced exactly: the rational half-integer part by integer
-parity, the irrational part m sqrt(2)/4 in 64-bit fixed point, where
-uint64 multiplication by the top 64 fractional bits of sqrt(2)/4 wraps
-exactly modulo 1 and a float term carries the remaining bits.  The
-reduction is accurate to a few 1e-16 on every platform and keeps
+phases reduced exactly, in 64-bit fixed point: uint64 multiplication by
+the top 64 fractional bits of sqrt(2)/4 wraps exactly modulo 1, the
+rational half-integer part of the phase rides in the same wrap as its
+top bit (half a turn), and a float term carries the remaining bits.
+Read as a signed turn, the phase goes to the exponential with no floor.
+The reduction is accurate to a few 1e-16 on every platform and keeps
 extinctions clean at sample sizes where naively multiplied float phases
 would drown them in rounding noise.
 
 Every point-set intensity is read from one evaluator,
 intensity_table_at(ps, ks, radii), which takes any list of candidates:
 module elements and float frequencies, on exact or float samples, at
-nested window radii.  It has two kinds of rows.  The phase of k = (a, b)
-at x is a alpha_x + b beta_x, so e(k x) is the product of two factors:
-the factor rows reduce one row per distinct a exactly at k = (a, 0) and
-one per distinct b at k = (0, b), each followed by one exponential, and
-every sum is an entry of one matrix product, taken over blocks of 8192
-points cut at the window ends, so memory stays flat.  The module
-elements K of the list take them on an exact sample when they need fewer
+nested window radii.  Both of its kinds of rows walk the points once,
+in blocks of 8192 from the first: every block adds one matrix product
+to the running sums, and a window end inside a block reads the product
+of the block's first part, so memory stays flat and the sum at one
+radius does not depend on the other radii.  The phase of k = (a, b) at
+x is a alpha_x + b beta_x, so e(k x) is the product of two factors: the
+factor rows reduce one row per distinct a exactly at k = (a, 0) and one
+per distinct b at k = (0, b), each followed by one exponential, and
+every sum is an entry of the product of the two.  The module elements K
+of the list take them on an exact sample when they need fewer
 exponential rows than there are module elements: |A| + |B| < |K|, with
 A and B the distinct a and b after k and -k are folded together for real
-weights.  Every other candidate takes a direct row, one exponential sum
-over the largest window read at every radius: floats, module elements
-on a float sample, and short module lists, among them the single k of
-intensity_at.
+weights.  Every other candidate takes a direct row, one exponential per
+point over the largest window: floats, module elements on a float
+sample, and short module lists, among them the single k of
+intensity_at.  A block of a direct row is one dot product of the
+weights with the exponentials.
 """
 
 from __future__ import annotations
@@ -48,7 +53,10 @@ from .subshift import BUILTIN_RULES, _grow
 # and _EPS (in [0, 1)) the rest, both from 50-digit arithmetic
 _Q = np.uint64(0x5A827999FCEF3242)
 _EPS = 0.17478590312625418
-# |m| and |b c + a d| stay below this, so no int64 product or sum wraps
+# the shift that puts the parity of an integer n at 2^63, n/2 modulo 1
+_TOP_BIT = np.uint64(63)
+# bounds of |m| and |b c + a d| over a sample: a and b then fit int64, and
+# the float term m _EPS / 2^64 of a phase stays below 0.05 turns
 _INT_LIMIT = 2**62
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 # a float phase k x is a rounded product, off by up to |k x| 2^-53 cycles;
@@ -172,23 +180,41 @@ def _check_phase_range(k: FourierModuleElement, c_max: int, d_max: int) -> None:
         raise OutOfRange(f"k = {k} too large for exact phases of these coordinates")
 
 
-def _reduce_phases(c: np.ndarray, d: np.ndarray, a, b) -> np.ndarray:
-    """Fractional parts of k x for k = (a, b) and x = c + d sqrt(2).
+def _module_turns(c: np.ndarray, d: np.ndarray, a, b) -> np.ndarray:
+    """k x in turns, for k = (a, b) and x = c + d sqrt(2), exact modulo 1.
 
-    k x = (b c + a d)/2 + m sqrt(2)/4 with m = a c + 2 b d.  The first
-    term is a half-integer reduced by parity.  For the second,
-    m sqrt(2)/4 = m (_Q + _EPS) / 2^64: the uint64 product m _Q wraps
-    exactly modulo 2^64, which is the reduction modulo 1, and m _EPS / 2^64
-    is a float term below 0.05.  a and b are ints or int64 columns, which
-    broadcast against the coordinate rows; the caller has checked the
-    range (_check_phase_range).
+    k x = n/2 + m sqrt(2)/4 with n = b c + a d and m = a c + 2 b d, and
+    m sqrt(2)/4 = m (_Q + _EPS) / 2^64.  The half-integer n/2 is the top
+    bit, half a turn, of n 2^63, so both terms modulo 1 are the uint64
+    u = m _Q + n 2^63 = c (a _Q + b 2^63) + d (2 b _Q + a 2^63), whose
+    products wrap exactly modulo 2^64.  Read through the int64 view, u
+    is a signed turn in [-1/2, 1/2); the float term m _EPS / 2^64, below
+    0.05 in size, is added to it.  The result lies in (-0.55, 0.55) and
+    is accurate to a few 1e-16 on the circle.  a and b are ints or int64
+    columns, which broadcast against the coordinate rows; the caller
+    has checked the range (_check_phase_range).
     """
-    half = ((b * c + a * d) & 1) * 0.5  # & 1 is the parity for negatives too
-    return wrap_phases(a * c + 2 * b * d, _Q, _EPS, half)
+    # arrays, not numpy scalars: scalar arithmetic warns when a product wraps
+    ua = np.atleast_1d(np.asarray(a, dtype=np.int64)).view(np.uint64)
+    ub = np.atleast_1d(np.asarray(b, dtype=np.int64)).view(np.uint64)
+    u = c.view(np.uint64) * (ua * _Q + (ub << _TOP_BIT))
+    u += d.view(np.uint64) * ((ub + ub) * _Q + (ua << _TOP_BIT))
+    t = u.view(np.int64) * 2.0**-64
+    t += c * (a * _EPS * 2.0**-64)
+    t += d * (2 * b * _EPS * 2.0**-64)
+    return t
 
 
-def wrap_phases(m: np.ndarray, q, eps, offset=0.0) -> np.ndarray:
-    """Fractional parts of offset + m (q + eps) / 2^64 for int64 m.
+def _mod_one(frac: np.ndarray) -> np.ndarray:
+    """frac reduced to [0, 1) in place."""
+    frac -= np.floor(frac)
+    # a phase just below an integer can round up to 1.0, which is 0
+    # on the circle; the largest double below 1 is as close
+    return np.minimum(frac, _BELOW_ONE, out=frac)
+
+
+def wrap_phases(m: np.ndarray, q, eps) -> np.ndarray:
+    """Fractional parts of m (q + eps) / 2^64 for int64 m.
 
     q is a uint64 and eps a float in [0, 1), or arrays of them that
     broadcast against m: the fixed-point form of a real number modulo 1.
@@ -199,25 +225,22 @@ def wrap_phases(m: np.ndarray, q, eps, offset=0.0) -> np.ndarray:
     """
     frac = (m.view(np.uint64) * q).astype(np.float64) * 2.0**-64
     frac += m * (eps * 2.0**-64)
-    frac += offset
-    frac -= np.floor(frac)
-    # a phase just below an integer can round up to 1.0, which is 0
-    # on the circle; the largest double below 1 is as close
-    return np.minimum(frac, _BELOW_ONE, out=frac)
+    return _mod_one(frac)
 
 
 def exact_phases(ps: PointSet1D, k: FourierModuleElement) -> np.ndarray:
     """Fractional parts of k * x for every exact point x = c + d sqrt(2).
 
-    Exact up to a few 1e-16 on the circle at any coordinate size the
-    int64 pairs hold (see _reduce_phases); OutOfRange when k is so large
+    The signed fixed-point turns of the evaluator (_module_turns),
+    reduced to [0, 1): exact up to a few 1e-16 on the circle at any
+    coordinate size the int64 pairs hold; OutOfRange when k is so large
     that the integer sums could leave +-2^62.
     """
     if ps.exact is None:
         raise NotSilverMean("operation needs exact coordinates")
     c, d = ps.exact[:, 0], ps.exact[:, 1]
     _check_phase_range(k, *_coord_bounds(c, d))
-    return _reduce_phases(c, d, k.a, k.b)
+    return _mod_one(_module_turns(c, d, k.a, k.b))
 
 
 def unit_phase(theta, scale: float = 1.0) -> np.ndarray:
@@ -233,20 +256,6 @@ def unit_phase(theta, scale: float = 1.0) -> np.ndarray:
     np.cos(out.imag, out=out.real)
     np.sin(out.imag, out=out.imag)
     return out
-
-
-def block_sums(terms: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Sums of terms[starts[j]:stops[j]] for every j, from one reduction.
-
-    terms must run from the first start to the last stop.  The block
-    ends cut it into segments, each summed once (pairwise, like np.sum),
-    and every block adds up its few segments; nested blocks of all
-    sizes thus cost one pass over the largest.
-    """
-    cuts = np.unique(np.concatenate([starts, stops]))
-    seg = np.add.reduceat(terms, cuts[:-1])
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    return cum[np.searchsorted(cuts, stops)] - cum[np.searchsorted(cuts, starts)]
 
 
 # window widths 2R whose square is a normal float
@@ -274,30 +283,50 @@ def _nested_windows(ps: PointSet1D, radii) -> tuple[np.ndarray, np.ndarray]:
     return stops, (2 * radii) ** 2
 
 
-# points per block of the factor rows: bounds their memory at
-# (|A| + |B|) * _TABLE_CHUNK complex numbers, whatever the sample size
+# points per block of the table's rows: bounds their memory at
+# (|A| + |B|) * _TABLE_CHUNK complex numbers for the factor rows and a few
+# _TABLE_CHUNK-point arrays per direct row, whatever the sample size
 _TABLE_CHUNK = 8192
+
+
+def _prefix_sums(stops: np.ndarray, operands) -> np.ndarray:
+    """The sums over the first s points for every window end s in stops.
+
+    operands(lo, hi) returns two factors L and R for the points lo..hi-1
+    such that L[..., :p] @ R[:p] is the sum over the first p of them.
+    The points are walked in blocks of _TABLE_CHUNK from the first; a
+    window end inside a block adds the product of the block's first part
+    to the sums before it, so the sum at each end does not depend on the
+    other ends, and memory is that of one block.
+    """
+    n = int(stops.max())
+    total, sums = 0, [None] * len(stops)
+    for lo in range(0, n, _TABLE_CHUNK):
+        hi = min(lo + _TABLE_CHUNK, n)
+        left, right = operands(lo, hi)
+        for j in np.flatnonzero((stops > lo) & (stops <= hi)).tolist():
+            p = int(stops[j]) - lo
+            sums[j] = total + left[..., :p] @ right[:p]
+        if hi < n:
+            total = total + left @ right
+    return np.array(sums)
 
 
 def _factor_sums(c, d, w, stops, a_vals, b_vals) -> np.ndarray:
     """Window sums of w e(a alpha_x) e(b beta_x) for every a and b.
 
-    Returns an array of shape (len(stops), len(a_vals), len(b_vals)).
-    The points are walked in blocks cut at the window ends; each block
-    adds one matrix product U V^T of its factor rows to the running sums.
+    Returns an array of shape (len(stops), len(a_vals), len(b_vals)):
+    each block of points adds one matrix product U V^T of its factor
+    rows (_prefix_sums).
     """
-    cuts = np.unique(np.concatenate([[0], stops]))
     a_col, b_col = a_vals[:, None], b_vals[:, None]
-    # cum[j] holds the sums over the points before cuts[j]
-    cum = np.zeros((len(cuts), len(a_vals), len(b_vals)), dtype=np.complex128)
-    for j in range(len(cuts) - 1):
-        cum[j + 1] = cum[j]
-        for lo in range(cuts[j], cuts[j + 1], _TABLE_CHUNK):
-            hi = min(lo + _TABLE_CHUNK, cuts[j + 1])
-            u = unit_phase(_reduce_phases(c[lo:hi], d[lo:hi], a_col, 0)) * w[lo:hi]
-            v = unit_phase(_reduce_phases(c[lo:hi], d[lo:hi], 0, b_col))
-            cum[j + 1] += u @ v.T
-    return cum[np.searchsorted(cuts, stops)]
+
+    def operands(lo, hi):
+        u = unit_phase(_module_turns(c[lo:hi], d[lo:hi], a_col, 0)) * w[lo:hi]
+        v = unit_phase(_module_turns(c[lo:hi], d[lo:hi], 0, b_col))
+        return u, v.T
+
+    return _prefix_sums(stops, operands)
 
 
 def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray:
@@ -308,7 +337,10 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
     holds the points in [x_0, x_0 + 2R], anchored at the left end of
     the sample (the chains here grow rightward from 0), so the windows
     are nested prefixes and every sum is read at all radii from one
-    pass over the largest window.
+    pass over the largest window.  The pass walks blocks of
+    _TABLE_CHUNK points and reads each window end inside its block
+    (_prefix_sums), so memory does not grow with the sample and the
+    sum at each radius does not depend on the other radii.
 
     On an exact sample the module elements take the factor rows (see
     the module docstring) when |A| + |B| is smaller than their number,
@@ -316,9 +348,11 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
     real weights; each term then carries one rounded product more than
     the direct sum.  Every other candidate takes a direct row, one
     exponential per point: floats, module elements on a float sample
-    (at k.value), and short module lists (with exact phases, as in
-    exact_phases).  n_jobs > 1 threads share the direct rows; the
-    result does not depend on n_jobs.  Non-finite floats, float phases
+    (at k.value), and short module lists (with the fixed-point turns of
+    exact_phases, the half-turn folded in, unreduced); each block of a
+    direct row is one dot product of the weights with unit_phase of the
+    phases.  n_jobs > 1 threads share the direct rows; the result does
+    not depend on n_jobs.  Non-finite floats, float phases
     whose rounding error |k| max|x| 2^-53 passes FLOAT_PHASE_ERROR_LIMIT
     cycles, and module elements so large that the exact integer sums
     could leave +-2^62, raise OutOfRange.
@@ -333,8 +367,7 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
     if ps.exact is not None:
         module = [j for j, k in enumerate(ks) if isinstance(k, FourierModuleElement)]
     if module:
-        c = np.ascontiguousarray(ps.exact[:n, 0])
-        d = np.ascontiguousarray(ps.exact[:n, 1])
+        c, d = ps.exact[:n, 0], ps.exact[:n, 1]
         c_max, d_max = _coord_bounds(c, d)
         for j in module:
             _check_phase_range(ks[j], c_max, d_max)
@@ -349,13 +382,14 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
         if len(a_vals) + len(b_vals) < len(module):
             sums[:, module] = _factor_sums(c, d, w, stops, a_vals, b_vals)[:, a_idx, b_idx]
             direct[module] = False
-    starts = np.zeros_like(stops)
 
     x_max = max(abs(x[0]), abs(x[-1]))  # the coordinates are sorted
 
     def direct_sums(k) -> np.ndarray:
+        # each block is one dot product of the weights with the exponentials
         if isinstance(k, FourierModuleElement) and ps.exact is not None:
-            terms = w * unit_phase(_reduce_phases(c, d, k.a, k.b))
+            def operands(lo, hi):
+                return w[lo:hi], unit_phase(_module_turns(c[lo:hi], d[lo:hi], k.a, k.b))
         else:
             kv = k.value if isinstance(k, FourierModuleElement) else float(k)
             if not math.isfinite(kv):
@@ -365,8 +399,11 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
                     f"candidate frequency {kv:g} too large for float phases of "
                     f"coordinates up to {x_max:g}"
                 )
-            terms = w * unit_phase(x, kv)
-        return block_sums(terms, starts, stops)
+
+            def operands(lo, hi):
+                return w[lo:hi], unit_phase(x[lo:hi], kv)
+
+        return _prefix_sums(stops, operands)
 
     rows = np.flatnonzero(direct)
     todo = [ks[j] for j in rows]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diffspec.delone import (
+    MERGE_TOL,
     BumpFunction,
     Cluster,
     PointSet1D,
@@ -87,6 +88,23 @@ class TestClusters:
         offsets = [c.offsets for c, _ in found]
         assert offsets == [(-1.0, 0.0), (0.0,), (0.0, 1.0)]
         assert sum(n for _, n in found) == len(ps) - 2  # all interior points
+
+    @pytest.mark.parametrize("k_radius", [1.1, 2.5, 6.0, 30.0])
+    def test_exact_clusters_match_a_point_by_point_loop(self, k_radius):
+        ps = silver_mean_chain(5000)
+        x = ps.coords
+        first, counts = {}, {}
+        for i in _interior_indices(ps, k_radius).tolist():
+            lo = np.searchsorted(x, x[i] - k_radius - MERGE_TOL, side="left")
+            hi = np.searchsorted(x, x[i] + k_radius + MERGE_TOL, side="right")
+            key = tuple(map(tuple, (ps.exact[lo:hi] - ps.exact[i]).tolist()))
+            first.setdefault(key, (tuple((x[lo:hi] - x[i]).tolist()), i))
+            counts[key] = counts.get(key, 0) + 1
+        want = [(offs, key, counts[key]) for key, (offs, _) in
+                sorted(first.items(), key=lambda kv: kv[1])]
+        got = [(c.offsets, tuple((q.a, q.b) for q in c.exact_offsets), n)
+               for c, n in enumerate_k_clusters(ps, k_radius)]
+        assert got == want
 
     def test_exact_and_float_enumeration_agree(self):
         exact = silver_mean_chain(500)

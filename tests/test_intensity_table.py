@@ -1,17 +1,23 @@
 """The batched module evaluator, the unit-phase kernel and the limit oracle."""
 
 import json
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diffspec import modelset
+from diffspec.delone import PointSet1D
 from diffspec.errors import OutOfRange
 from diffspec.modelset import (
+    _EPS,
+    _Q,
     FLOAT_PHASE_ERROR_LIMIT,
     FourierModuleElement,
+    exact_phases,
     intensities_at,
     intensity_at,
     intensity_table_at,
@@ -304,6 +310,143 @@ class TestCallers:
         for row in rep.rows[:5]:
             want = intensity_at(big_chain, row.k.times_lambda())
             assert row.original_at_lambda_k == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def reduce_phases(c, d, a, b) -> np.ndarray:
+    """Fractional parts of k x with the half-integer reduced on its own.
+
+    k x = (b c + a d)/2 + m sqrt(2)/4 with m = a c + 2 b d: the
+    half-integer by the parity of b c + a d, m sqrt(2)/4 as the uint64
+    wrap of m _Q plus m _EPS / 2^64 in float, the sum taken modulo 1.
+    """
+    m = a * c + 2 * b * d
+    frac = (m.view(np.uint64) * _Q).astype(np.float64) * 2.0**-64
+    frac += m * (_EPS * 2.0**-64)
+    frac += ((b * c + a * d) & 1) * 0.5
+    frac -= np.floor(frac)
+    return np.minimum(frac, np.nextafter(1.0, 0.0), out=frac)
+
+
+def block_sums(terms, starts, stops) -> np.ndarray:
+    """Sums of terms[starts[j]:stops[j]] from one np.add.reduceat pass."""
+    cuts = np.unique(np.concatenate([starts, stops]))
+    seg = np.add.reduceat(terms, cuts[:-1])
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    return cum[np.searchsorted(cuts, stops)] - cum[np.searchsorted(cuts, starts)]
+
+
+def window_ends(ps, radii) -> np.ndarray:
+    x = ps.coords
+    return np.searchsorted(x, x[0] + 2 * np.asarray(radii) + 1e-9, side="right")
+
+
+def unblocked_rows(ps, ks, radii) -> np.ndarray:
+    """Direct rows as one term array per candidate over the largest window,
+    summed at every window end by block_sums."""
+    radii = np.asarray(radii, dtype=float)
+    stops = window_ends(ps, radii)
+    n = int(stops.max())
+    w = ps.weights[:n]
+    rows = []
+    for k in ks:
+        if isinstance(k, FourierModuleElement) and ps.exact is not None:
+            c = np.ascontiguousarray(ps.exact[:n, 0])
+            d = np.ascontiguousarray(ps.exact[:n, 1])
+            terms = w * unit_phase(reduce_phases(c, d, k.a, k.b))
+        else:
+            kv = k.value if isinstance(k, FourierModuleElement) else float(k)
+            terms = w * unit_phase(ps.coords[:n], kv)
+        sums = block_sums(terms, np.zeros_like(stops), stops)
+        rows.append(np.abs(sums) ** 2 / (2 * radii) ** 2)
+    return np.array(rows)
+
+
+def rounding_scale(ps, radii) -> np.ndarray:
+    """(sum |w| / 2R)^2 over each window, the largest intensity it can hold."""
+    stops = window_ends(ps, radii)
+    sizes = np.cumsum(np.abs(ps.weights))[stops - 1]
+    return (sizes / (2 * np.asarray(radii))) ** 2
+
+
+def sample(kind: str, n: int):
+    ps = chain(n)
+    if kind == "complex":
+        return weighted_silver_comb(ps, 1.0, 0.5 + 1j)
+    return float_copy(ps) if kind == "float" else ps
+
+
+class TestBlockWalk:
+    """The rows walk the points in blocks; at window ends that cut a block
+    the sums must be those of the unblocked rows."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 16, 8192])
+    @pytest.mark.parametrize("kind", ["exact", "complex", "float"])
+    def test_blocks_match_the_unblocked_rows(self, kind, chunk, monkeypatch):
+        ps = sample(kind, 20000 if chunk == 8192 else 1501)
+        r = ps.extent / 2
+        radii = [0.1234 * r, 0.4567 * r, 0.789 * r, r]
+        assert chunk == 1 or sum(s % chunk > 0 for s in window_ends(ps, radii).tolist()) >= 2
+        box = box_of(-2, 2, -1, 1)
+        singles = [FourierModuleElement(2, 0), FourierModuleElement(-3, 1), 0.3, KRONECKER[5]]
+        bound = 1e-13 * rounding_scale(ps, radii)
+        monkeypatch.setattr(modelset, "_TABLE_CHUNK", chunk)
+        table = intensity_table_at(ps, box + singles, radii)
+        assert np.all(np.abs(table - unblocked_rows(ps, box + singles, radii)) <= bound)
+        rows = per_k(ps, singles, radii)
+        assert np.all(np.abs(rows - unblocked_rows(ps, singles, radii)) <= bound)
+
+    @pytest.mark.parametrize("chunk", [64, 8192])
+    def test_each_window_sum_ignores_the_other_radii(self, chunk, monkeypatch):
+        monkeypatch.setattr(modelset, "_TABLE_CHUNK", chunk)
+        for ps in (chain(20000), sample("complex", 20000), float_copy(chain(20000))):
+            r = ps.extent / 2
+            radii = [r / 8, 0.3 * r, r / 2, 0.77 * r, r]
+            for ks in ([FourierModuleElement(1, 1)], [0.3], box_of(-1, 2, 0, 1)):
+                many = intensity_table_at(ps, ks, radii)
+                one = np.column_stack([intensity_table_at(ps, ks, [s])[:, 0] for s in radii])
+                np.testing.assert_array_equal(many, one)
+
+    def test_single_k_memory_is_a_few_blocks(self, big_chain):
+        """The whole-sample term array of the unblocked row took 4.9 MB."""
+        k = FourierModuleElement(1, 1)
+        intensity_at(big_chain, k)
+        tracemalloc.start()
+        try:
+            intensity_at(big_chain, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+
+
+class TestFixedPointTurns:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-(2**44), 2**44),
+        st.integers(-(2**44), 2**44),
+        st.integers(-(2**15), 2**15),
+        st.integers(-(2**15), 2**15),
+    )
+    @example(-3, -5, -7, -1)
+    @example(-(2**44) + 1, 2**44 - 1, 2**15 - 1, -(2**15) + 1)
+    @example(1, 0, 0, 1)
+    def test_turns_agree_with_exact_phases(self, c, d, a, b):
+        ps = PointSet1D(np.array([c + d * SQRT2]), exact=np.array([[c, d]]))
+        cols = ps.exact[:, 0], ps.exact[:, 1]
+        t = float(modelset._module_turns(*cols, a, b)[0])
+        assert -0.55 < t < 0.55
+        for phase in (exact_phases(ps, FourierModuleElement(a, b)), reduce_phases(*cols, a, b)):
+            dist = (t - float(phase[0])) % 1.0
+            assert min(dist, 1.0 - dist) <= 1e-15
+
+    def test_columns_give_the_rows_of_single_elements(self):
+        c, d = chain(3000).exact[:, 0], chain(3000).exact[:, 1]
+        vals = np.array([-7, -2, 0, 3, 5], dtype=np.int64)
+        by_a = modelset._module_turns(c, d, vals[:, None], 0)
+        by_b = modelset._module_turns(c, d, 0, vals[:, None])
+        for i, v in enumerate(vals.tolist()):
+            np.testing.assert_array_equal(by_a[i], modelset._module_turns(c, d, v, 0))
+            np.testing.assert_array_equal(by_b[i], modelset._module_turns(c, d, 0, v))
 
 
 def limit_intensity(k: FourierModuleElement) -> float:

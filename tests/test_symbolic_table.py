@@ -289,6 +289,18 @@ class TestChunkedLagLoop:
             eta.check_hermitian(0.0)
             assert np.abs(eta.data[96:] - want).max() <= 1e-12 * abs(eta.value(0))
 
+    @pytest.mark.parametrize("weights", [{0: 1.0, 1: -1.0}, {0: 1.0, 1: 0.3j}],
+                             ids=["pm", "complex"])
+    def test_short_window_at_many_lags_matches_the_single_loop(self, weights):
+        """8192 sites at 1500 lags: B is capped by the row count, 8192 //
+        _MIN_ROWS sites, not by max_lag + 1."""
+        tm = fixed_point_window(rule_by_name("thue-morse"), 0, 2**13)
+        w = SymbolicWindow(tm.letters[:8192].copy(), 0, weights)
+        assert 8192 // correlation._MIN_ROWS < 1501
+        got = autocorr_symbolic(w, 1500).data
+        want = correlate_loop(w.values(), 1500)
+        assert np.abs(got - want).max() <= 1e-13 * abs(want[1500])
+
     def test_plus_minus_w_is_real_and_matches_pair_counts(self):
         w = 0.123457 - 0.992350j
         tm = fixed_point_window(rule_by_name("thue-morse"), 0, 2**13,
