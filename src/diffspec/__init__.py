@@ -13,11 +13,8 @@ from .correlation import (
     autocorr_pointset,
     autocorr_symbolic,
     autocorr_via_spectral_inner,
-    regularised_autocorr,
-    tent_autoconv,
 )
 from .delone import (
-    BumpFunction,
     Cluster,
     ClusterFrequency,
     PointSet1D,
@@ -32,7 +29,6 @@ from .factors import (
     BlockMap,
     EquivarianceReport,
     apply_block_map,
-    compose,
     identity_map,
     indicator_block_map,
     verify_factor_equivariance,
@@ -58,13 +54,10 @@ from .spectral import (
     UniformGrid,
     detect_atoms,
     fejer_density,
-    intensity_estimate,
     intensity_ratios,
     intensity_table,
     kronecker_candidates,
-    maximal_measure_mix,
     nu_family,
-    regularised_diffraction,
     sobol_candidates,
     spectral_distribution,
 )
@@ -86,7 +79,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Atom",
     "BlockMap",
-    "BumpFunction",
     "Cluster",
     "ClusterFrequency",
     "CorrelationSeq",
@@ -110,7 +102,6 @@ __all__ = [
     "autocorr_via_spectral_inner",
     "build_frequency_table",
     "cluster_frequency",
-    "compose",
     "detect_atoms",
     "dictionary",
     "enumerate_k_clusters",
@@ -120,7 +111,6 @@ __all__ = [
     "indicator_block_map",
     "inflate_factor",
     "intensity_at",
-    "intensity_estimate",
     "intensity_ratios",
     "intensity_table",
     "intensity_table_at",
@@ -128,19 +118,15 @@ __all__ = [
     "kronecker_candidates",
     "letter_frequencies_pf",
     "locator_set",
-    "maximal_measure_mix",
     "module_box",
     "nu_family",
     "parse_rule",
-    "regularised_autocorr",
-    "regularised_diffraction",
     "rule_by_name",
     "run_suite",
     "silver_mean_chain",
     "smooth_comb",
     "sobol_candidates",
     "spectral_distribution",
-    "tent_autoconv",
     "tent_ft",
     "verify_factor_equivariance",
     "verify_inflation_identity",

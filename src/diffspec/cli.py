@@ -111,12 +111,17 @@ def _serialize_window(window: SymbolicWindow) -> str:
 
 
 def _parse_window_text(text: str, weights_spec: str | None) -> SymbolicWindow:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
     head = lines[0].split() if lines else []
-    if len(lines) < 2 or len(head) < 3 or head[:2] != ["window", "lo"]:
+    if len(lines) < 2 or len(head) != 5 or head[:2] != ["window", "lo"] or head[3] != "letters":
         raise DiffspecError("window file must start with 'window lo <lo> letters <n>'")
-    lo = int(head[2])
-    letters = word_letters(lines[1].strip())
+    if len(lines) > 2:
+        raise DiffspecError("window file must hold one word line, found a second")
+    lo, n = int(head[2]), int(head[4])
+    letters = word_letters(lines[1])
+    if len(letters) != n:
+        raise DiffspecError(f"window header says letters {n}, the word has {len(letters)}")
     n_letters = int(letters.max()) + 1
     weights = _parse_weights(weights_spec, n_letters) if weights_spec else {}
     return SymbolicWindow(letters, lo, weights)
@@ -260,9 +265,7 @@ def cmd_freq(args) -> int:
     buf = []
     if isinstance(src, SymbolicWindow):
         table = build_frequency_table(src, args.maxlen)
-        pf = None
-        if getattr(args, "rule", None):
-            pf = letter_frequencies_pf(rule_by_name(args.rule))
+        pf = None if args.infile else letter_frequencies_pf(_rule_from_args(args))
         buf.append("word,frequency,pf_frequency")
         for word in sorted(table.freqs, key=lambda w: (len(w), w)):
             name = "".join(letter_name(c) for c in word)

@@ -298,44 +298,3 @@ def autocorr_pointset(ps, z_max: float, merge_tol: float = 1e-9) -> PointCorrela
     return PointCorrelation(
         z_max, diffs_full, values_full, counts_full, extent / 2.0, merge_tol
     )
-
-
-def tent_autoconv(eps: float, t: np.ndarray | float) -> np.ndarray | float:
-    """(phi * phi~)(t) for the unit-height tent of half-width eps.
-
-    Piecewise cubic with support [-2 eps, 2 eps]; the value at 0 is the
-    squared integral 2 eps / 3.
-    """
-    u = np.abs(np.asarray(t, dtype=float)) / eps
-    out = np.zeros_like(u)
-    core = u <= 1.0
-    out[core] = 2.0 / 3.0 - u[core] ** 2 + 0.5 * u[core] ** 3
-    edge = (u > 1.0) & (u < 2.0)
-    out[edge] = (2.0 - u[edge]) ** 3 / 6.0
-    out = out * eps
-    if np.isscalar(t):
-        return float(out)
-    return out
-
-
-def regularised_autocorr(pc: PointCorrelation, phi, t_grid: np.ndarray) -> np.ndarray:
-    """Sampled autocorrelation of the phi-smoothed comb.
-
-    gamma_phi(t) = sum_z value(z) (phi * phi~)(t - z); with a tent of
-    half-width eps only differences within 2 eps of t contribute.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if phi.kind != "tent":
-        raise ValueError("regularised autocorrelation needs a tent bump")
-    eps = phi.eps
-    out = np.zeros(len(t_grid), dtype=np.complex128)
-    diffs = pc.diffs
-    vals = pc.values
-    for i, t in enumerate(t_grid):
-        lo = np.searchsorted(diffs, t - 2 * eps)
-        hi = np.searchsorted(diffs, t + 2 * eps)
-        if hi > lo:
-            out[i] = np.sum(vals[lo:hi] * tent_autoconv(eps, t - diffs[lo:hi]))
-    if np.abs(out.imag).max(initial=0.0) < 1e-12:
-        return out.real
-    return out

@@ -20,7 +20,7 @@ exact (a, b) gap rows, or float gaps chain-merged within 1e-9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -344,52 +344,6 @@ def cluster_frequency(ps: PointSet1D, cluster: Cluster) -> ClusterFrequency:
     return ClusterFrequency(count / span, count / len(idx), count)
 
 
-@dataclass(frozen=True)
-class BumpFunction:
-    """A smoothing bump.
-
-    kind "tent": the unit-height tent of half-width eps with the
-    closed-form transform eps * (sin(pi eps k) / (pi eps k))^2.
-    kind "identity": a transform-one stub (smoothing by it changes
-    nothing; useful as a neutral element in tests).
-    kind "custom": sampled values without a closed-form transform.
-    """
-
-    kind: str = "tent"
-    eps: float = 0.25
-    samples: tuple = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.kind not in ("tent", "identity", "custom"):
-            raise ValueError(f"unknown bump kind {self.kind!r}")
-        if self.kind == "tent" and self.eps <= 0:
-            raise ValueError("tent half-width must be positive")
-
-    @property
-    def has_closed_form_ft(self) -> bool:
-        return self.kind in ("tent", "identity")
-
-    def value(self, t: np.ndarray | float) -> np.ndarray | float:
-        if self.kind == "tent":
-            u = np.abs(np.asarray(t, dtype=float)) / self.eps
-            v = np.maximum(0.0, 1.0 - u)
-            return float(v) if np.isscalar(t) else v
-        if self.kind == "custom":
-            ts, vs = self.samples
-            return np.interp(t, ts, vs, left=0.0, right=0.0)
-        raise ValueError("identity bump has no pointwise values")
-
-    def ft(self, k: np.ndarray | float) -> np.ndarray | float:
-        """Fourier transform at frequency k (closed form only)."""
-        if self.kind == "identity":
-            return np.ones_like(np.asarray(k, dtype=float)) if not np.isscalar(k) else 1.0
-        if self.kind == "tent":
-            return tent_ft(self.eps, k)
-        from .errors import DiffspecError
-
-        raise DiffspecError("custom bump has no closed-form transform")
-
-
 def tent_ft(eps: float, k: np.ndarray | float) -> np.ndarray | float:
     """Transform of the unit-height tent: eps * sinc(eps k)^2.
 
@@ -402,31 +356,31 @@ def tent_ft(eps: float, k: np.ndarray | float) -> np.ndarray | float:
     return float(val) if np.isscalar(k) else val
 
 
-def smooth_comb(ps: PointSet1D, phi: BumpFunction, t_grid: np.ndarray) -> np.ndarray:
+def smooth_comb(ps: PointSet1D, eps: float, t_grid: np.ndarray) -> np.ndarray:
     """Samples of (phi * comb)(t) = sum_x w_x phi(t - x) on the grid.
 
-    With a tent narrower than the packing radius at most one point can
-    contribute per t; this is asserted because it is what makes the
-    smoothed comb a faithful copy of the point set.
+    phi is the unit-height tent of half-width eps, whose transform is
+    tent_ft.  With a tent narrower than the packing radius at most one
+    point can contribute per t; this is asserted because it is what
+    makes the smoothed comb a faithful copy of the point set.
     """
-    if phi.kind == "identity":
-        raise ValueError("identity bump cannot be sampled")
+    if eps <= 0:
+        raise ValueError("tent half-width must be positive")
     t_grid = np.asarray(t_grid, dtype=float)
     if len(ps) == 0:
         raise EmptyPointSet("no points")
-    eps = phi.eps if phi.kind == "tent" else float(np.max(np.abs(phi.samples[0])))
     x = ps.coords
     w = ps.weights
     out = np.zeros(len(t_grid), dtype=np.complex128)
     lo = np.searchsorted(x, t_grid - eps, side="left")
     hi = np.searchsorted(x, t_grid + eps, side="right")
     n_contrib = hi - lo
-    if phi.kind == "tent" and eps < ps.packing_radius:
+    if eps < ps.packing_radius:
         assert int(n_contrib.max(initial=0)) <= 1, "tent narrower than packing radius"
     for j in range(int(n_contrib.max(initial=0))):
         has = n_contrib > j
         pts = lo[has] + j
-        out[has] += w[pts] * phi.value(t_grid[has] - x[pts])
+        out[has] += w[pts] * np.maximum(0.0, 1.0 - np.abs(t_grid[has] - x[pts]) / eps)
     if np.abs(out.imag).max(initial=0.0) == 0.0:
         return out.real
     return out

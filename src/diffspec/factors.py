@@ -173,34 +173,6 @@ def evaluate_at(window: SymbolicWindow, g: BlockMap, n: int) -> complex:
     return g.output(word)
 
 
-def compose(outer: BlockMap, inner: BlockMap) -> BlockMap:
-    """The block map with apply(x, composed) == apply(apply(x, inner), outer).
-
-    The outer table is keyed by inner-output letter ids in canonical
-    (re, im) value order, matching apply_block_map's id assignment.
-    """
-    from itertools import product
-
-    ids = _output_ids(inner)
-    length = inner.length + outer.length - 1
-    if inner.default is not None or outer.default is not None:
-        raise ValueError("composition of defaulted maps is not supported")
-
-    alphabet = sorted({c for w in inner.table for c in w})
-    table: dict[tuple[int, ...], complex] = {}
-    for word in product(alphabet, repeat=length):
-        try:
-            mids = tuple(
-                ids[complex(inner.table[word[j : j + inner.length]])]
-                for j in range(outer.length)
-            )
-        except KeyError:
-            continue
-        if mids in outer.table:
-            table[word] = outer.table[mids]
-    return BlockMap(inner.offset + outer.offset, length, table)
-
-
 @dataclass
 class EquivarianceReport:
     """Outcome of checking Phi_g(S^t x) == S^t Phi_g(x) over a shift range."""

@@ -113,7 +113,6 @@ class QuadraticInt:
 
 
 LAMBDA = QuadraticInt(1, 1)  # the silver mean 1 + sqrt(2)
-LAMBDA_SQ = LAMBDA * LAMBDA  # 3 + 2 sqrt(2)
 
 
 @dataclass(frozen=True)

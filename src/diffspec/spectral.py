@@ -16,9 +16,8 @@ dispatches to it: intensity_table_symbolic for a SymbolicWindow (every
 candidate, block-factored), intensity_table_at for a PointSet1D (factor
 rows for module lists on an exact sample when they need fewer
 exponentials than the list has module elements, direct rows for every
-other candidate).  detect_atoms, intensity_ratios, intensity_estimate
-and intensity_symbolic each read one table; a single k is a one-row
-table.
+other candidate).  detect_atoms, intensity_ratios and
+intensity_symbolic each read one table; a single k is a one-row table.
 
 Spectral distribution functions are represented as measures on a
 uniform grid; the Fejer (Cesaro) average of a correlation sequence
@@ -27,7 +26,6 @@ gives a nonnegative density whose grid masses total eta(0).
 
 from __future__ import annotations
 
-import io
 import json
 import warnings
 from dataclasses import dataclass
@@ -35,13 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationSeq
-from .delone import BumpFunction, PointSet1D
-from .errors import (
-    DiffspecError,
-    GridMismatch,
-    OutOfRange,
-    ZeroMass,
-)
+from .delone import PointSet1D
+from .errors import GridMismatch, OutOfRange, ZeroMass
 from .modelset import (
     FourierModuleElement,
     intensity_table_at,
@@ -164,11 +157,6 @@ def intensity_symbolic(window: SymbolicWindow, k: float, n_sites: int) -> float:
     return float(intensity_table_symbolic(window, [k], [n_sites])[0, 0])
 
 
-def intensity_estimate(source, k, n_or_r) -> float:
-    """Dispatch on the source type: sequence block size N or radius R."""
-    return float(intensity_table(source, [k], [n_or_r])[0, 0])
-
-
 def sampled_comb_intensity(
     t_samples: np.ndarray, f_samples: np.ndarray, k: float, norm_length: float
 ) -> float:
@@ -199,15 +187,6 @@ class SpectralEstimate:
     schedule: list[float]
     grid: "MeasureOnGrid | None" = None
 
-    def total_atom_mass(self) -> float:
-        return float(sum(a.intensity for a in self.atoms))
-
-    def atom_at(self, k: float, tol: float = 1e-9) -> Atom | None:
-        for a in self.atoms:
-            if abs(a.k - k) <= tol:
-                return a
-        return None
-
     def to_json(self) -> str:
         obj = {
             "atoms": [
@@ -230,14 +209,6 @@ class SpectralEstimate:
             "schedule": list(self.schedule),
         }
         return json.dumps(obj, indent=2)
-
-    def atoms_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("k,intensity,stability\n")
-        for a in self.atoms:
-            buf.write(f"{a.k:.12g},{a.intensity:.12g},{a.stability:.12g}\n")
-        return buf.getvalue()
-
 
 def detect_atoms(
     source,
@@ -493,23 +464,6 @@ def spectral_distribution(
     return MeasureOnGrid(grid, masses)
 
 
-def maximal_measure_mix(measures: list[MeasureOnGrid]) -> MeasureOnGrid:
-    """The convex-style mixture sum_n mu_n / (2^n (1 + |mu_n|)), n from 1.
-
-    Every input is absolutely continuous with respect to the result, so
-    the mixture dominates each summand's null sets; the weights keep
-    the total finite regardless of how many measures are combined.
-    """
-    if not measures:
-        raise ZeroMass("empty mixture")
-    grid = measures[0].grid
-    out = np.zeros(grid.n)
-    for n, mu in enumerate(measures, start=1):
-        measures[0].check_compatible(mu)
-        out += mu.masses / (2.0**n * (1.0 + mu.total_mass))
-    return MeasureOnGrid(grid, out)
-
-
 def nu_family(
     gamma_hat: MeasureOnGrid, h_samples: np.ndarray, n_max: int
 ) -> list[MeasureOnGrid]:
@@ -531,23 +485,3 @@ def nu_family(
     for _ in range(n_max - 1):
         out.append(out[-1].convolve(nu1))
     return out
-
-
-def regularised_diffraction(est: SpectralEstimate, phi: BumpFunction) -> SpectralEstimate:
-    """Push the diffraction through phi-smoothing: multiply by |phi^|^2.
-
-    Smoothing the comb with phi multiplies every atom intensity (and
-    any density values) by |phi^(k)|^2; requires a bump with a
-    closed-form transform.
-    """
-    if not phi.has_closed_form_ft:
-        raise DiffspecError("smoothing transfer needs a closed-form transform")
-    atoms = [
-        Atom(a.k, a.intensity * float(phi.ft(a.k)) ** 2, a.stability, a.k_exact)
-        for a in est.atoms
-    ]
-    grid = est.grid
-    if grid is not None:
-        factors = np.asarray(phi.ft(grid.grid.centers()), dtype=float) ** 2
-        grid = MeasureOnGrid(grid.grid, grid.masses * factors)
-    return SpectralEstimate(atoms, list(est.schedule), grid)

@@ -140,9 +140,6 @@ class SubstitutionRule:
                         changed = True
         return pairs
 
-    def first_letter_map(self) -> list[int]:
-        return [img[0] for img in self.images]
-
     def last_letter_map(self) -> list[int]:
         return [img[-1] for img in self.images]
 
@@ -259,9 +256,6 @@ class SymbolicWindow:
     def shifted(self, t: int) -> "SymbolicWindow":
         """The window of the t-fold shifted sequence: (S^t x)_n = x_{n+t}."""
         return SymbolicWindow(self.letters, self.lo - t, dict(self.weights))
-
-    def with_weights(self, weights: dict[int, complex]) -> "SymbolicWindow":
-        return SymbolicWindow(self.letters, self.lo, dict(weights))
 
     def word_string(self) -> str:
         return _LETTER_BYTES[self.letters].tobytes().decode("ascii")

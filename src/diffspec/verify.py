@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correlation import autocorr_symbolic, autocorr_via_spectral_inner
-from .delone import BumpFunction, enumerate_k_clusters, locator_set, smooth_comb, tent_ft
+from .delone import enumerate_k_clusters, locator_set, smooth_comb, tent_ft
 from .errors import DiffspecError
 from .factors import BlockMap, apply_block_map, identity_map, indicator_block_map, xor_map
 from .modelset import (
@@ -169,7 +169,7 @@ def verify_smoothing(
     top: int = 10,
     tol: float = 0.01,
 ) -> SuiteReport:
-    """Smoothing factorizes through the transform of the bump.
+    """Smoothing factorizes through the transform of the tent.
 
     The intensity of the tent-smoothed locator comb at k must equal
     tent_ft(eps, k)^2 times the raw comb intensity; checked at the
@@ -184,11 +184,10 @@ def verify_smoothing(
     by_intensity = zip(candidates, intensities_at(locator, candidates))
     ranked = sorted(by_intensity, key=lambda kr: -kr[1])[:top]
 
-    phi = BumpFunction("tent", eps)
     x0 = float(locator.coords[0])
     x1 = float(locator.coords[-1])
     t_grid = np.arange(x0 - 2 * eps, x1 + 2 * eps, t_step)
-    f = smooth_comb(locator, phi, t_grid)
+    f = smooth_comb(locator, eps, t_grid)
 
     worst = 0.0
     lines = []

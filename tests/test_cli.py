@@ -135,6 +135,29 @@ class TestFactorAndFreq:
         assert float(row_a[1]) == pytest.approx(0.618034, abs=1e-3)
         assert float(row_a[2]) == pytest.approx(0.618034, abs=1e-6)
 
+    @pytest.mark.parametrize("extra", [[], ["--rule", "thue-morse"]], ids=["alone", "with-rule"])
+    def test_pf_column_follows_rule_file(self, capsys, tmp_path, extra):
+        rule = tmp_path / "fib.txt"
+        rule.write_text("a -> ab\nb -> a\n")
+        code, out, _ = run(
+            capsys,
+            ["freq", "--rule-file", str(rule), "--len", "4096", "--maxlen", "1"] + extra,
+        )
+        assert code == 0
+        rows = {ln.split(",")[0]: ln.split(",") for ln in out.strip().splitlines()[1:]}
+        assert float(rows["a"][1]) == pytest.approx(0.618034, abs=1e-3)
+        assert float(rows["a"][2]) == pytest.approx(0.618034, abs=1e-6)
+        assert float(rows["b"][2]) == pytest.approx(0.381966, abs=1e-6)
+
+    def test_pf_column_empty_for_window_file(self, capsys, tmp_path):
+        path = tmp_path / "fib.txt"
+        assert cli.main(["gen", "--rule", "fibonacci", "--len", "64", "--out", str(path)]) == 0
+        code, out, _ = run(
+            capsys, ["freq", "--in", str(path), "--rule", "fibonacci", "--maxlen", "1"]
+        )
+        assert code == 0
+        assert all(ln.endswith(",") for ln in out.strip().splitlines()[1:])
+
     def test_cluster_frequencies_sum_to_one(self, capsys):
         code, out, _ = run(
             capsys, ["freq", "--silver-mean", "--points", "400", "--k-radius", "1.1"]
@@ -281,6 +304,24 @@ class TestConfigAndErrors:
         code, _, err = run(capsys, ["gen", "--in", str(path)])
         assert code == 2
         assert "window lo" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        ["window lo -4 letters 99\nabaababa\n", "window lo -4 letters 8\nabaababa\nabaab\n"],
+        ids=["letters-mismatch", "second-word-line"],
+    )
+    def test_window_file_must_match_its_header(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, ["gen", "--in", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: window") and "Traceback" not in err
+
+    def test_window_file_comments_are_not_word_lines(self, capsys, tmp_path):
+        path = tmp_path / "ok.txt"
+        path.write_text("# fib\nwindow lo -4 letters 8\n\n  # indented\nabaababa\n# end\n")
+        code, out, _ = run(capsys, ["gen", "--in", str(path)])
+        assert (code, out) == (0, "window lo -4 letters 8\nabaababa\n")
 
     @pytest.mark.parametrize(
         "argv",

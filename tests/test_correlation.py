@@ -1,4 +1,4 @@
-"""Autocorrelation of sequences and point sets, smoothing of the latter."""
+"""Autocorrelation of sequences and point sets."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,8 @@ from diffspec.correlation import (
     autocorr_pointset,
     autocorr_symbolic,
     autocorr_via_spectral_inner,
-    regularised_autocorr,
-    tent_autoconv,
 )
-from diffspec.delone import BumpFunction, PointSet1D
+from diffspec.delone import PointSet1D
 from diffspec.errors import NotHermitian, WindowTooShort, ZTooLarge
 from diffspec.factors import indicator_block_map
 from diffspec.subshift import SymbolicWindow, fixed_point_window, rule_by_name
@@ -140,36 +138,3 @@ class TestPointSets:
     def test_z_too_large(self):
         with pytest.raises(ZTooLarge):
             autocorr_pointset(PointSet1D(np.arange(4.0)), 100.0)
-
-
-class TestTentSmoothing:
-    def test_autoconvolution_center_and_support(self):
-        eps = 0.25
-        assert tent_autoconv(eps, 0.0) == pytest.approx(2 * eps / 3)
-        assert tent_autoconv(eps, 2 * eps) == 0.0
-        assert tent_autoconv(eps, -2 * eps) == 0.0
-        assert tent_autoconv(eps, 5.0) == 0.0
-
-    def test_autoconvolution_matches_quadrature(self):
-        eps = 0.3
-        s = np.linspace(-eps, eps, 20001)
-        h = s[1] - s[0]
-        tent = lambda u: np.maximum(0.0, 1.0 - np.abs(u) / eps)
-        for t in (0.0, 0.1, 0.25, 0.45, 0.55):
-            direct = float(np.sum(tent(s) * tent(t - s)) * h)
-            assert tent_autoconv(eps, t) == pytest.approx(direct, abs=1e-6)
-
-    def test_autoconvolution_is_even(self):
-        t = np.linspace(-0.6, 0.6, 101)
-        np.testing.assert_allclose(tent_autoconv(0.3, t), tent_autoconv(0.3, -t))
-
-    def test_regularised_autocorr_of_integer_comb(self):
-        ps = PointSet1D(np.arange(3.0))
-        pc = autocorr_pointset(ps, 1.5)
-        eps = 0.25
-        t = np.array([0.0, 1.0, 0.5])
-        got = regularised_autocorr(pc, BumpFunction("tent", eps), t)
-        # masses 3/2 at 0 and 1 at +-1; the tent pair is supported on |t| < 1/2
-        assert got[0] == pytest.approx(1.5 * tent_autoconv(eps, 0.0))
-        assert got[1] == pytest.approx(1.0 * tent_autoconv(eps, 0.0))
-        assert got[2] == pytest.approx(0.0)

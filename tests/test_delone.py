@@ -7,7 +7,6 @@ import pytest
 
 from diffspec.delone import (
     MERGE_TOL,
-    BumpFunction,
     Cluster,
     PointSet1D,
     _interior_indices,
@@ -17,7 +16,7 @@ from diffspec.delone import (
     smooth_comb,
     tent_ft,
 )
-from diffspec.errors import DiffspecError, EmptyInterior, IncompatibleCluster
+from diffspec.errors import EmptyInterior, IncompatibleCluster
 from diffspec.modelset import silver_mean_chain
 
 
@@ -175,45 +174,29 @@ class TestClusters:
 
 class TestBumps:
     def test_tent_values(self):
-        phi = BumpFunction("tent", 0.5)
-        assert phi.value(0.0) == 1.0
-        assert phi.value(0.25) == 0.5
-        assert phi.value(0.5) == 0.0
-        assert phi.value(-10.0) == 0.0
+        ps = PointSet1D(np.array([0.0]))
+        f = smooth_comb(ps, 0.5, np.array([0.0, 0.25, 0.5, -10.0]))
+        assert f.tolist() == [1.0, 0.5, 0.0, 0.0]
 
     def test_tent_ft_at_zero_is_area(self):
         assert tent_ft(0.25, 0.0) == pytest.approx(0.25)
-        assert BumpFunction("tent", 0.4).ft(0.0) == pytest.approx(0.4)
 
     def test_tent_ft_vanishes_at_inverse_width(self):
         assert tent_ft(0.5, 2.0) == pytest.approx(0.0, abs=1e-15)
 
-    def test_identity_ft_is_one(self):
-        phi = BumpFunction("identity")
-        assert phi.ft(3.7) == 1.0
-        with pytest.raises(ValueError):
-            phi.value(0.0)
-
-    def test_custom_bump_interpolates_but_has_no_ft(self):
-        phi = BumpFunction(
-            "custom", samples=(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 2.0, 0.0]))
-        )
-        assert phi.value(0.5) == pytest.approx(1.0)
-        with pytest.raises(DiffspecError):
-            phi.ft(0.0)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            BumpFunction("gaussian")
+    def test_smooth_comb_rejects_nonpositive_width(self):
+        ps = PointSet1D(np.array([0.0, 3.0]))
+        for eps in (0.0, -0.5):
+            with pytest.raises(ValueError, match="half-width"):
+                smooth_comb(ps, eps, np.array([0.0]))
 
     def test_smooth_comb_reproduces_isolated_tents(self):
         ps = PointSet1D(np.array([0.0, 3.0]))
-        phi = BumpFunction("tent", 0.5)
         t = np.array([-0.25, 0.0, 0.25, 1.5, 3.0])
-        f = smooth_comb(ps, phi, t)
+        f = smooth_comb(ps, 0.5, t)
         np.testing.assert_allclose(f.real, [0.5, 1.0, 0.5, 0.0, 1.0])
 
     def test_smooth_comb_carries_weights(self):
         ps = PointSet1D(np.array([0.0, 3.0]), weights=np.array([2.0, -1.0 + 0j]))
-        f = smooth_comb(ps, BumpFunction("tent", 0.5), np.array([0.0, 3.0]))
+        f = smooth_comb(ps, 0.5, np.array([0.0, 3.0]))
         np.testing.assert_allclose(f.real, [2.0, -1.0])

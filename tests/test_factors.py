@@ -1,4 +1,4 @@
-"""Sliding block maps: application, composition, serialization, equivariance."""
+"""Sliding block maps: application, serialization, equivariance."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from diffspec.errors import MalformedInput, MissingTableEntry, WindowTooShort
 from diffspec.factors import (
     BlockMap,
     apply_block_map,
-    compose,
     evaluate_at,
     identity_map,
     indicator_block_map,
@@ -105,32 +104,6 @@ class TestApplication:
         image = apply_block_map(w, g)
         for n in (-5, 0, 7):
             assert evaluate_at(w, g, n) == image.values()[n - image.lo]
-
-
-class TestCompose:
-    def test_compose_equals_sequential_application(self):
-        w = tm_window(128)
-        inner = xor_map()
-        # full table: composition does not accept defaulted maps
-        outer = BlockMap(
-            0, 2, {(a, b): 1.0 if (a, b) == (1, 0) else 0.0 for a in (0, 1) for b in (0, 1)}
-        )
-        combined = compose(outer, inner)
-        one_shot = apply_block_map(w, combined)
-        two_step = apply_block_map(apply_block_map(w, inner), outer)
-        assert one_shot.lo == two_step.lo
-        np.testing.assert_array_equal(one_shot.values(), two_step.values())
-
-    def test_compose_window_arithmetic(self):
-        inner = BlockMap(1, 2, {(a, b): float(a ^ b) for a in (0, 1) for b in (0, 1)})
-        outer = BlockMap(-1, 1, {(0,): 0.0, (1,): 1.0})
-        combined = compose(outer, inner)
-        assert combined.length == 2
-        assert combined.offset == 0
-
-    def test_compose_rejects_defaulted_maps(self):
-        with pytest.raises(ValueError):
-            compose(indicator_block_map((1, 0)), xor_map())
 
 
 class TestEquivariance:

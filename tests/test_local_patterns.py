@@ -9,6 +9,7 @@ class minima: they are == a loop computing those sums, and lie within
 len(offsets) * MERGE_TOL of the loops' merged offsets.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -31,7 +32,6 @@ from diffspec.factors import (
     BlockMap,
     _output_ids,
     apply_block_map,
-    compose,
     identity_map,
     indicator_block_map,
     xor_map,
@@ -368,7 +368,8 @@ def test_block_maps_match_loop(rule_window):
             word = tuple(int(c) for c in rule_window.letters[f : f + ell])
             maps.append(indicator_block_map(word, offset=-(ell // 2)))
     if letters == [0, 1]:
-        maps += [xor_map(), compose(xor_map(), xor_map())]
+        w0_xor_w2 = {w: float(w[0] ^ w[2]) for w in itertools.product((0, 1), repeat=3)}
+        maps += [xor_map(), BlockMap(0, 3, w0_xor_w2)]
     for g in maps:
         got = apply_block_map(rule_window, g)
         want = ref_apply_block_map(rule_window, g)

@@ -39,10 +39,14 @@ def third_party_imports() -> set[str]:
     }
 
 
-def declared_dependencies() -> set[str]:
-    tomllib = pytest.importorskip("tomllib")
+def require_source_checkout():
     if not PYPROJECT.is_file():
         pytest.skip("diffspec is not imported from a source checkout")
+
+
+def declared_dependencies() -> set[str]:
+    tomllib = pytest.importorskip("tomllib")
+    require_source_checkout()
     deps = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
     return {normalized(re.match(r"[A-Za-z0-9_.-]+", dep).group()) for dep in deps}
 
@@ -69,3 +73,48 @@ def test_import_and_candidates_and_fixed_points_leave_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def loaded_names(path: Path) -> set[str]:
+    """Names a file loads or imports, outside the top-level statement
+    that defines each of them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    own = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        own.update(dict.fromkeys(names, range(stmt.lineno, stmt.end_lineno + 1)))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found |= {n for n in names if node.lineno not in own.get(n, ())}
+    return found
+
+
+def test_all_entries_resolve_once():
+    assert len(diffspec.__all__) == len(set(diffspec.__all__))
+    for name in diffspec.__all__:
+        assert hasattr(diffspec, name), name
+
+
+def test_every_exported_name_has_a_caller():
+    """Each __all__ entry is used by the library, the acceptance gates or
+    the benchmark, not only by its own tests."""
+    require_source_checkout()
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += [Path(__file__).with_name("test_acceptance.py")]
+    files += sorted((PYPROJECT.parent / "perfbench").glob("*.py"))
+    used = set().union(*(loaded_names(p) for p in files))
+    assert sorted(set(diffspec.__all__) - used) == []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from diffspec.correlation import CorrelationSeq, autocorr_symbolic
-from diffspec.delone import BumpFunction, PointSet1D
+from diffspec.delone import PointSet1D
 from diffspec.errors import GridMismatch, OutOfRange, ZeroMass
 from diffspec.spectral import (
     CIRCLE_GRID,
@@ -19,14 +19,11 @@ from diffspec.spectral import (
     UniformGrid,
     detect_atoms,
     fejer_density,
-    intensity_estimate,
     intensity_ratios,
     intensity_symbolic,
     intensity_table,
     kronecker_candidates,
-    maximal_measure_mix,
     nu_family,
-    regularised_diffraction,
     sampled_comb_intensity,
     sobol_candidates,
     spectral_distribution,
@@ -81,7 +78,7 @@ class TestIntensity:
 
     def test_point_set_intensity_at_zero_is_density_squared(self):
         ps = PointSet1D(np.arange(100.0))
-        i0 = intensity_estimate(ps, 0.0, ps.extent / 2)
+        i0 = intensity_at(ps, 0.0, ps.extent / 2)
         assert i0 == pytest.approx((100 / 99.0) ** 2)
 
     def test_sampled_comb_matches_atom_weight(self):
@@ -89,11 +86,10 @@ class TestIntensity:
         ps = PointSet1D(np.arange(200.0))
         eps = 0.25
         t = np.arange(-2 * eps, 199.0 + 2 * eps, 0.002)
-        phi = BumpFunction("tent", eps)
         from diffspec.delone import smooth_comb, tent_ft
 
-        f = smooth_comb(ps, phi, t)
-        raw = intensity_estimate(ps, 1.0, ps.extent / 2)
+        f = smooth_comb(ps, eps, t)
+        raw = intensity_at(ps, 1.0, ps.extent / 2)
         got = sampled_comb_intensity(t, f, 1.0, ps.extent)
         assert got == pytest.approx(tent_ft(eps, 1.0) ** 2 * raw, rel=1e-3)
 
@@ -194,13 +190,6 @@ class TestAtomDetection:
         assert set(doc) == {"atoms", "grid", "schedule"}
         assert doc["atoms"][0]["k"] == 0.5
         assert doc["grid"] is None
-
-    def test_atoms_csv_round_trip_values(self):
-        est = SpectralEstimate([Atom(0.25, 0.125, 0.01, None)], [1.0, 2.0, 4.0])
-        lines = est.atoms_csv().strip().splitlines()
-        assert lines[0] == "k,intensity,stability"
-        k, i, s = (float(v) for v in lines[1].split(","))
-        assert (k, i, s) == (0.25, 0.125, 0.01)
 
 
 class TestCandidates:
@@ -344,11 +333,6 @@ class TestFejer:
 
 
 class TestMeasureFamilies:
-    def test_mix_weights(self):
-        mu = MeasureOnGrid(CIRCLE_GRID, np.full(CIRCLE_GRID.n, 1.0 / CIRCLE_GRID.n))
-        mix = maximal_measure_mix([mu, mu])
-        assert mix.total_mass == pytest.approx(1 / 4 + 1 / 8)
-
     def test_nu_family_masses_and_two_atom_square(self):
         gamma = MeasureOnGrid.from_atoms(
             [Atom(0.0, 0.5, 0.0, None), Atom(0.5, 0.5, 0.0, None)], CIRCLE_GRID
@@ -366,21 +350,6 @@ class TestMeasureFamilies:
         h[10] = 0.0
         with pytest.raises(ValueError):
             nu_family(gamma, h, 2)
-
-    def test_regularised_diffraction_scales_atoms(self):
-        from diffspec.delone import tent_ft
-
-        est = SpectralEstimate([Atom(0.5, 1.0, 0.0, None)], [1.0, 2.0, 4.0])
-        reg = regularised_diffraction(est, BumpFunction("tent", 0.25))
-        assert reg.atoms[0].intensity == pytest.approx(tent_ft(0.25, 0.5) ** 2)
-
-    def test_regularised_diffraction_needs_closed_form(self):
-        from diffspec.errors import DiffspecError
-
-        est = SpectralEstimate([], [1.0, 2.0, 4.0])
-        phi = BumpFunction("custom", samples=(np.array([-1, 0, 1.0]), np.array([0, 1, 0.0])))
-        with pytest.raises(DiffspecError):
-            regularised_diffraction(est, phi)
 
 
 @pytest.mark.parametrize("make", [sobol_candidates, kronecker_candidates])
