@@ -37,7 +37,6 @@ from .factors import (
 from .modelset import (
     FourierModuleElement,
     InflationReport,
-    QuadraticInt,
     inflate_factor,
     intensity_at,
     intensity_table_at,
@@ -89,7 +88,6 @@ __all__ = [
     "MeasureOnGrid",
     "PointCorrelation",
     "PointSet1D",
-    "QuadraticInt",
     "SpectralEstimate",
     "SubstitutionRule",
     "SuiteReport",

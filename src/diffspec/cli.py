@@ -144,7 +144,15 @@ def _window_from_args(args) -> SymbolicWindow:
     return fixed_point_window(rule, seed, args.len, weights=weights)
 
 
+# the source flags of gen, autocorr, diffract, factor and freq; at most one
+_SOURCES = {"infile": "--in", "rule": "--rule", "rule_file": "--rule-file",
+            "silver_mean": "--silver-mean"}
+
+
 def _load_source(args) -> SymbolicWindow | PointSet1D:
+    given = [flag for dest, flag in _SOURCES.items() if getattr(args, dest, None)]
+    if len(given) > 1:
+        raise DiffspecError(f"give one source, not {', '.join(given)}")
     if getattr(args, "infile", None):
         text = Path(args.infile).read_text()
         words = (ln.partition("#")[0].split() for ln in io.StringIO(text))
@@ -227,7 +235,7 @@ def cmd_diffract(args) -> int:
         min_intensity=args.min_intensity,
         n_jobs=args.threads,
     )
-    if args.fejer:
+    if args.fejer is not None:
         if not isinstance(src, SymbolicWindow):
             raise DiffspecError("--fejer needs a symbolic source")
         eta = autocorr_symbolic(src, args.fejer)
@@ -237,6 +245,8 @@ def cmd_diffract(args) -> int:
 
 
 def cmd_factor(args) -> int:
+    if args.shifts < 1:
+        raise OutOfRange(f"--shifts must be at least 1, got {args.shifts}")
     src = _load_source(args)
     if not isinstance(src, SymbolicWindow):
         raise DiffspecError("factor needs a symbolic source")

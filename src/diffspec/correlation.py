@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptyPointSet, NotHermitian, WindowTooShort, ZTooLarge
+from .errors import EmptyPointSet, NotHermitian, OutOfRange, WindowTooShort, ZTooLarge
 from .factors import BlockMap, apply_block_map
 from .subshift import SymbolicWindow
 
@@ -245,8 +245,10 @@ def autocorr_pointset(ps, z_max: float, merge_tol: float = 1e-9) -> PointCorrela
 
     The averaging volume is the sample extent (largest minus smallest
     coordinate), so value(0) estimates the weighted density.  Requires
-    z_max below the extent; merged differences use merge_tol.
+    z_max in [0, extent); merged differences use merge_tol.
     """
+    if not z_max >= 0:
+        raise OutOfRange(f"z_max {z_max} must be nonnegative")
     x = ps.coords
     w = ps.weights
     if len(x) == 0:

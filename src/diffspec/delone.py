@@ -36,8 +36,8 @@ SQRT2 = math.sqrt(2.0)
 def exact_coords(exact: np.ndarray) -> np.ndarray:
     """Float values a + b sqrt(2) of exact rows (a, b).
 
-    The same two roundings as float(QuadraticInt(a, b)), so the result
-    is bit-identical to converting point by point.
+    Two roundings per row, float(a) + float(b) * SQRT2, so the result
+    is bit-identical to converting the pairs one by one in Python.
     """
     return exact[:, 0].astype(np.float64) + exact[:, 1].astype(np.float64) * SQRT2
 
@@ -93,12 +93,6 @@ class PointSet1D:
     def distinct_gaps(self, tol: float = MERGE_TOL) -> np.ndarray:
         """The smallest gap of each class of the float gap merge, sorted."""
         return _gap_classes(self.gaps(), tol)[1]
-
-    def restrict(self, lo: float, hi: float) -> "PointSet1D":
-        i = int(np.searchsorted(self.coords, lo, side="left"))
-        j = int(np.searchsorted(self.coords, hi, side="right"))
-        exact = self.exact[i:j] if self.exact is not None else None
-        return PointSet1D(self.coords[i:j], self.weights[i:j], exact)
 
     def serialize(self) -> str:
         """Header line, then one point per line.
@@ -187,11 +181,15 @@ def _bad_line(lines: list[str], first: int, dtype: np.dtype, mode: str) -> Malfo
 
 @dataclass(frozen=True)
 class Cluster:
-    """The local pattern (Lambda - x) cap [-K, K] of some point x."""
+    """The local pattern (Lambda - x) cap [-K, K] of some point x.
+
+    exact_offsets, for a cluster of an exact sample, holds the offsets
+    as (a, b) int pairs, a + b sqrt(2); None for a float sample.
+    """
 
     k_radius: float
     offsets: tuple[float, ...]
-    exact_offsets: tuple | None = None
+    exact_offsets: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
         if 0.0 not in self.offsets and not any(abs(z) <= MERGE_TOL for z in self.offsets):
@@ -248,8 +246,6 @@ def enumerate_k_clusters(
     Clusters come sorted by offsets; equal offsets keep the order of
     first occurrence.
     """
-    from .modelset import QuadraticInt
-
     idx, lo, hi = _windows(ps, k_radius)
     sizes, left = hi - lo, idx - lo
     if sizes.min() < 1:
@@ -280,7 +276,7 @@ def enumerate_k_clusters(
                 offs, exact = (*(-back).tolist(), 0.0, *ahead.tolist()), None
             else:
                 offs = tuple((ps.coords[a:b] - ps.coords[x]).tolist())
-                exact = tuple(QuadraticInt(*r) for r in (ps.exact[a:b] - ps.exact[x]).tolist())
+                exact = tuple(map(tuple, (ps.exact[a:b] - ps.exact[x]).tolist()))
             found.append((i, Cluster(k_radius, offs, exact), n))
     return [(c, n) for _, c, n in sorted(found, key=lambda icn: (icn[1].offsets, icn[0]))]
 
@@ -292,7 +288,7 @@ def _locate(ps: PointSet1D, cluster: Cluster) -> tuple[np.ndarray, np.ndarray]:
         raise IncompatibleCluster("cluster exceeds its stated radius")
     idx, lo, hi = _windows(ps, cluster.k_radius)
     if ps.exact is not None and cluster.exact_offsets is not None:
-        rows = np.array([(q.a, q.b) for q in cluster.exact_offsets], dtype=np.int64).reshape(-1, 2)
+        rows = np.array(cluster.exact_offsets, dtype=np.int64).reshape(-1, 2)
         centre = np.append(np.flatnonzero(~rows.any(axis=1)), -1)[0]  # -1: no (0, 0) row
         keys = np.diff(ps.exact, axis=0).view(_ROW_KEY)[:, 0]
         want = np.diff(rows, axis=0).view(_ROW_KEY)[:, 0]

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import total_ordering
 
 import numpy as np
 
@@ -62,57 +61,6 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 # a float phase k x is a rounded product, off by up to |k x| 2^-53 cycles;
 # past this many cycles of error the phases, and the sum, are noise
 FLOAT_PHASE_ERROR_LIMIT = 2.0**-20
-
-
-@total_ordering
-@dataclass(frozen=True)
-class QuadraticInt:
-    """The ring element a + b sqrt(2) with integer a, b."""
-
-    a: int
-    b: int
-
-    def __add__(self, other: "QuadraticInt") -> "QuadraticInt":
-        if not isinstance(other, QuadraticInt):
-            return NotImplemented
-        return QuadraticInt(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "QuadraticInt") -> "QuadraticInt":
-        if not isinstance(other, QuadraticInt):
-            return NotImplemented
-        return QuadraticInt(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other: "QuadraticInt") -> "QuadraticInt":
-        if not isinstance(other, QuadraticInt):
-            return NotImplemented
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return QuadraticInt(a * c + 2 * b * d, a * d + b * c)
-
-    def __neg__(self) -> "QuadraticInt":
-        return QuadraticInt(-self.a, -self.b)
-
-    def star(self) -> "QuadraticInt":
-        """The algebraic conjugate a - b sqrt(2)."""
-        return QuadraticInt(self.a, -self.b)
-
-    def __float__(self) -> float:
-        return self.a + self.b * SQRT2
-
-    def __lt__(self, other: "QuadraticInt") -> bool:
-        # exact order: a + b sqrt(2) < c + d sqrt(2) iff (a - c) < (d - b) sqrt(2)
-        da = self.a - other.a
-        db = other.b - self.b
-        if db == 0:
-            return da < 0
-        if db > 0:
-            return da < 0 or da * da < 2 * db * db
-        return da < 0 and da * da > 2 * db * db
-
-    def __str__(self) -> str:
-        return f"{self.a}+{self.b}r2"
-
-
-LAMBDA = QuadraticInt(1, 1)  # the silver mean 1 + sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -443,7 +391,7 @@ def _gap_kinds(ps: PointSet1D) -> np.ndarray:
     bad = (g[:, 0] != 1) | ((g[:, 1] != 0) & (g[:, 1] != 1))
     if bad.any():
         a, b = g[int(np.argmax(bad))].tolist()
-        raise NotSilverMean(f"gap {QuadraticInt(a, b)} is neither 1 nor lambda")
+        raise NotSilverMean(f"gap {a}+{b}r2 is neither 1 nor lambda")
     return (1 - g[:, 1]).astype(np.int8)
 
 

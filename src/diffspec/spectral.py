@@ -19,15 +19,15 @@ exponentials than the list has module elements, direct rows for every
 other candidate).  detect_atoms, intensity_ratios and
 intensity_symbolic each read one table; a single k is a one-row table.
 
-Spectral distribution functions are represented as measures on a
-uniform grid; the Fejer (Cesaro) average of a correlation sequence
-gives a nonnegative density whose grid masses total eta(0).
+Spectral distribution functions are represented as measures on the
+circle [0, 1) cut into equal cells; the Fejer (Cesaro) average of a
+correlation sequence gives a nonnegative density whose grid masses
+total eta(0).
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,9 +201,9 @@ class SpectralEstimate:
             "grid": None
             if self.grid is None
             else {
-                "min": self.grid.lo,
-                "max": self.grid.hi,
-                "step": self.grid.step,
+                "min": 0.0,
+                "max": 1.0,
+                "step": self.grid.grid.step,
                 "values": [float(v) for v in self.grid.masses],
             },
             "schedule": list(self.schedule),
@@ -318,32 +318,32 @@ def kronecker_candidates(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UniformGrid:
-    lo: float
-    hi: float
+    """The circle R/Z as [0, 1) cut into n equal cells.
+
+    A frequency k sits in the cell of k modulo 1, so every real k has a
+    cell; the last cell also takes the k that round up to 1.
+    """
+
     n: int
-    circular: bool = False
 
     def __post_init__(self):
-        if self.n < 1 or self.hi <= self.lo:
-            raise ValueError("grid needs positive width and at least one cell")
+        if self.n < 1:
+            raise ValueError("grid needs at least one cell")
 
     @property
     def step(self) -> float:
-        return (self.hi - self.lo) / self.n
+        return 1.0 / self.n
 
     def centers(self) -> np.ndarray:
-        return self.lo + (np.arange(self.n) + 0.5) * self.step
+        return (np.arange(self.n) + 0.5) * self.step
 
     def cell_of(self, k: float) -> int:
-        if self.circular:
-            width = self.hi - self.lo
-            k = self.lo + ((k - self.lo) % width)
-        if not self.lo <= k <= self.hi:
-            raise OutOfRange(f"{k} outside [{self.lo}, {self.hi}]")
-        return min(int((k - self.lo) / self.step), self.n - 1)
+        if not np.isfinite(k):
+            raise OutOfRange(f"{k} is not a point of the circle")
+        return min(int(k % 1.0 * self.n), self.n - 1)
 
 
-CIRCLE_GRID = UniformGrid(0.0, 1.0, 1024, circular=True)
+CIRCLE_GRID = UniformGrid(1024)
 
 
 @dataclass
@@ -357,18 +357,6 @@ class MeasureOnGrid:
         self.masses = np.asarray(self.masses, dtype=float)
         if self.masses.shape != (self.grid.n,):
             raise ValueError("one mass per cell required")
-
-    @property
-    def lo(self) -> float:
-        return self.grid.lo
-
-    @property
-    def hi(self) -> float:
-        return self.grid.hi
-
-    @property
-    def step(self) -> float:
-        return self.grid.step
 
     @property
     def total_mass(self) -> float:
@@ -385,35 +373,12 @@ class MeasureOnGrid:
         return MeasureOnGrid(self.grid, self.masses / t)
 
     def convolve(self, other: "MeasureOnGrid") -> "MeasureOnGrid":
-        """Convolution on the grid; circular grids wrap exactly.
-
-        On a non-circular grid mass pushed outside the window is
-        truncated; the result is renormalized with a warning when the
-        loss matters.
-        """
+        """Convolution on the circle, exact by FFT; mass wraps around."""
         self.check_compatible(other)
-        if self.grid.circular:
-            fa = np.fft.rfft(self.masses)
-            fb = np.fft.rfft(other.masses)
-            conv = np.fft.irfft(fa * fb, n=self.grid.n)
-            return MeasureOnGrid(self.grid, np.maximum(conv, 0.0))
-        full = np.convolve(self.masses, other.masses)
-        # cell i + j of the full convolution sits at lo + lo + (i + j) h;
-        # keep the part overlapping the original window
-        shift = int(round(-self.grid.lo / self.grid.step))
-        lo_i = shift
-        vals = full[lo_i : lo_i + self.grid.n]
-        if len(vals) < self.grid.n:
-            vals = np.pad(vals, (0, self.grid.n - len(vals)))
-        before = self.total_mass * other.total_mass
-        lost = before - vals.sum()
-        out = MeasureOnGrid(self.grid, np.maximum(vals, 0.0))
-        if before > 0 and lost / before > 1e-9:
-            warnings.warn(
-                f"convolution truncated {lost / before:.2e} of the mass; renormalizing"
-            )
-            out = MeasureOnGrid(self.grid, out.masses * (before / vals.sum()))
-        return out
+        fa = np.fft.rfft(self.masses)
+        fb = np.fft.rfft(other.masses)
+        conv = np.fft.irfft(fa * fb, n=self.grid.n)
+        return MeasureOnGrid(self.grid, np.maximum(conv, 0.0))
 
     @classmethod
     def from_atoms(cls, atoms: list[Atom], grid: UniformGrid) -> "MeasureOnGrid":
@@ -449,19 +414,17 @@ def fejer_density(eta: CorrelationSeq, t: np.ndarray | float) -> np.ndarray | fl
     return float(vals[0]) if np.isscalar(t) else vals
 
 
-def spectral_distribution(
-    eta: CorrelationSeq, grid: UniformGrid = CIRCLE_GRID
-) -> MeasureOnGrid:
-    """Grid measure of the Fejer average of eta.
+def spectral_distribution(eta: CorrelationSeq) -> MeasureOnGrid:
+    """CIRCLE_GRID measure of the Fejer average of eta.
 
     Cell masses are midpoint-rule integrals of the density; negative
     quadrature wobble below 1e-9 is floored to zero.  With more cells
     than 2 max_lag the midpoint rule is exact and the total mass equals
     eta(0).
     """
-    density = fejer_density(eta, grid.centers())
-    masses = np.maximum(density, 0.0) * grid.step
-    return MeasureOnGrid(grid, masses)
+    density = fejer_density(eta, CIRCLE_GRID.centers())
+    masses = np.maximum(density, 0.0) * CIRCLE_GRID.step
+    return MeasureOnGrid(CIRCLE_GRID, masses)
 
 
 def nu_family(

@@ -107,6 +107,25 @@ class TestDiffract:
         assert cli.main(args + ["--threads", "2", "--out", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_fejer_grid_is_the_circle(self, capsys):
+        args = ["--rule", "period-doubling", "--len", "4096", "--weights", "a=1,b=-1"]
+        code, out, _ = run(capsys, ["diffract", *args, "--dyadic", "6", "--fejer", "64"])
+        assert code == 0
+        grid = json.loads(out)["grid"]
+        assert (grid["min"], grid["max"], grid["step"]) == (0.0, 1.0, 1 / 1024)
+        assert len(grid["values"]) == 1024
+        # the grid masses total eta(0), which is 1 for weights +-1
+        assert sum(grid["values"]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_fejer_zero_lags_is_the_constant_density(self, capsys):
+        code, out, _ = run(capsys, [
+            "diffract", "--rule", "thue-morse", "--len", "1024", "--weights", "a=1,b=-1",
+            "--dyadic", "2", "--fejer", "0",
+        ])
+        assert code == 0
+        values = json.loads(out)["grid"]["values"]
+        assert values == [1 / 1024] * 1024
+
     def test_exactly_one_candidate_source(self, capsys):
         base = ["diffract", "--rule", "thue-morse", "--len", "256"]
         code, _, err = run(capsys, base + ["--dyadic", "2", "--sobol", "8"])
@@ -139,10 +158,14 @@ class TestFactorAndFreq:
     def test_pf_column_follows_rule_file(self, capsys, tmp_path, extra):
         rule = tmp_path / "fib.txt"
         rule.write_text("a -> ab\nb -> a\n")
-        code, out, _ = run(
+        code, out, err = run(
             capsys,
             ["freq", "--rule-file", str(rule), "--len", "4096", "--maxlen", "1"] + extra,
         )
+        if extra:  # a second source is refused, not silently overridden
+            assert code == 2 and out == ""
+            assert err.startswith("error: give one source") and "Traceback" not in err
+            return
         assert code == 0
         rows = {ln.split(",")[0]: ln.split(",") for ln in out.strip().splitlines()[1:]}
         assert float(rows["a"][1]) == pytest.approx(0.618034, abs=1e-3)
@@ -153,7 +176,7 @@ class TestFactorAndFreq:
         path = tmp_path / "fib.txt"
         assert cli.main(["gen", "--rule", "fibonacci", "--len", "64", "--out", str(path)]) == 0
         code, out, _ = run(
-            capsys, ["freq", "--in", str(path), "--rule", "fibonacci", "--maxlen", "1"]
+            capsys, ["freq", "--in", str(path), "--maxlen", "1"]
         )
         assert code == 0
         assert all(ln.endswith(",") for ln in out.strip().splitlines()[1:])
@@ -168,6 +191,14 @@ class TestFactorAndFreq:
         assert len(lines) == 4
         total = sum(float(ln.split(",")[-1]) for ln in lines[1:])
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("shifts", ["0", "-5"])
+    def test_factor_refuses_fewer_than_one_shift(self, capsys, shifts):
+        code, out, err = run(
+            capsys, ["factor", "--rule", "thue-morse", "--len", "64", "--shifts", shifts]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: --shifts must be at least 1") and "Traceback" not in err
 
     def test_factor_with_more_shifts_than_window(self, capsys):
         code, out, err = run(
@@ -258,6 +289,27 @@ class TestConfigAndErrors:
         code, _, err = run(capsys, ["gen"])
         assert code == 2
         assert "no source" in err
+
+    # a rule file next to --rule is test_pf_column_follows_rule_file[with-rule]
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--rule", "thue-morse", "--silver-mean"],
+        ["freq", "--in", "WINDOW", "--rule", "fibonacci"],
+        ["autocorr", "--in", "WINDOW", "--silver-mean", "--weights", "a=1,b=-1"],
+    ], ids=["rule-and-silver-mean", "in-and-rule", "in-and-silver-mean"])
+    def test_two_sources_are_a_usage_error(self, capsys, tmp_path, argv):
+        window = tmp_path / "window.txt"
+        window.write_text("window lo 0 letters 3\naba\n")
+        argv = [str(window) if a == "WINDOW" else a for a in argv]
+        code, out, err = run(capsys, argv + ["--len", "64", "--points", "40"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: give one source") and "Traceback" not in err
+
+    def test_negative_zmax_is_out_of_range(self, capsys):
+        code, out, err = run(
+            capsys, ["autocorr", "--silver-mean", "--points", "40", "--zmax", "-1"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: z_max") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "body",

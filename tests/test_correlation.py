@@ -9,7 +9,7 @@ from diffspec.correlation import (
     autocorr_via_spectral_inner,
 )
 from diffspec.delone import PointSet1D
-from diffspec.errors import NotHermitian, WindowTooShort, ZTooLarge
+from diffspec.errors import NotHermitian, OutOfRange, WindowTooShort, ZTooLarge
 from diffspec.factors import indicator_block_map
 from diffspec.subshift import SymbolicWindow, fixed_point_window, rule_by_name
 
@@ -138,3 +138,13 @@ class TestPointSets:
     def test_z_too_large(self):
         with pytest.raises(ZTooLarge):
             autocorr_pointset(PointSet1D(np.arange(4.0)), 100.0)
+
+    @pytest.mark.parametrize("z_max", [-1.0, -1e-300, float("nan")])
+    def test_z_max_must_be_nonnegative(self, z_max):
+        with pytest.raises(OutOfRange):
+            autocorr_pointset(PointSet1D(np.arange(4.0)), z_max)
+
+    def test_z_max_zero_is_the_diagonal(self):
+        pc = autocorr_pointset(PointSet1D(np.arange(4.0)), 0.0)
+        assert pc.diffs.tolist() == [0.0]
+        assert pc.value(0.0) == pytest.approx(4 / 3)

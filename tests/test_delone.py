@@ -39,12 +39,6 @@ class TestPointSet:
         ps = PointSet1D(np.array([0.0, 1.0, 2.0 + 1e-12, 4.0]))
         assert len(ps.distinct_gaps()) == 2
 
-    def test_restrict_keeps_weights(self):
-        ps = PointSet1D(np.arange(6.0), weights=np.arange(6.0) + 0j)
-        sub = ps.restrict(1.5, 4.5)
-        assert sub.coords.tolist() == [2.0, 3.0, 4.0]
-        assert sub.weights.real.tolist() == [2.0, 3.0, 4.0]
-
     def test_serialize_parse_float_round_trip(self):
         ps = PointSet1D(np.array([0.0, 1.25]), weights=np.array([1.0, 0.5 - 2j]))
         back = PointSet1D.parse(ps.serialize())
@@ -101,7 +95,7 @@ class TestClusters:
             counts[key] = counts.get(key, 0) + 1
         want = [(offs, key, counts[key]) for key, (offs, _) in
                 sorted(first.items(), key=lambda kv: kv[1])]
-        got = [(c.offsets, tuple((q.a, q.b) for q in c.exact_offsets), n)
+        got = [(c.offsets, c.exact_offsets, n)
                for c, n in enumerate_k_clusters(ps, k_radius)]
         assert got == want
 

@@ -36,7 +36,7 @@ from diffspec.factors import (
     indicator_block_map,
     xor_map,
 )
-from diffspec.modelset import QuadraticInt, silver_mean_chain
+from diffspec.modelset import silver_mean_chain
 from diffspec.subshift import (
     BUILTIN_RULES,
     SymbolicWindow,
@@ -87,8 +87,7 @@ def ref_enumerate_k_clusters(ps, k_radius):
                 c, n = table[key]
                 table[key] = (c, n + 1)
             else:
-                exact = tuple(QuadraticInt(a, b) for a, b in key)
-                c = Cluster(k_radius, tuple(float(z) for z in offs), exact)
+                c = Cluster(k_radius, tuple(float(z) for z in offs), key)
                 table[key] = (c, 1)
         return sorted(table.values(), key=lambda cn: cn[0].offsets)
 
@@ -118,7 +117,7 @@ def ref_locator_set(ps, cluster):
     hits = []
     if ps.exact is not None and cluster.exact_offsets is not None:
         ex = ps.exact.tolist()
-        want_exact = tuple((q.a, q.b) for q in cluster.exact_offsets)
+        want_exact = cluster.exact_offsets
         for i in idx:
             offs, sl = ref_offsets_at(ps, int(i), k_radius)
             if sl.stop - sl.start != len(want_exact):

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from diffspec.delone import PointSet1D, enumerate_k_clusters, locator_set
 from diffspec.errors import NotSilverMean, OutOfRange
 from diffspec.modelset import (
-    LAMBDA,
     FourierModuleElement,
-    QuadraticInt,
     exact_phases,
     inflate_factor,
     intensity_at,
@@ -24,40 +22,6 @@ from diffspec.modelset import (
 )
 
 SQRT2 = np.sqrt(2.0)
-qints = st.builds(QuadraticInt, st.integers(-50, 50), st.integers(-50, 50))
-
-
-class TestQuadraticInt:
-    @given(qints, qints, qints)
-    def test_ring_axioms(self, x, y, z):
-        assert (x + y) * z == x * z + y * z
-        assert x * y == y * x
-        assert x + (y + z) == (x + y) + z
-        assert x - x == QuadraticInt(0, 0)
-
-    @given(qints, qints)
-    def test_star_is_multiplicative(self, x, y):
-        assert (x * y).star() == x.star() * y.star()
-        assert (x + y).star() == x.star() + y.star()
-
-    @given(qints, qints)
-    def test_order_matches_float_order(self, x, y):
-        if x < y:
-            assert float(x) < float(y) + 1e-9
-        if x == y:
-            assert (x.a, x.b) == (y.a, y.b)
-
-    def test_float_value(self):
-        assert float(QuadraticInt(1, 1)) == pytest.approx(1 + SQRT2)
-        assert float(LAMBDA) == pytest.approx(1 + SQRT2)
-
-    def test_exact_comparison_beats_float_rounding(self):
-        # 665857/470832 approximates sqrt 2 to 2e-12; the order of
-        # a + b sqrt2 pairs this close is still decided exactly
-        x = QuadraticInt(665857, 0)
-        y = QuadraticInt(0, 470832)
-        assert y < x
-        assert not (x < y)
 
 
 def ref_silver_mean_chain_exact(n_points):
@@ -96,7 +60,7 @@ class TestChain:
 
     def test_exact_coords_match_floats(self):
         ps = silver_mean_chain(300)
-        floats = [float(QuadraticInt(a, b)) for a, b in ps.exact.tolist()]
+        floats = [a + b * SQRT2 for a, b in ps.exact.tolist()]
         np.testing.assert_allclose(floats, ps.coords, rtol=1e-12)
 
     def test_point_count_honoured(self):
@@ -205,8 +169,9 @@ class TestInflation:
         ps = silver_mean_chain(3000)
         infl = inflate_factor(ps)
         chain = silver_mean_chain(len(infl)).exact.tolist()
-        scaled = [QuadraticInt(a, b) * LAMBDA for a, b in chain]
-        assert [QuadraticInt(a, b) for a, b in infl.exact.tolist()] == scaled
+        # (a + b sqrt2)(1 + sqrt2) = (a + 2b) + (a + b) sqrt2
+        scaled = [[a + 2 * b, a + b] for a, b in chain]
+        assert infl.exact.tolist() == scaled
 
     def test_density_ratio(self):
         ps = silver_mean_chain(50000)
@@ -230,8 +195,8 @@ class TestInflation:
         )
         loc = locator_set(ps, singleton)
         infl = inflate_factor(ps)
-        shifted = [QuadraticInt(a, b) - LAMBDA for a, b in loc.exact.tolist()]
-        assert shifted == [QuadraticInt(a, b) for a, b in infl.exact[: len(shifted)].tolist()]
+        shifted = (loc.exact - [1, 1]).tolist()  # minus lambda = 1 + sqrt2
+        assert shifted == infl.exact[: len(shifted)].tolist()
         assert len(shifted) > 0.9 * len(infl)
 
 
@@ -246,6 +211,13 @@ class TestWeightedComb:
     def test_rejects_non_silver_gaps(self):
         with pytest.raises(NotSilverMean):
             weighted_silver_comb(PointSet1D(np.arange(5.0)), 1.0, 2.0)
+
+    def test_names_the_first_bad_exact_gap(self):
+        exact = np.array([[0, 0], [1, 1], [3, 1], [4, 1]])
+        ps = PointSet1D(exact[:, 0] + exact[:, 1] * SQRT2, exact=exact)
+        with pytest.raises(NotSilverMean) as err:
+            inflate_factor(ps)
+        assert str(err.value) == "gap 2+0r2 is neither 1 nor lambda"
 
     def test_exact_phases_need_exact_coords(self):
         with pytest.raises(NotSilverMean):

@@ -229,7 +229,7 @@ class TestCandidates:
 
 class TestGridsAndMeasures:
     def test_cell_of_and_centers(self):
-        grid = UniformGrid(0.0, 1.0, 4)
+        grid = UniformGrid(4)
         assert grid.step == 0.25
         assert grid.cell_of(0.1) == 0
         assert grid.cell_of(0.99) == 3
@@ -239,9 +239,10 @@ class TestGridsAndMeasures:
         assert CIRCLE_GRID.cell_of(1.0) == 0
         assert CIRCLE_GRID.cell_of(-0.25) == CIRCLE_GRID.cell_of(0.75)
 
-    def test_out_of_range_on_bounded_grid(self):
+    @pytest.mark.parametrize("k", [np.inf, -np.inf, np.nan])
+    def test_cell_of_refuses_non_finite(self, k):
         with pytest.raises(OutOfRange):
-            UniformGrid(0.0, 1.0, 4).cell_of(1.5)
+            CIRCLE_GRID.cell_of(k)
 
     def test_from_atoms_and_total_mass(self):
         mu = MeasureOnGrid.from_atoms(
@@ -257,8 +258,8 @@ class TestGridsAndMeasures:
             mu.normalized()
 
     def test_grid_mismatch(self):
-        a = MeasureOnGrid(UniformGrid(0, 1, 8), np.ones(8))
-        b = MeasureOnGrid(UniformGrid(0, 1, 16), np.ones(16))
+        a = MeasureOnGrid(UniformGrid(8), np.ones(8))
+        b = MeasureOnGrid(UniformGrid(16), np.ones(16))
         with pytest.raises(GridMismatch):
             a.check_compatible(b)
 
@@ -271,13 +272,6 @@ class TestGridsAndMeasures:
         assert conv.masses[0] == pytest.approx(0.5, abs=1e-12)
         assert conv.masses[512] == pytest.approx(0.5, abs=1e-12)
         assert conv.total_mass == pytest.approx(1.0, abs=1e-12)
-
-    def test_linear_convolution_shifts_atoms(self):
-        grid = UniformGrid(0.0, 1.0, 64)
-        mu = MeasureOnGrid.from_atoms([Atom(0.25, 1.0, 0.0, None)], grid)
-        conv = mu.convolve(mu)
-        assert conv.masses.argmax() == grid.cell_of(0.5)
-        assert conv.total_mass == pytest.approx(1.0)
 
 
 def outer_product_fejer(eta: CorrelationSeq, t) -> np.ndarray:
