@@ -158,13 +158,21 @@ def _load_source(args) -> SymbolicWindow | PointSet1D:
         words = (ln.partition("#")[0].split() for ln in io.StringIO(text))
         kind = next((w[0] for w in words if w), "")
         if kind == "pointset":
+            _refuse_weights(args)
             return _parse_pointset_text(text)
         if kind == "window":
             return _parse_window_text(text, getattr(args, "weights", None))
         raise DiffspecError("input file must start with 'pointset' or 'window'")
     if getattr(args, "silver_mean", False):
+        _refuse_weights(args)
         return silver_mean_chain(args.points)
     return _window_from_args(args)
+
+
+def _refuse_weights(args) -> None:
+    """--weights weights the letters of a window; a point set has none."""
+    if getattr(args, "weights", None):
+        raise DiffspecError("--weights sets letter weights of a window, not of a point set")
 
 
 def cmd_gen(args) -> int:
@@ -365,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--rule-file", help="custom rule file, lines 'a -> ab'")
     source.add_argument("--seed-letter", default="a", help="fixed-point seed letter")
     source.add_argument("--len", type=int, default=65536, help="minimal window half-length")
-    source.add_argument("--weights", help="letter weights, e.g. a=1,b=-1")
+    source.add_argument("--weights", help="letter weights of a window, e.g. a=1,b=-1")
     source.add_argument("--silver-mean", action="store_true", help="silver-mean chain source")
     source.add_argument("--points", type=int, default=100000, help="chain length in points")
     source.add_argument("--in", dest="infile", help="window or pointset file")

@@ -35,6 +35,14 @@ point over the largest window: floats, module elements on a float
 sample, and short module lists, among them the single k of
 intensity_at.  A block of a direct row is one dot product of the
 weights with the exponentials.
+
+On an exact sample no row takes a cosine or sine per point: since
+sqrt(2) k = (2b, a) is again a module element, e(-k x) factors along
+the two coordinate axes, and each point's exponential is the product of
+four entries of one short row of k over the sample's axis grid
+(_AxisGrid).  A sample whose grid would not be shorter than the sample
+itself, and a list with a module element in range on its window but not
+on the whole sample and its grid, take the turns of every point instead.
 """
 
 from __future__ import annotations
@@ -120,10 +128,15 @@ def _coord_bounds(c: np.ndarray, d: np.ndarray) -> tuple[int, int]:
     return max(1, -int(c.min()), int(c.max())), max(1, -int(d.min()), int(d.max()))
 
 
+def _in_phase_range(k: FourierModuleElement, c_max: int, d_max: int) -> bool:
+    """True when the integer sums of k x stay inside +-2^62 for |c| <= c_max, |d| <= d_max."""
+    a, b = abs(k.a), abs(k.b)
+    return a * c_max + 2 * b * d_max < _INT_LIMIT and b * c_max + a * d_max < _INT_LIMIT
+
+
 def _check_phase_range(k: FourierModuleElement, c_max: int, d_max: int) -> None:
     """OutOfRange when the integer sums of k x could leave +-2^62."""
-    a, b = abs(k.a), abs(k.b)
-    if a * c_max + 2 * b * d_max >= _INT_LIMIT or b * c_max + a * d_max >= _INT_LIMIT:
+    if not _in_phase_range(k, c_max, d_max):
         raise OutOfRange(f"k = {k} too large for exact phases of these coordinates")
 
 
@@ -205,6 +218,82 @@ def unit_phase(theta, scale: float = 1.0) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class _AxisGrid:
+    """e(-k x) at the points of an exact sample from short rows of k.
+
+    Write a coordinate of the sample as c = c0 + (h << s) + l with
+    0 <= l < 2^s, c0 the least c, and d = d0 + (h' << s) + l' alike.
+    Then x = c + d sqrt(2) is the sum of four grid points, c0 + h 2^s,
+    l, (d0 + h' 2^s) sqrt(2) and l' sqrt(2), and e(-k x) is the product
+    of the exponentials of k at them.  One row of k over the grid, from
+    the exact turns (_module_turns) through unit_phase, so serves every
+    point by four reads and three products, with no cosine or sine per
+    point.  The split s is half the bits of the wider column span, so
+    the grid holds about 4 sqrt(span) points.  Origin and split come
+    from the whole sample: a point's exponential does not depend on the
+    window or on the other points evaluated with it.
+    """
+
+    origin: tuple[int, int]
+    shift: int
+    points: np.ndarray  # (g, 2) int64: the high c, low c, high d and low d parts
+    cuts: tuple[int, int, int]  # where the last three parts start
+
+    def rows(self, a, b) -> list[np.ndarray]:
+        """The four parts of e(-k g) over the grid for k = (a, b).
+
+        a and b are ints or int64 columns, as for _module_turns; the
+        parts then have one row per entry of the columns.
+        """
+        g = unit_phase(_module_turns(self.points[:, 0], self.points[:, 1], a, b))
+        return np.split(g, self.cuts, axis=-1)
+
+    def phases(self, rows: list[np.ndarray], c: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """e(-k x) at the points c + d sqrt(2), for each row of rows.
+
+        The last three factors go in one row at a time, so besides the
+        result only index arrays and one row of factors are held.
+        """
+        s, mask = self.shift, (1 << self.shift) - 1
+        i = c - self.origin[0]
+        out = rows[0].take(i >> s, axis=-1)
+
+        def times(part, idx):
+            for row, factors in zip(np.atleast_2d(out), np.atleast_2d(part)):
+                row *= factors.take(idx)
+
+        times(rows[1], np.bitwise_and(i, mask, out=i))
+        np.subtract(d, self.origin[1], out=i)
+        times(rows[2], i >> s)
+        times(rows[3], np.bitwise_and(i, mask, out=i))
+        return out
+
+
+def _axis_grid(exact: np.ndarray) -> tuple[_AxisGrid | None, tuple[int, int]]:
+    """The grid of a whole exact sample and bounds of |c| and |d| over both.
+
+    The bounds are at least 1 and read the columns once.  The grid is
+    None where its rows would not be shorter than the sample,
+    2^(s + 1) > len(exact): there the points take their turns directly.
+    """
+    lo = int(exact[:, 0].min()), int(exact[:, 1].min())
+    hi = int(exact[:, 0].max()), int(exact[:, 1].max())
+    shift = (max(hi[0] - lo[0], hi[1] - lo[1]).bit_length() + 1) // 2
+    step = 1 << shift
+    bounds = (max(1, -lo[0], hi[0], step - 1), max(1, -lo[1], hi[1], step - 1))
+    if 2 * step > len(exact):
+        return None, bounds
+    high_c = lo[0] + (np.arange(((hi[0] - lo[0]) >> shift) + 1, dtype=np.int64) << shift)
+    high_d = lo[1] + (np.arange(((hi[1] - lo[1]) >> shift) + 1, dtype=np.int64) << shift)
+    low = np.arange(step, dtype=np.int64)
+    cuts = (len(high_c), len(high_c) + step, len(high_c) + step + len(high_d))
+    points = np.zeros((cuts[2] + step, 2), dtype=np.int64)
+    points[: cuts[1], 0] = np.concatenate([high_c, low])
+    points[cuts[1] :, 1] = np.concatenate([high_d, low])
+    return _AxisGrid(lo, shift, points, cuts), bounds
+
+
 # window widths 2R whose square is a normal float
 _WIDTHS = (math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max))
 
@@ -259,21 +348,30 @@ def _prefix_sums(stops: np.ndarray, operands) -> np.ndarray:
     return np.array(sums)
 
 
-def _factor_sums(c, d, w, stops, a_vals, b_vals) -> np.ndarray:
+def _exponentials(c, d, grid: _AxisGrid | None, a, b):
+    """e(-k x) for k = (a, b) at the points lo..hi-1 of c + d sqrt(2).
+
+    Returns a function of (lo, hi).  The exponentials come from the
+    rows of the sample's grid, or, where it has none, from the exact
+    turns of every point.  a and b are ints or int64 columns, as for
+    _module_turns, which give one row per entry.
+    """
+    if grid is None:
+        return lambda lo, hi: unit_phase(_module_turns(c[lo:hi], d[lo:hi], a, b))
+    rows = grid.rows(a, b)
+    return lambda lo, hi: grid.phases(rows, c[lo:hi], d[lo:hi])
+
+
+def _factor_sums(c, d, w, stops, a_vals, b_vals, grid) -> np.ndarray:
     """Window sums of w e(a alpha_x) e(b beta_x) for every a and b.
 
     Returns an array of shape (len(stops), len(a_vals), len(b_vals)):
     each block of points adds one matrix product U V^T of its factor
     rows (_prefix_sums).
     """
-    a_col, b_col = a_vals[:, None], b_vals[:, None]
-
-    def operands(lo, hi):
-        u = unit_phase(_module_turns(c[lo:hi], d[lo:hi], a_col, 0)) * w[lo:hi]
-        v = unit_phase(_module_turns(c[lo:hi], d[lo:hi], 0, b_col))
-        return u, v.T
-
-    return _prefix_sums(stops, operands)
+    a_rows = _exponentials(c, d, grid, a_vals[:, None], 0)
+    b_rows = _exponentials(c, d, grid, 0, b_vals[:, None])
+    return _prefix_sums(stops, lambda lo, hi: (a_rows(lo, hi) * w[lo:hi], b_rows(lo, hi).T))
 
 
 def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray:
@@ -295,14 +393,21 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
     real weights; each term then carries one rounded product more than
     the direct sum.  Every other candidate takes a direct row, one
     exponential per point: floats, module elements on a float sample
-    (at k.value), and short module lists (with the fixed-point turns of
-    exact_phases, the half-turn folded in, unreduced); each block of a
-    direct row is one dot product of the weights with unit_phase of the
-    phases.  n_jobs > 1 threads share the direct rows; the result does
-    not depend on n_jobs.  Non-finite floats, float phases
-    whose rounding error |k| max|x| 2^-53 passes FLOAT_PHASE_ERROR_LIMIT
-    cycles, and module elements so large that the exact integer sums
-    could leave +-2^62, raise OutOfRange.
+    (at k.value), and short module lists; each block of a direct row is
+    one dot product of the weights with the exponentials.  A float's
+    exponentials are unit_phase of its float phases.  A module element's
+    come from the rows of the sample's axis grid (_AxisGrid), four reads
+    and three products per point; where the sample has no grid, or a
+    module element of ks is in range on the window but not on the whole
+    sample and its grid, they are unit_phase of the fixed-point turns of
+    exact_phases (the half-turn folded in, unreduced).  The factor rows
+    take theirs the same way.  The column bounds are read once per call
+    and serve both the range check and the grid.  n_jobs > 1 threads
+    share the direct rows; the result does not depend on n_jobs.
+    Non-finite floats, float phases whose rounding error
+    |k| max|x| 2^-53 passes FLOAT_PHASE_ERROR_LIMIT cycles, and module
+    elements so large that the exact integer sums could leave +-2^62 on
+    the window, raise OutOfRange.
     """
     ks = list(ks)
     stops, norm = _nested_windows(ps, radii)
@@ -313,11 +418,16 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
     module = []  # the module elements, which take exact phases
     if ps.exact is not None:
         module = [j for j, k in enumerate(ks) if isinstance(k, FourierModuleElement)]
+    grid = None
     if module:
         c, d = ps.exact[:n, 0], ps.exact[:n, 1]
-        c_max, d_max = _coord_bounds(c, d)
+        grid, bounds = _axis_grid(ps.exact)
         for j in module:
-            _check_phase_range(ks[j], c_max, d_max)
+            if not _in_phase_range(ks[j], *bounds):
+                # the window's own bounds decide OutOfRange, as for
+                # exact_phases; inside them the points take their turns
+                _check_phase_range(ks[j], *_coord_bounds(c, d))
+                grid = None
     if len(module) > 2:  # |A| + |B| >= 2, so shorter lists take the direct rows
         pairs = np.array([(ks[j].a, ks[j].b) for j in module], dtype=np.int64)
         if not np.any(w.imag):
@@ -327,7 +437,9 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
         a_vals, a_idx = np.unique(pairs[:, 0], return_inverse=True)
         b_vals, b_idx = np.unique(pairs[:, 1], return_inverse=True)
         if len(a_vals) + len(b_vals) < len(module):
-            sums[:, module] = _factor_sums(c, d, w, stops, a_vals, b_vals)[:, a_idx, b_idx]
+            sums[:, module] = _factor_sums(c, d, w, stops, a_vals, b_vals, grid)[
+                :, a_idx, b_idx
+            ]
             direct[module] = False
 
     x_max = max(abs(x[0]), abs(x[-1]))  # the coordinates are sorted
@@ -335,8 +447,10 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
     def direct_sums(k) -> np.ndarray:
         # each block is one dot product of the weights with the exponentials
         if isinstance(k, FourierModuleElement) and ps.exact is not None:
+            row = _exponentials(c, d, grid, k.a, k.b)
+
             def operands(lo, hi):
-                return w[lo:hi], unit_phase(_module_turns(c[lo:hi], d[lo:hi], k.a, k.b))
+                return w[lo:hi], row(lo, hi)
         else:
             kv = k.value if isinstance(k, FourierModuleElement) else float(k)
             if not math.isfinite(kv):

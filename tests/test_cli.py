@@ -304,6 +304,20 @@ class TestConfigAndErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: give one source") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--silver-mean", "--points", "4", "--weights", "a=2,b=-1"],
+        ["diffract", "--silver-mean", "--points", "2000", "--weights", "a=5",
+         "--candidates", "0"],
+        ["diffract", "--in", "POINTS", "--weights", "a=5", "--candidates", "0"],
+    ], ids=["gen-silver-mean", "diffract-silver-mean", "diffract-pointset-file"])
+    def test_weights_with_a_point_set_are_a_usage_error(self, capsys, tmp_path, argv):
+        points = tmp_path / "points.txt"
+        points.write_text(silver_mean_chain(40).serialize())
+        argv = [str(points) if a == "POINTS" else a for a in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --weights") and "Traceback" not in err
+
     def test_negative_zmax_is_out_of_range(self, capsys):
         code, out, err = run(
             capsys, ["autocorr", "--silver-mean", "--points", "40", "--zmax", "-1"]

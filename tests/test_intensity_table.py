@@ -462,3 +462,141 @@ def test_full_chain_matches_the_model_set_limit(big_chain):
     assert rel.max() <= 2.5e-4
     # the zeros of the sinc are the extinctions
     assert all((limit[j] < 1e-20) == is_extinct(k) for j, k in enumerate(box))
+
+
+def with_far_point(ps, c):
+    """ps and one more point at the integer c, past its last point."""
+    exact = np.vstack([ps.exact, [[c, 0]]])
+    return PointSet1D(modelset.exact_coords(exact), exact=exact)
+
+
+def in_range(a, b, bounds) -> FourierModuleElement:
+    """(a, b) scaled down to pass _check_phase_range for |c|, |d| <= max(bounds)."""
+    scale = 4 * max(bounds)
+    k = FourierModuleElement(int(np.sign(a)) * (abs(a) // scale),
+                             int(np.sign(b)) * (abs(b) // scale))
+    assert modelset._in_phase_range(k, *bounds)
+    return k
+
+
+class TestAxisGrid:
+    """Module exponentials from per-axis rows against the turns of each point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-(2**62), 2**62), st.integers(-(2**62), 2**62)),
+                    min_size=1, max_size=16),
+           st.integers(-(2**62), 2**62), st.integers(-(2**62), 2**62))
+    @example([(-(2**40), 2**40 - 1)], 2**62, -(2**62))
+    def test_turns_split_into_the_two_axes(self, pairs, a, b):
+        exact = np.array(pairs, dtype=np.int64)
+        c, d = exact[:, 0], exact[:, 1]
+        k = in_range(a, b, modelset._coord_bounds(c, d))
+        a, b = k.a, k.b
+        # k x = k c + (sqrt(2) k) d, and sqrt(2) k is the module element (2b, a)
+        zero = np.zeros_like(c)
+        along_d = modelset._module_turns(zero, d, a, b)
+        np.testing.assert_array_equal(along_d, modelset._module_turns(d, zero, 2 * b, a))
+        split = modelset._module_turns(c, zero, a, b) + along_d - modelset._module_turns(c, d, a, b)
+        assert np.all(np.abs(split - np.round(split)) <= 1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-(2**40), 2**40), st.integers(-(2**40), 2**40),
+           st.integers(0, 2**20), st.integers(0, 2**32 - 1), st.integers(-(2**62), 2**62),
+           st.integers(-(2**62), 2**62))
+    def test_grid_exponentials_match_the_turns(self, c0, d0, span, seed, a, b):
+        # 2^(s + 1) <= 2048 points for every span below 2^20: the grid is built
+        rng = np.random.default_rng(seed)
+        exact = np.column_stack([c0 + rng.integers(0, span + 1, 2048),
+                                 d0 + rng.integers(0, span + 1, 2048)])
+        grid, bounds = modelset._axis_grid(exact)
+        assert grid is not None
+        k = in_range(a, b, bounds)
+        c, d = exact[:, 0], exact[:, 1]
+        got = grid.phases(grid.rows(k.a, k.b), c, d)
+        want = np.exp(-2j * np.pi * modelset._module_turns(c, d, k.a, k.b))
+        # five rounded exponentials: the four grid entries and the reference,
+        # each within about 1e-15 of exact (2.04e-15 the most seen over 1.2e6 terms)
+        assert np.abs(got - want).max() <= 3e-15
+
+    @pytest.mark.parametrize("n_chain, grid", [(127, True), (126, False)])
+    def test_samples_on_each_side_of_the_guard(self, n_chain, grid):
+        # span 4095 splits at s = 6: the grid needs 2^(s + 1) = 128 points
+        ps = with_far_point(chain(n_chain), 4095)
+        assert (modelset._axis_grid(ps.exact)[0] is not None) == grid
+        r = ps.extent / 2
+        radii = [0.01 * r, 0.03 * r, r]
+        ks = box_of(-2, 2, -1, 1) + [FourierModuleElement(3, -2), FourierModuleElement(10**9, 7)]
+        bound = 1e-13 * rounding_scale(ps, radii)
+        assert np.all(np.abs(intensity_table_at(ps, ks, radii) - unblocked_rows(ps, ks, radii))
+                      <= bound)
+        assert np.all(np.abs(per_k(ps, ks[-2:], radii) - unblocked_rows(ps, ks[-2:], radii))
+                      <= bound)
+
+    def test_wide_span_takes_the_turns(self):
+        ps = with_far_point(chain(3000), 2**40)
+        assert modelset._axis_grid(ps.exact)[0] is None
+        r = ps.extent / 2
+        radii = [1000 / ps.extent * r, 5000 / ps.extent * r, r]
+        ks = box_of(-2, 2, -1, 1) + [FourierModuleElement(3, -2)]
+        bound = 1e-13 * rounding_scale(ps, radii)
+        assert np.all(np.abs(intensity_table_at(ps, ks, radii) - unblocked_rows(ps, ks, radii))
+                      <= bound)
+        assert np.all(np.abs(per_k(ps, ks[-1:], radii) - unblocked_rows(ps, ks[-1:], radii))
+                      <= bound)
+
+    def test_window_bounds_decide_out_of_range(self):
+        ps = chain(3000)
+        assert modelset._axis_grid(ps.exact)[0] is not None
+        # a c leaves 2^62 on the sample, not on the first 100 points
+        k = FourierModuleElement(2**62 // 1000, 0)
+        radius = float(ps.coords[99] - ps.coords[0]) / 2
+        with pytest.raises(OutOfRange):
+            intensity_at(ps, k)
+        with pytest.raises(OutOfRange):
+            intensity_table_at(ps, box_of(0, 2, 0, 1) + [k], [ps.extent / 2])
+        got = intensity_table_at(ps, box_of(0, 2, 0, 1) + [k], [radius])
+        want = unblocked_rows(ps, box_of(0, 2, 0, 1) + [k], [radius])
+        assert np.all(np.abs(got - want) <= 1e-13 * rounding_scale(ps, [radius]))
+
+
+def mp_intensities(ps, ks, radii, mpmath):
+    """|sum e(-k x)|^2 / (2R)^2 and |sum| for every k and radius, in 40 digits."""
+    stops = window_ends(ps, radii).tolist()
+    c, d = ps.exact[: max(stops)].T.tolist()
+    out = []
+    with mpmath.workdps(40):
+        r = mpmath.sqrt(2) / 4
+        for k in ks:
+            terms = [mpmath.expjpi(-2 * (mpmath.mpf(k.b * ci + k.a * di) / 2
+                                         + (k.a * ci + 2 * k.b * di) * r))
+                     for ci, di in zip(c, d)]
+            sums = [mpmath.fsum(terms[:s]) for s in stops]
+            out.append([(float(abs(s) ** 2 / mpmath.mpf(2 * R) ** 2), float(abs(s)))
+                        for s, R in zip(sums, radii)])
+    return np.array(out)
+
+
+class TestAgainstMpmath:
+    """Direct and factor rows on a 3000-point prefix against 40-digit sums."""
+
+    def check(self, ps, got, ks, radii):
+        mpmath = pytest.importorskip("mpmath")
+        ref = mp_intensities(ps, ks, radii, mpmath)
+        stops = window_ends(ps, radii)
+        delta = 1e-12 * stops  # bounds |got S - S| over each window
+        norm = (2 * np.asarray(radii)) ** 2
+        tol = (2 * ref[..., 1] + delta) * delta / norm
+        assert np.all(np.abs(got - ref[..., 0]) <= tol)
+
+    def test_direct_rows(self):
+        ps = chain(3000)
+        radii = [0.4 * ps.extent / 2, ps.extent / 2]
+        ks = [FourierModuleElement(1, 1), FourierModuleElement(2, 0),
+              FourierModuleElement(-5, 3), FourierModuleElement(10**9 + 1, -7)]
+        self.check(ps, per_k(ps, ks, radii), ks, radii)
+
+    def test_factor_rows(self):
+        ps = chain(3000)
+        radii = [0.4 * ps.extent / 2, ps.extent / 2]
+        ks = box_of(-2, 3, 0, 2) + box_of(10**6, 2, -(10**6), 1)
+        self.check(ps, intensity_table_at(ps, ks, radii), ks, radii)
