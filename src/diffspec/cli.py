@@ -496,6 +496,9 @@ def main(argv=None) -> int:
     except (DiffspecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a size too large for this machine
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -42,12 +42,16 @@ def exact_coords(exact: np.ndarray) -> np.ndarray:
     return exact[:, 0].astype(np.float64) + exact[:, 1].astype(np.float64) * SQRT2
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PointSet1D:
     """Sorted, weighted points; optionally with exact coordinates.
 
     exact, when given, is an int64 array of shape (n, 2) holding the
-    pair (a, b) of each point a + b sqrt(2).
+    pair (a, b) of each point a + b sqrt(2).  A sample is immutable:
+    its fields cannot be reassigned and hold read-only views of the
+    arrays given (not copies, so those must not be written afterwards),
+    and what is derived from it once, the axis plan of modelset, stays
+    valid.  It is hashed and compared by identity.
     """
 
     coords: np.ndarray
@@ -55,21 +59,27 @@ class PointSet1D:
     exact: np.ndarray | None = None
 
     def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=float)
-        if self.coords.ndim != 1:
+        coords = np.asarray(self.coords, dtype=float)
+        if coords.ndim != 1:
             raise ValueError("coords must be one-dimensional")
-        if len(self.coords) > 1 and not np.all(np.diff(self.coords) > 0):
+        if len(coords) > 1 and not np.all(np.diff(coords) > 0):
             raise ValueError("coords must be strictly increasing")
         if self.weights is None:
-            self.weights = np.ones(len(self.coords), dtype=np.complex128)
+            weights = np.ones(len(coords), dtype=np.complex128)
         else:
-            self.weights = np.asarray(self.weights, dtype=np.complex128)
-            if self.weights.shape != self.coords.shape:
+            weights = np.asarray(self.weights, dtype=np.complex128)
+            if weights.shape != coords.shape:
                 raise ValueError("one weight per point required")
-        if self.exact is not None:
-            self.exact = np.asarray(self.exact, dtype=np.int64)
-            if self.exact.shape != (len(self.coords), 2):
+        exact = self.exact
+        if exact is not None:
+            exact = np.asarray(exact, dtype=np.int64)
+            if exact.shape != (len(coords), 2):
                 raise ValueError("one exact (a, b) pair per point required")
+        for name, value in (("coords", coords), ("weights", weights), ("exact", exact)):
+            if value is not None:
+                value = value.view()
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -105,15 +115,25 @@ class PointSet1D:
         pr = self.packing_radius
         pr_s = "inf" if np.isinf(pr) else f"{pr:.12g}"
         if self.exact is not None:
-            fmt = "%d %d %.12g %.12g\n"
-            cols = [self.exact[:, 0], self.exact[:, 1]]
+            fmt = "%d %d %s\n"
+            cols = [self.exact[:, 0].tolist(), self.exact[:, 1].tolist()]
         else:
-            fmt = "%.17g %.12g %.12g\n"
-            cols = [self.coords]
-        cols += [self.weights.real, self.weights.imag]
+            fmt = "%.17g %s\n"
+            cols = [self.coords.tolist()]
+        # each distinct weight, by bit pattern, is formatted once: rank
+        # each 8-byte half, then the pair of ranks, as the gap rows of
+        # enumerate_k_clusters; -0.0 and each NaN keep their own text
+        halves = np.ascontiguousarray(self.weights).view(np.uint64).reshape(-1, 2)
+        re_rank = np.unique(halves[:, 0], return_inverse=True)[1]
+        im_vals, im_rank = np.unique(halves[:, 1], return_inverse=True)
+        _, first, ids = np.unique(
+            re_rank * len(im_vals) + im_rank, return_index=True, return_inverse=True
+        )
+        texts = ["%.12g %.12g" % (w.real, w.imag) for w in self.weights[first].tolist()]
+        cols.append([texts[i] for i in ids.tolist()])
         fields = [None] * (len(cols) * len(self))
         for j, col in enumerate(cols):
-            fields[j :: len(cols)] = col.tolist()
+            fields[j :: len(cols)] = col
         return f"pointset {mode} packing_radius {pr_s}\n" + (fmt * len(self)) % tuple(fields)
 
     @classmethod

@@ -43,11 +43,23 @@ four entries of one short row of k over the sample's axis grid
 (_AxisGrid).  A sample whose grid would not be shorter than the sample
 itself, and a list with a module element in range on its window but not
 on the whole sample and its grid, take the turns of every point instead.
+
+The exact diffraction of the paper evaluates one sample at many module
+elements: Bragg peaks, extinctions and the factors of locator sets.  So
+the grid, the bounds of |c| and |d| and each point's four entries in the
+grid's row are the sample's axis plan (_axis_plan), built by its first
+exact row and read by every later call on it.  The four index columns
+take the narrowest unsigned dtype that holds them, uint16 on the
+10^5-point chain, so 4 n 2 bytes (0.8 MB there).  Plans live in a
+weak-keyed table and go with their samples; a PointSet1D is immutable
+(frozen fields, read-only arrays, hashed by identity), so a plan stays
+valid for as long as its sample lives.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,41 +244,41 @@ class _AxisGrid:
     point.  The split s is half the bits of the wider column span, so
     the grid holds about 4 sqrt(span) points.  Origin and split come
     from the whole sample: a point's exponential does not depend on the
-    window or on the other points evaluated with it.
+    window or on the other points evaluated with it.  index holds, for
+    every point of the sample, where its four grid points lie in the
+    row, in the narrowest unsigned dtype that holds them.
     """
 
-    origin: tuple[int, int]
-    shift: int
     points: np.ndarray  # (g, 2) int64: the high c, low c, high d and low d parts
-    cuts: tuple[int, int, int]  # where the last three parts start
+    index: np.ndarray  # (4, n): each point's entries of the four parts
 
-    def rows(self, a, b) -> list[np.ndarray]:
-        """The four parts of e(-k g) over the grid for k = (a, b).
+    def rows(self, a, b) -> np.ndarray:
+        """e(-k g) over the grid for k = (a, b).
 
-        a and b are ints or int64 columns, as for _module_turns; the
-        parts then have one row per entry of the columns.
+        a and b are ints or int64 columns, as for _module_turns; there
+        is then one row per entry of the columns.
         """
-        g = unit_phase(_module_turns(self.points[:, 0], self.points[:, 1], a, b))
-        return np.split(g, self.cuts, axis=-1)
+        return unit_phase(_module_turns(self.points[:, 0], self.points[:, 1], a, b))
 
-    def phases(self, rows: list[np.ndarray], c: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """e(-k x) at the points c + d sqrt(2), for each row of rows.
+    def phases(self, rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """e(-k x) at the points lo..hi-1 of the sample, for each row of rows.
 
-        The last three factors go in one row at a time, so besides the
-        result only index arrays and one row of factors are held.
+        The block's index columns are read once as intp, and the last
+        three factors go in one row at a time, so besides the result
+        only those columns and one row of factors are held.
         """
-        s, mask = self.shift, (1 << self.shift) - 1
-        i = c - self.origin[0]
-        out = rows[0].take(i >> s, axis=-1)
+        index = self.index[:, lo:hi].astype(np.intp)
+        out = rows.take(index[0], axis=-1)
 
-        def times(part, idx):
-            for row, factors in zip(np.atleast_2d(out), np.atleast_2d(part)):
-                row *= factors.take(idx)
+        def times(row, factors):
+            for part in index[1:]:
+                row *= factors.take(part)
 
-        times(rows[1], np.bitwise_and(i, mask, out=i))
-        np.subtract(d, self.origin[1], out=i)
-        times(rows[2], i >> s)
-        times(rows[3], np.bitwise_and(i, mask, out=i))
+        if rows.ndim == 1:
+            times(out, rows)
+        else:
+            for row, factors in zip(out, rows):
+                times(row, factors)
         return out
 
 
@@ -287,11 +299,31 @@ def _axis_grid(exact: np.ndarray) -> tuple[_AxisGrid | None, tuple[int, int]]:
     high_c = lo[0] + (np.arange(((hi[0] - lo[0]) >> shift) + 1, dtype=np.int64) << shift)
     high_d = lo[1] + (np.arange(((hi[1] - lo[1]) >> shift) + 1, dtype=np.int64) << shift)
     low = np.arange(step, dtype=np.int64)
-    cuts = (len(high_c), len(high_c) + step, len(high_c) + step + len(high_d))
-    points = np.zeros((cuts[2] + step, 2), dtype=np.int64)
-    points[: cuts[1], 0] = np.concatenate([high_c, low])
-    points[cuts[1] :, 1] = np.concatenate([high_d, low])
-    return _AxisGrid(lo, shift, points, cuts), bounds
+    cuts = (0, len(high_c), len(high_c) + step, len(high_c) + step + len(high_d))
+    points = np.zeros((cuts[3] + step, 2), dtype=np.int64)
+    points[: cuts[2], 0] = np.concatenate([high_c, low])
+    points[cuts[2] :, 1] = np.concatenate([high_d, low])
+    index = np.empty((4, len(exact)), dtype=np.min_scalar_type(len(points) - 1))
+    for axis in range(2):
+        i = exact[:, axis] - lo[axis]
+        np.add(i >> shift, cuts[2 * axis], out=index[2 * axis], casting="unsafe")
+        np.add(i & (step - 1), cuts[2 * axis + 1], out=index[2 * axis + 1], casting="unsafe")
+    return _AxisGrid(points, index), bounds
+
+
+# the axis plan, _axis_grid of its exact coordinates, of each sample that
+# has had an exact row: a PointSet1D is immutable and hashed by identity,
+# so a plan is never stale, and two threads that both build one build
+# the same
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _axis_plan(ps: PointSet1D) -> tuple[_AxisGrid | None, tuple[int, int]]:
+    """_axis_grid(ps.exact), built on the first call for each sample."""
+    plan = _PLANS.get(ps)
+    if plan is None:
+        plan = _PLANS[ps] = _axis_grid(ps.exact)
+    return plan
 
 
 # window widths 2R whose square is a normal float
@@ -359,7 +391,7 @@ def _exponentials(c, d, grid: _AxisGrid | None, a, b):
     if grid is None:
         return lambda lo, hi: unit_phase(_module_turns(c[lo:hi], d[lo:hi], a, b))
     rows = grid.rows(a, b)
-    return lambda lo, hi: grid.phases(rows, c[lo:hi], d[lo:hi])
+    return lambda lo, hi: grid.phases(rows, lo, hi)
 
 
 def _factor_sums(c, d, w, stops, a_vals, b_vals, grid) -> np.ndarray:
@@ -401,8 +433,9 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
     module element of ks is in range on the window but not on the whole
     sample and its grid, they are unit_phase of the fixed-point turns of
     exact_phases (the half-turn folded in, unreduced).  The factor rows
-    take theirs the same way.  The column bounds are read once per call
-    and serve both the range check and the grid.  n_jobs > 1 threads
+    take theirs the same way.  The column bounds come with the grid from
+    the sample's axis plan, built once per sample, and serve both the
+    range check and the grid.  n_jobs > 1 threads
     share the direct rows; the result does not depend on n_jobs.
     Non-finite floats, float phases whose rounding error
     |k| max|x| 2^-53 passes FLOAT_PHASE_ERROR_LIMIT cycles, and module
@@ -421,7 +454,7 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
     grid = None
     if module:
         c, d = ps.exact[:n, 0], ps.exact[:n, 1]
-        grid, bounds = _axis_grid(ps.exact)
+        grid, bounds = _axis_plan(ps)
         for j in module:
             if not _in_phase_range(ks[j], *bounds):
                 # the window's own bounds decide OutOfRange, as for

@@ -3,13 +3,20 @@
 gen, autocorr, diffract and modelset check no property, so exit 1 (a
 property violation, reserved for suites and checks) must not occur
 either.  Sizes stay small; the numbers include negatives, 0, inf and nan.
+Sizes too large for memory run only in a child process whose address
+space is capped.
 """
 
 import contextlib
 import io
+import os
+import resource
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -170,3 +177,32 @@ def test_fuzzed_pointset_files_exit_0_or_2(text, command, data):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: "), (text, argv)
+
+
+def limited_run(argv, limit=1536 << 20):
+    """The CLI in a child process whose address space is capped at limit bytes.
+
+    One BLAS thread keeps the child's own address space small.
+    """
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    package = Path(cli.__file__).resolve().parent
+    path = [str(package.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "diffspec.cli"] + argv, env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--rule", "thue-morse", "--len", str(10**14)],
+    ["diffract", "--rule", "thue-morse", "--len", "64", "--sobol", str(10**10)],
+])
+def test_sizes_too_large_for_memory_exit_2(argv, tmp_path):
+    # only ever under the address-space cap: uncapped, the first line
+    # takes all the memory of the machine
+    done = limited_run(argv + ["--out", str(tmp_path / "out.txt")])
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

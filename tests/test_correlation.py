@@ -11,6 +11,7 @@ from diffspec.correlation import (
 from diffspec.delone import PointSet1D
 from diffspec.errors import NotHermitian, OutOfRange, WindowTooShort, ZTooLarge
 from diffspec.factors import indicator_block_map
+from diffspec.modelset import silver_mean_chain
 from diffspec.subshift import SymbolicWindow, fixed_point_window, rule_by_name
 
 
@@ -148,3 +149,22 @@ class TestPointSets:
         pc = autocorr_pointset(PointSet1D(np.arange(4.0)), 0.0)
         assert pc.diffs.tolist() == [0.0]
         assert pc.value(0.0) == pytest.approx(4 / 3)
+
+
+@pytest.mark.parametrize("n", [20000, 100000])
+def test_silver_chain_pair_correlation_is_the_window_overlap(n):
+    # the chain is a model set of density 1/2 whose star images x* = c - d sqrt(2)
+    # fill a window of length sqrt(2): a difference z = c + d sqrt(2) occurs
+    # with frequency eta(z) = 1/2 max(0, 1 - |z*| / sqrt(2)), the overlap of
+    # the window with its translate by z*.  The sample misses pairs at its
+    # ends, so the estimate is off by O(1/n): 2.4/n the most seen from 5e3
+    # to 1e5 points (1.2e-4 at 2e4, 1.6e-5 at 1e5)
+    pc = autocorr_pointset(silver_mean_chain(n), 12.0)
+    assert len(pc.diffs) == 23
+    s = np.sqrt(2.0)
+    for z, value in zip(pc.diffs, pc.values):
+        # the one pair of small integers with c + d sqrt(2) = z
+        (c, d), = [(c, d) for d in range(-20, 21) for c in [round(z - d * s)]
+                   if abs(z - (c + d * s)) < 1e-9]
+        eta = 0.5 * max(0.0, 1.0 - abs(c - d * s) / s)
+        assert abs(value - eta) <= 4.0 / n, (z, c, d)

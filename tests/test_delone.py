@@ -1,5 +1,6 @@
 """Point sets, cluster enumeration, locator sets, and bump smoothing."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,14 @@ class TestPointSet:
     def test_rejects_duplicate_coords(self):
         with pytest.raises(ValueError):
             PointSet1D(np.array([0.0, 1.0, 1.0]))
+
+    def test_is_immutable(self):
+        ps = silver_mean_chain(10)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ps.coords = np.arange(10.0)
+        for array in (ps.coords, ps.weights, ps.exact):
+            with pytest.raises(ValueError):
+                array[0] = 1
 
     def test_extent_gaps_packing_radius(self):
         ps = PointSet1D(np.array([0.0, 1.0, 3.5]))

@@ -512,7 +512,7 @@ class TestAxisGrid:
         assert grid is not None
         k = in_range(a, b, bounds)
         c, d = exact[:, 0], exact[:, 1]
-        got = grid.phases(grid.rows(k.a, k.b), c, d)
+        got = grid.phases(grid.rows(k.a, k.b), 0, len(exact))
         want = np.exp(-2j * np.pi * modelset._module_turns(c, d, k.a, k.b))
         # five rounded exponentials: the four grid entries and the reference,
         # each within about 1e-15 of exact (2.04e-15 the most seen over 1.2e6 terms)
@@ -557,6 +557,59 @@ class TestAxisGrid:
         got = intensity_table_at(ps, box_of(0, 2, 0, 1) + [k], [radius])
         want = unblocked_rows(ps, box_of(0, 2, 0, 1) + [k], [radius])
         assert np.all(np.abs(got - want) <= 1e-13 * rounding_scale(ps, [radius]))
+
+
+def four_part_intensity(ps, k) -> float:
+    """intensity_at(ps, k) over the whole sample with no grid row.
+
+    Each point's c and d are split as _AxisGrid documents, the turns of
+    each of its four parts go through unit_phase, the four factors are
+    multiplied in order, and the terms are summed in blocks of 8192, one
+    dot product each.
+    """
+    c, d = ps.exact[:, 0], ps.exact[:, 1]
+    shift = (int(max(np.ptp(c), np.ptp(d))).bit_length() + 1) // 2
+    zero = np.zeros_like(c)
+    high_c, high_d = [m.min() + ((m - m.min()) >> shift << shift) for m in (c, d)]
+    parts = [(high_c, zero), (c - high_c, zero), (zero, high_d), (zero, d - high_d)]
+    terms = unit_phase(modelset._module_turns(*parts[0], k.a, k.b))
+    for part in parts[1:]:
+        terms *= unit_phase(modelset._module_turns(*part, k.a, k.b))
+    total = 0
+    for lo in range(0, len(ps), 8192):
+        total = total + ps.weights[lo : lo + 8192] @ terms[lo : lo + 8192]
+    return float((np.abs(np.array([total])) ** 2 / np.array([ps.extent]) ** 2)[0])
+
+
+class TestAxisPlan:
+    """The per-sample plan: built once, and the same bits as the split of each point."""
+
+    def test_built_once_per_sample(self, monkeypatch):
+        built = []
+        axis_grid = modelset._axis_grid
+        monkeypatch.setattr(modelset, "_axis_grid",
+                            lambda exact: built.append(len(exact)) or axis_grid(exact))
+        ps = silver_mean_chain(3000)
+        intensity_at(ps, FourierModuleElement(1, 1))
+        intensity_at(ps, FourierModuleElement(-5, 3), ps.extent / 4)
+        intensity_table_at(ps, box_of(-2, 2, -1, 1), [ps.extent / 4, ps.extent / 2])
+        assert built == [3000]
+        # a float candidate takes no exact phases and no plan
+        intensity_at(silver_mean_chain(2000), 0.25)
+        assert built == [3000]
+        intensity_at(silver_mean_chain(3000), FourierModuleElement(1, 1))
+        assert built == [3000, 3000]
+
+    def test_index_columns_are_two_bytes_a_point_on_the_large_chain(self, big_chain):
+        grid = modelset._axis_plan(big_chain)[0]
+        assert grid.index.dtype == np.uint16
+        assert grid.index.nbytes == 4 * 2 * len(big_chain)
+
+    def test_single_k_is_bit_identical_to_the_split_of_each_point(self):
+        ps = chain(20000)
+        box = module_box(6, 3, 3)
+        got = [intensity_at(ps, k) for k in box]
+        assert got == [four_part_intensity(ps, k) for k in box]
 
 
 def mp_intensities(ps, ks, radii, mpmath):

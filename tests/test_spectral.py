@@ -65,12 +65,15 @@ class TestIntensity:
 
     def test_parity_product_formula(self):
         # over the block [0, 2^L) the exponential sum factors, giving
-        # I_N(k) = prod_{j<L} sin^2(pi 2^j k); checked at k = 1/3
-        w = pm_window(min_len=256)
-        k = 1.0 / 3.0
-        for L in (4, 6, 8):
-            want = np.prod(np.sin(np.pi * 2.0 ** np.arange(L) * k) ** 2)
-            assert intensity_symbolic(w, k, 2**L) == pytest.approx(want, rel=1e-10)
+        # I_N(k) = prod_{j<L} sin^2(pi 2^j k); 2^j k modulo 1 is exact in
+        # floats, so the product is good to a few ulps (3.3e-16 the
+        # largest difference seen here)
+        w = pm_window(min_len=2**16)
+        ks = [p / 64 for p in (1, 3, 21, 63)] + [1 / 3, 1 / 5] + kronecker_candidates(3).tolist()
+        for k in ks:
+            for L in range(2, 17, 2):
+                want = np.prod(np.sin(np.pi * (2.0 ** np.arange(L) * k % 1.0)) ** 2)
+                assert abs(intensity_symbolic(w, k, 2**L) - want) <= 1e-15, (k, L)
 
     def test_block_longer_than_window_raises(self):
         with pytest.raises(OutOfRange):
