@@ -125,7 +125,7 @@ def silver_mean_chain(n_points: int) -> PointSet1D:
     """
     if n_points < 1:
         raise ValueError("need at least one point")
-    word = _grow(BUILTIN_RULES["silver-mean"], 0, 1, n_points)[: n_points - 1]
+    word = _grow(BUILTIN_RULES["silver-mean"], 0, n_points)[0][: n_points - 1]
     # after j tiles, i of them long (letter 0, lambda = 1 + sqrt(2)): j + i sqrt(2)
     exact = np.zeros((n_points, 2), dtype=np.int64)
     exact[1:, 0] = np.arange(1, n_points)
@@ -304,10 +304,14 @@ def _axis_grid(exact: np.ndarray) -> tuple[_AxisGrid | None, tuple[int, int]]:
     points[: cuts[2], 0] = np.concatenate([high_c, low])
     points[cuts[2] :, 1] = np.concatenate([high_d, low])
     index = np.empty((4, len(exact)), dtype=np.min_scalar_type(len(points) - 1))
-    for axis in range(2):
-        i = exact[:, axis] - lo[axis]
-        np.add(i >> shift, cuts[2 * axis], out=index[2 * axis], casting="unsafe")
-        np.add(i & (step - 1), cuts[2 * axis + 1], out=index[2 * axis + 1], casting="unsafe")
+    # block by block, so the int64 temporaries stay _TABLE_CHUNK entries long
+    for start in range(0, len(exact), _TABLE_CHUNK):
+        block = slice(start, start + _TABLE_CHUNK)
+        for axis in range(2):
+            i = exact[block, axis] - lo[axis]
+            top, bottom = index[2 * axis : 2 * axis + 2, block]
+            np.add(i >> shift, cuts[2 * axis], out=top, casting="unsafe")
+            np.add(i & (step - 1), cuts[2 * axis + 1], out=bottom, casting="unsafe")
     return _AxisGrid(points, index), bounds
 
 

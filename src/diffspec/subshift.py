@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedInput, NotAFixedPointSeed, NotPrimitive, WindowTooShort
+from .errors import MalformedInput, NotAFixedPointSeed, NotPrimitive, OutOfRange, WindowTooShort
 
 LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 _LETTER_BYTES = np.frombuffer(LETTER_NAMES.encode("ascii"), dtype=np.uint8)
@@ -81,12 +81,6 @@ class SubstitutionRule:
             out.extend(self.images[c])
         return tuple(out)
 
-    def apply_power(self, word: tuple[int, ...], k: int) -> tuple[int, ...]:
-        w = tuple(word)
-        for _ in range(k):
-            w = self.apply(w)
-        return w
-
     def count_matrix(self) -> np.ndarray:
         """M[i, j] = number of occurrences of letter i in the image of j."""
         n = self.n_letters
@@ -140,9 +134,6 @@ class SubstitutionRule:
                         changed = True
         return pairs
 
-    def last_letter_map(self) -> list[int]:
-        return [img[-1] for img in self.images]
-
 
 #: named rules usable from the CLI; all primitive
 BUILTIN_RULES: dict[str, SubstitutionRule] = {
@@ -194,11 +185,13 @@ def rule_by_name(name: str) -> SubstitutionRule:
 
 @dataclass
 class SymbolicWindow:
-    """A finite block x_lo ... x_hi of a bi-infinite sequence.
+    """A finite block x_lo ... x_hi of a sequence, indexed around an origin.
 
     letters holds nonnegative integer ids; weights maps each id to the
     complex value used when the window is read as a weighted comb.  The
-    index origin must lie inside the window (lo <= 0 <= hi).
+    index origin must lie inside the window (lo <= 0 <= hi).  A window of
+    fixed_point_window is a slice of one one-sided fixed point, with its
+    origin where a copy of the fixed point's prefix starts.
     """
 
     letters: np.ndarray
@@ -261,49 +254,32 @@ class SymbolicWindow:
         return _LETTER_BYTES[self.letters].tobytes().decode("ascii")
 
 
-def _left_seed(rule: SubstitutionRule, seed: int) -> tuple[int, int]:
-    """Choose a letter p and power k with image^k(p) ending in p and
-    the pair (p, seed) legal.
+#: the most letters _grow builds, the level-t words of all letters together
+WINDOW_LIMIT = 2**31
 
-    Taking k with an idempotent last-letter iterate, any legal
-    predecessor q of the seed yields p = g^k(q): the pair (p, seed) is
-    the crossing pair of image^k(q . seed), hence legal.
+
+def _grow(rule: SubstitutionRule, letter: int, min_len: int) -> list[np.ndarray]:
+    """image^t(a) as int16 letters for every letter a, for the least t
+    that gives image^t(letter) at least min_len of them.
+
+    The lengths come first, in Python ints from the image lengths, so a
+    t whose words would hold more than WINDOW_LIMIT letters together
+    raises OutOfRange before any array is made.  words[a] holds
+    image^j(a) for every letter a, so one inflation step is
+    image^(j+1)(a) = image^j(image(a)): the concatenation of the words
+    of the letters of image(a).  No step reads single sites.
     """
-    g = rule.last_letter_map()
-
-    def g_pow(x: int, k: int) -> int:
-        for _ in range(k):
-            x = g[x]
-        return x
-
-    n = rule.n_letters
-    k = 0
-    for cand in range(1, 6 * max(n, 2) + 1):
-        if all(g_pow(g_pow(x, cand), cand) == g_pow(x, cand) for x in range(n)):
-            k = cand
-            break
-    if k == 0:
-        raise NotPrimitive("no idempotent power of the last-letter map")
-    preds = sorted(q for (q, s) in rule.legal_pairs() if s == seed)
-    if not preds:
-        raise NotAFixedPointSeed(f"letter {seed} has no legal predecessor")
-    p = g_pow(preds[0], k)
-    return p, k
-
-
-def _grow(rule: SubstitutionRule, letter: int, k: int, min_len: int) -> np.ndarray:
-    """image^(k t)(letter) as int16 letters, for the least t that gives at
-    least min_len of them.
-
-    words[a] holds image^j(a) for every letter a, so one inflation step is
-    image^(j+1)(a) = image^j(image(a)): the concatenation of the words of
-    the letters of image(a).  No step reads single sites.
-    """
+    lengths, t = [1] * rule.n_letters, 0
+    while lengths[letter] < min_len:
+        lengths = [sum(lengths[c] for c in img) for img in rule.images]
+        t += 1
+    if sum(lengths) > WINDOW_LIMIT:
+        raise OutOfRange(f"growing {min_len} letters builds words of {sum(lengths)} letters, "
+                         f"over the limit of {WINDOW_LIMIT}")
     words = [np.array([a], dtype=np.int16) for a in range(rule.n_letters)]
-    while len(words[letter]) < min_len:
-        for _ in range(k):
-            words = [np.concatenate([words[c] for c in img]) for img in rule.images]
-    return words[letter]
+    for _ in range(t):
+        words = [np.concatenate([words[c] for c in img]) for img in rule.images]
+    return words
 
 
 def fixed_point_window(
@@ -312,16 +288,19 @@ def fixed_point_window(
     min_len: int,
     weights: dict[int, complex] | None = None,
 ) -> SymbolicWindow:
-    """A legal two-sided window of the fixed point starting with ``seed``.
+    """A legal window of the one-sided fixed point u = lim image^n(seed).
 
-    The right half (indices >= 0) is a prefix of the one-sided fixed
-    point lim image^n(seed), grown until it has at least min_len letters.
-    The left half is grown the same way from a compatible left seed under
-    a power of the substitution, so every finite subword of the returned
-    window is an inflation image of a legal word.
+    The right half (indices >= 0) is image^t(seed), the prefix of u for
+    the least t that gives at least min_len letters.  With i the first
+    position >= 1 where u holds the seed again, image^t(u[:i + 1]) is a
+    prefix of u that ends in a copy of image^t(seed) at P =
+    |image^t(u[:i])|; the left half is the min_len letters before it.
+    The window is the slice u[P - min_len : P + |image^t(seed)|], legal
+    by construction, with lo == -min_len.
 
-    Raises NotAFixedPointSeed unless image(seed) starts with seed, and
-    NotPrimitive if the rule is not primitive.
+    Raises NotAFixedPointSeed unless image(seed) starts with seed,
+    NotPrimitive if the rule is not primitive, and OutOfRange when the
+    words would pass WINDOW_LIMIT letters.
     """
     rule.require_primitive()
     if not 0 <= seed < rule.n_letters:
@@ -336,13 +315,26 @@ def fixed_point_window(
     if len(rule.image(seed)) == 1:
         # only the one-letter identity rule reaches here for a primitive
         # substitution; its fixed point is the constant sequence
+        if 2 * min_len > WINDOW_LIMIT:
+            raise OutOfRange(f"{2 * min_len} letters, over the limit of {WINDOW_LIMIT}")
         letters = np.full(2 * min_len, seed, dtype=np.int16)
         return SymbolicWindow(letters, -min_len, weights or {})
 
-    right = _grow(rule, seed, 1, min_len)
-    p, k = _left_seed(rule, seed)
-    left = _grow(rule, p, k, min_len)
-    return SymbolicWindow(np.concatenate([left, right]), -len(left), weights or {})
+    words = _grow(rule, seed, min_len)
+    right = prefix = words[seed]
+    while not (prefix[1:] == seed).any():
+        # a min_len short of the first return: image^t(seed) stays the right half
+        prefix = np.array(rule.apply(prefix.tolist()), dtype=np.int16)
+    i = 1 + int(np.argmax(prefix[1:] == seed))
+    # only the trailing words of image^t(u[:i]) that min_len letters need
+    tail, need = [], min_len
+    for c in reversed(prefix[:i].tolist()):
+        tail.append(words[c])
+        need -= len(words[c])
+        if need <= 0:
+            break
+    left = np.concatenate(tail[::-1])[-min_len:]
+    return SymbolicWindow(np.concatenate([left, right]), -min_len, weights or {})
 
 
 def _ranks(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -21,6 +21,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from diffspec import cli
+from diffspec.subshift import WINDOW_LIMIT
 
 NUMBER = st.sampled_from(
     ["-3", "-1", "-0.5", "0", "0.25", "1", "2.5", "3", "7", "inf", "-inf", "nan", "1e300"]
@@ -206,3 +207,16 @@ def test_sizes_too_large_for_memory_exit_2(argv, tmp_path):
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--rule", "thue-morse", "--len", str(10**14)],
+    ["gen", "--silver-mean", "--points", str(10**11)],
+])
+def test_windows_past_the_limit_exit_2_naming_it(argv, tmp_path):
+    # the size is checked before any array is made; the cap only guards
+    # against a check that is not there
+    done = limited_run(argv + ["--out", str(tmp_path / "out.txt")])
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert f"over the limit of {WINDOW_LIMIT}" in done.stderr

@@ -605,6 +605,17 @@ class TestAxisPlan:
         assert grid.index.dtype == np.uint16
         assert grid.index.nbytes == 4 * 2 * len(big_chain)
 
+    def test_building_the_plan_holds_the_index_and_one_block(self):
+        # the whole-sample int64 temporaries of the columns took 2.5 MB
+        exact = silver_mean_chain(10**5).exact
+        tracemalloc.start()
+        try:
+            modelset._axis_grid(exact)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1e6
+
     def test_single_k_is_bit_identical_to_the_split_of_each_point(self):
         ps = chain(20000)
         box = module_box(6, 3, 3)

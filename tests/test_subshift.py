@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diffspec.errors import MalformedInput, NotAFixedPointSeed, NotPrimitive
+from diffspec import cli, subshift
+from diffspec.errors import MalformedInput, NotAFixedPointSeed, NotPrimitive, OutOfRange
 from diffspec.subshift import (
     LETTER_NAMES,
     SubstitutionRule,
     SymbolicWindow,
-    _left_seed,
+    _grow,
     build_frequency_table,
     dictionary,
     fixed_point_window,
@@ -69,12 +70,6 @@ class TestRules:
             for j in range(rule.n_letters):
                 assert m[:, j].sum() == len(rule.image(j))
 
-    @given(st.lists(st.integers(0, 1), max_size=12))
-    def test_apply_power_matches_repeated_apply(self, word):
-        rule = rule_by_name("thue-morse")
-        w = tuple(word)
-        assert rule.apply_power(w, 3) == rule.apply(rule.apply(rule.apply(w)))
-
     def test_legal_pairs(self):
         assert rule_by_name("thue-morse").legal_pairs() == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert rule_by_name("fibonacci").legal_pairs() == {(0, 0), (0, 1), (1, 0)}
@@ -92,7 +87,7 @@ class TestFixedPointWindow:
     @pytest.mark.parametrize("name", sorted(PREFIXES))
     def test_both_halves_reach_min_len(self, name):
         w = window(name, 300)
-        assert w.lo <= -300 and w.hi >= 299
+        assert w.lo == -300 and w.hi >= 299
 
     @pytest.mark.parametrize("name", sorted(PREFIXES))
     def test_every_adjacent_pair_is_legal(self, name):
@@ -107,10 +102,10 @@ class TestFixedPointWindow:
             fixed_point_window(rule_by_name("fibonacci"), 1, 16)
 
     def test_thue_morse_left_of_origin(self):
-        # regression pin for the chosen bi-infinite extension
+        # regression pin for the left half, the end of image^8(abb)
         w = window("thue-morse")
         zero = -w.lo
-        assert w.word_string()[zero - 8 : zero] == "baababba"
+        assert w.word_string()[zero - 8 : zero] == "abbabaab"
 
     def test_shift_moves_the_origin(self):
         w = window("thue-morse", 32)
@@ -148,27 +143,45 @@ class TestFixedPointWindow:
         assert w.subword(-3, 5) == tuple(w.letter(n) for n in range(-3, 2))
 
 
+def fixed_point_prefix(rule, seed, n):
+    """At least the first n letters of u = lim image^j(seed), by rule.apply."""
+    u = (seed,)
+    while len(u) < n:
+        u = rule.apply(u)
+    return u
+
+
 def tuple_route(rule, seed, min_len):
-    """(letters, lo) as the earlier fixed_point_window built them: tuples
-    grown by rule.apply on the right and rule.apply_power on the left."""
+    """(letters, P) of the window from tuples and rule.apply only: the
+    right half image^t(seed) for the least t giving min_len letters, the
+    left half the last min_len letters of image^t(u[:i]) for the first
+    return i of the seed in u, and P = |image^t(u[:i])|."""
     if len(rule.image(seed)) == 1:
-        return np.full(2 * min_len, seed, dtype=np.int16), -min_len
-    right = (seed,)
+        return (seed,) * (2 * min_len), min_len
+    right, t = (seed,), 0
     while len(right) < min_len:
-        right = rule.apply(right)
-    p, k = _left_seed(rule, seed)
-    left = (p,)
-    while len(left) < min_len:
-        left = rule.apply_power(left, k)
-    return np.array(left + right, dtype=np.int16), -len(left)
+        right, t = rule.apply(right), t + 1
+    u = right
+    while seed not in u[1:]:
+        u = rule.apply(u)
+    head = u[: u.index(seed, 1)]
+    for _ in range(t):
+        head = rule.apply(head)
+    return head[-min_len:] + right, len(head)
 
 
 def assert_matches_tuple_route(rule, seed, min_len):
     w = fixed_point_window(rule, seed, min_len)
-    letters, lo = tuple_route(rule, seed, min_len)
+    letters, at = tuple_route(rule, seed, min_len)
     assert w.letters.dtype == np.int16
-    assert w.letters.tobytes() == letters.tobytes()
-    assert w.lo == lo
+    assert w.letters.tobytes() == np.array(letters, dtype=np.int16).tobytes()
+    assert w.lo == -min_len
+    if len(rule.image(seed)) == 1:  # the constant sequence
+        return
+    # the window is u[P - min_len : P + |right|] of a prefix grown on its own
+    u = fixed_point_prefix(rule, seed, at + len(letters) - min_len)
+    assert u[at - min_len : at + len(letters) - min_len] == letters
+    assert w.letters[min_len:].tobytes() == _grow(rule, seed, min_len)[seed].tobytes()
 
 
 @st.composite
@@ -183,25 +196,95 @@ def primitive_rules(draw):
     return rule
 
 
+@st.composite
+def permutation_rules(draw):
+    """A primitive rule of up to 26 letters whose last-letter map is a
+    random permutation.  Each image holds the next letter of a random
+    cycle through the alphabet and the image of a starts with a, so the
+    rule is primitive by construction."""
+    n = draw(st.integers(2, 26))
+    cycle = draw(st.permutations(range(n)))
+    after = {x: cycle[(j + 1) % n] for j, x in enumerate(cycle)}
+    last = draw(st.permutations(range(n)))
+    images = []
+    for x in range(n):
+        body = draw(st.lists(st.integers(0, n - 1), max_size=2)) + [after[x]]
+        body = draw(st.permutations(body))
+        images.append(([0] if x == 0 else []) + body + [last[x]])
+    rule = parse_rule("\n".join(
+        f"{LETTER_NAMES[x]} -> {''.join(LETTER_NAMES[c] for c in img)}"
+        for x, img in enumerate(images)))
+    assert rule.is_primitive()
+    return rule
+
+
+def cyclic_rule():
+    """x -> abcdefghijklmno g(x) with g of cycles 3, 5 and 7: the least
+    idempotent power of the last-letter map g is g^105, the identity."""
+    cycles = [range(0, 3), range(3, 8), range(8, 15)]
+    g = {c[j]: c[(j + 1) % len(c)] for c in cycles for j in range(len(c))}
+    return "".join(f"{LETTER_NAMES[x]} -> {LETTER_NAMES[:15]}{LETTER_NAMES[g[x]]}\n"
+                   for x in range(15))
+
+
 class TestAgainstTupleRoute:
+    """The window against its slice of u, from tuples and rule.apply only."""
+
     @pytest.mark.parametrize("name", sorted(PREFIXES))
     def test_builtin_rules(self, name):
         rule = rule_by_name(name)
         for min_len in [*range(1, 301), 2**16]:
             assert_matches_tuple_route(rule, 0, min_len)
 
-    def test_unequal_images_with_left_power_above_one(self):
-        # the last letters of the images swap a and b, so the left half
-        # grows by the square of the rule
+    def test_last_letters_swapping_a_and_b(self):
         rule = parse_rule("a -> aab\nb -> ba\n")
-        assert _left_seed(rule, 0)[1] == 2
         for min_len in [1, 2, 3, 5, 17, 1000]:
             assert_matches_tuple_route(rule, 0, min_len)
+
+    def test_one_letter_rule_keeps_the_constant_window(self):
+        w = fixed_point_window(parse_rule("a -> a"), 0, 7)
+        assert (w.lo, w.word_string()) == (-7, "a" * 14)
 
     @settings(max_examples=200, deadline=None)
     @given(primitive_rules(), st.integers(1, 3000))
     def test_random_primitive_rules(self, rule, min_len):
         assert_matches_tuple_route(rule, 0, min_len)
+
+    @settings(max_examples=100, deadline=None)
+    @given(permutation_rules(), st.integers(1, 300))
+    def test_rules_with_a_permuted_last_letter_map(self, rule, min_len):
+        assert_matches_tuple_route(rule, 0, min_len)
+        pairs = rule.legal_pairs()
+        letters = fixed_point_window(rule, 0, min_len).letters.tolist()
+        assert set(zip(letters, letters[1:])) <= pairs
+
+    @pytest.mark.parametrize("min_len", [1, 16, 100, 5000])
+    def test_last_letter_map_of_long_cycles(self, min_len):
+        rule = parse_rule(cyclic_rule())
+        assert rule.is_primitive()
+        w = fixed_point_window(rule, 0, min_len)
+        assert w.lo == -min_len
+        letters = w.letters.tolist()
+        assert set(zip(letters, letters[1:])) <= rule.legal_pairs()
+        assert_matches_tuple_route(rule, 0, min_len)
+
+    def test_gen_from_a_rule_file_with_long_cycles(self, tmp_path):
+        path = tmp_path / "cycles.txt"
+        path.write_text(cyclic_rule())
+        out = tmp_path / "w.txt"
+        assert cli.main(["gen", "--rule-file", str(path), "--len", "100", "--out", str(out)]) == 0
+        assert out.read_text().startswith("window lo -100 ")
+
+    def test_words_past_the_limit_raise_before_any_array(self, monkeypatch):
+        # Thue-Morse at min_len 2^t builds 2^(t + 1) letters
+        monkeypatch.setattr(subshift, "WINDOW_LIMIT", 1024)
+        assert len(fixed_point_window(rule_by_name("thue-morse"), 0, 512)) == 1024
+        with pytest.raises(OutOfRange, match="2048 letters, over the limit of 1024"):
+            fixed_point_window(rule_by_name("thue-morse"), 0, 513)
+        # the constant window of the one-letter rule has 2 min_len letters
+        assert len(fixed_point_window(parse_rule("a -> a"), 0, 512)) == 1024
+        with pytest.raises(OutOfRange, match="1026 letters, over the limit of 1024"):
+            fixed_point_window(parse_rule("a -> a"), 0, 513)
 
 
 class TestWordStatistics:
