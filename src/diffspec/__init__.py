@@ -52,7 +52,6 @@ from .spectral import (
     SpectralEstimate,
     UniformGrid,
     detect_atoms,
-    fejer_density,
     intensity_ratios,
     intensity_table,
     kronecker_candidates,
@@ -103,7 +102,6 @@ __all__ = [
     "detect_atoms",
     "dictionary",
     "enumerate_k_clusters",
-    "fejer_density",
     "fixed_point_window",
     "identity_map",
     "indicator_block_map",

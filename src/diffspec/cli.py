@@ -29,6 +29,7 @@ from .modelset import (
     silver_mean_chain,
 )
 from .spectral import (
+    CANDIDATE_LIMIT,
     SpectralEstimate,
     detect_atoms,
     kronecker_candidates,
@@ -206,8 +207,12 @@ def _candidates_from_args(args, src):
     if args.candidates is not None:
         return _parse_floats(args.candidates)
     if args.dyadic is not None:
-        if args.dyadic < 0 or args.dyadic > 24:
-            raise DiffspecError("--dyadic level must be in 0..24")
+        top = CANDIDATE_LIMIT.bit_length() - 1  # the largest J with 2^J within the limit
+        if not 0 <= args.dyadic <= top:
+            raise OutOfRange(
+                f"--dyadic level must be in 0..{top}, "
+                f"so that its 2^J candidates stay within the limit of {CANDIDATE_LIMIT}"
+            )
         denom = 2**args.dyadic
         return [p / denom for p in range(denom)]
     if args.sobol is not None:
@@ -263,7 +268,7 @@ def cmd_factor(args) -> int:
     else:
         g = named_block_map(args.g, src)
     image = apply_block_map(src, g)
-    report = verify_factor_equivariance(src, g, range(1, args.shifts + 1))
+    report = verify_factor_equivariance(src, g, range(1, args.shifts + 1), reference=image)
 
     lines = [f"factor lo {image.lo} letters {len(image)}", image.word_string()]
     for out_id in sorted(image.weights):

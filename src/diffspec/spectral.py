@@ -20,9 +20,11 @@ other candidate).  detect_atoms, intensity_ratios and
 intensity_symbolic each read one table; a single k is a one-row table.
 
 Spectral distribution functions are represented as measures on the
-circle [0, 1) cut into equal cells; the Fejer (Cesaro) average of a
-correlation sequence gives a nonnegative density whose grid masses
-total eta(0).
+circle [0, 1) cut into equal cells.  spectral_distribution reads the
+Fejer (Cesaro) average of a correlation sequence at the cell centres
+with one folded FFT, so its grid masses total eta(0).  The candidate
+generators (and the CLI's --dyadic) give at most CANDIDATE_LIMIT
+frequencies.
 """
 
 from __future__ import annotations
@@ -284,6 +286,18 @@ def intensity_ratios(source, candidates, schedule) -> np.ndarray:
     return ratios.mean(axis=0)
 
 
+# candidates a generator or --dyadic gives, at most: 2^24 float64
+# frequencies take 128 MiB, and each is a row of an intensity table
+CANDIDATE_LIMIT = 2**24
+
+
+def _check_candidate_count(n: int):
+    if n < 1:
+        raise OutOfRange(f"need at least one candidate, got {n}")
+    if n > CANDIDATE_LIMIT:
+        raise OutOfRange(f"{n} candidates, over the limit of {CANDIDATE_LIMIT}")
+
+
 def sobol_candidates(n: int) -> np.ndarray:
     """The first n nonzero points of the unscrambled one-dimensional Sobol
     sequence, sorted.
@@ -297,8 +311,7 @@ def sobol_candidates(n: int) -> np.ndarray:
     diffraction atoms, so checks that find no Thue-Morse atoms among these
     candidates test the paper's example.
     """
-    if n < 1:
-        raise OutOfRange(f"need at least one candidate, got {n}")
+    _check_candidate_count(n)
     m = int(n).bit_length()
     i = np.arange(1, n + 1, dtype=np.int64)
     gray = i ^ (i >> 1)
@@ -310,8 +323,7 @@ def sobol_candidates(n: int) -> np.ndarray:
 
 def kronecker_candidates(n: int) -> np.ndarray:
     """n irrational frequencies frac(i * golden mean); never dyadic."""
-    if n < 1:
-        raise OutOfRange(f"need at least one candidate, got {n}")
+    _check_candidate_count(n)
     g = (np.sqrt(5.0) - 1.0) / 2.0
     return np.sort((np.arange(1, n + 1) * g) % 1.0)
 
@@ -388,43 +400,30 @@ class MeasureOnGrid:
         return cls(grid, masses)
 
 
-def fejer_density(eta: CorrelationSeq, t: np.ndarray | float) -> np.ndarray | float:
-    """The Cesaro-averaged trigonometric polynomial of eta at t.
-
-    density(t) = sum_{|m| <= M} (1 - |m|/(M+1)) eta(m) e^{-2 pi i m t};
-    real by hermiticity and nonnegative up to the finite-sample wobble
-    of the input sequence.  Lag l is written qB + r with B a power of
-    two near the square root of M + 1, so e(-t l) = e(-t qB) e(-t r)
-    and the sum at every t is the row-wise dot of R C with P, where
-    R[t, r] = e(-t r), P[t, q] = e(-t qB) and C[r, q] holds the weighted
-    eta(qB + r): T (B + Q) exponentials in all, not T M.
-    """
-    eta.check_hermitian(1e-12)
-    m = eta.max_lag
-    b = 1 << ((m + 1).bit_length() // 2)
-    lags = np.arange(1, m + 1)
-    c = np.zeros(-(-(m + 1) // b) * b, dtype=np.complex128)
-    c[1 : m + 1] = (1.0 - lags / (m + 1.0)) * eta.data[m + 1 :]
-    # fmod is exact and leaves every e(-t l) as it was, but keeps t l small
-    t_arr = np.fmod(np.atleast_1d(np.asarray(t, dtype=float)), 1.0)[:, None]
-    r = unit_phase(t_arr * np.arange(b))
-    p = unit_phase(t_arr * np.arange(0, len(c), b))
-    sums = np.einsum("tq,tq->t", p, r @ c.reshape(-1, b).T)
-    vals = eta.value(0).real + 2.0 * sums.real
-    return float(vals[0]) if np.isscalar(t) else vals
-
-
 def spectral_distribution(eta: CorrelationSeq) -> MeasureOnGrid:
     """CIRCLE_GRID measure of the Fejer average of eta.
 
-    Cell masses are midpoint-rule integrals of the density; negative
-    quadrature wobble below 1e-9 is floored to zero.  With more cells
-    than 2 max_lag the midpoint rule is exact and the total mass equals
-    eta(0).
+    The density sum_{|l| <= M} (1 - |l|/(M+1)) eta(l) e(-l t) is
+    sampled at the n cell centres t_i = (i + 1/2)/n as one DFT: since
+    e(-l t_i) = e(-l i/n) e(-l/2n), lag l is weighted, twisted by
+    e(-l/2n) (its turn reduced exactly, (l mod 2n)/2n), folded onto
+    l mod n, and the n folded sums go through one FFT.  Each cell mass is
+    the density at its centre times the cell width (the midpoint rule),
+    with every negative value floored to zero.  With more cells than
+    2 max_lag the midpoint rule is exact, and the masses before the
+    floor total eta(0).
     """
-    density = fejer_density(eta, CIRCLE_GRID.centers())
-    masses = np.maximum(density, 0.0) * CIRCLE_GRID.step
-    return MeasureOnGrid(CIRCLE_GRID, masses)
+    eta.check_hermitian(1e-12)
+    m, n = eta.max_lag, CIRCLE_GRID.n
+    lags = np.arange(m + 1)
+    folded = np.zeros(-(-(m + 1) // n) * n, dtype=np.complex128)
+    folded[: m + 1] = (1.0 - lags / (m + 1.0)) * eta.data[m:] * unit_phase(
+        lags % (2 * n) / (2.0 * n)
+    )
+    folded[0] = 0.0
+    sums = np.fft.fft(folded.reshape(-1, n).sum(axis=0))
+    density = eta.value(0).real + 2.0 * sums.real
+    return MeasureOnGrid(CIRCLE_GRID, np.maximum(density, 0.0) * CIRCLE_GRID.step)
 
 
 def nu_family(

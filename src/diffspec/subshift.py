@@ -429,13 +429,6 @@ class WordFrequencyTable:
     freqs: dict[tuple[int, ...], float]
     error_bound: float
 
-    def frequency(self, word: tuple[int, ...]) -> float:
-        from .errors import DiffspecError
-
-        if word not in self.freqs:
-            raise DiffspecError(f"no entry for word {word}")
-        return self.freqs[word]
-
 
 def build_frequency_table(window: SymbolicWindow, max_len: int) -> WordFrequencyTable:
     """word_frequency_empirical of every word of length 1..max_len, keys sorted."""

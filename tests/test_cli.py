@@ -143,6 +143,23 @@ class TestFactorAndFreq:
         assert code == 0
         assert "equivariance ok shifts 8" in out
 
+    def test_factor_builds_the_unshifted_image_once(self, capsys, monkeypatch):
+        from diffspec import factors
+
+        original, calls = factors.apply_block_map, []
+
+        def counting(window, g):
+            calls.append(window.lo)
+            return original(window, g)
+
+        monkeypatch.setattr(cli, "apply_block_map", counting)
+        monkeypatch.setattr(factors, "apply_block_map", counting)
+        argv = ["factor", "--rule", "thue-morse", "--len", "256", "--g", "xor", "--shifts", "8"]
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        # one image of the window itself, then one per shifted window
+        assert len(calls) == 9 and len(set(calls)) == 9
+
     def test_letter_frequencies_with_pf_column(self, capsys):
         code, out, _ = run(
             capsys, ["freq", "--rule", "fibonacci", "--len", "4096", "--maxlen", "1"]
@@ -462,3 +479,11 @@ class TestCandidateCounts:
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("level", ["-1", "25", str(10**18)])
+    def test_dyadic_level_past_the_limit_is_out_of_range(self, capsys, level):
+        argv = ["diffract", "--rule", "period-doubling", "--len", "64", "--dyadic", level]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --dyadic level must be in 0..24")
+        assert f"the limit of {2**24}" in err and err.count("\n") == 1

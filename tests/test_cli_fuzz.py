@@ -21,6 +21,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from diffspec import cli
+from diffspec.spectral import CANDIDATE_LIMIT
 from diffspec.subshift import WINDOW_LIMIT
 
 NUMBER = st.sampled_from(
@@ -220,3 +221,18 @@ def test_windows_past_the_limit_exit_2_naming_it(argv, tmp_path):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert f"over the limit of {WINDOW_LIMIT}" in done.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sobol", str(10**10)], f"over the limit of {CANDIDATE_LIMIT}"),
+    (["--kronecker", str(10**10)], f"over the limit of {CANDIDATE_LIMIT}"),
+    (["--dyadic", "2", "--fejer", str(10**18)], f"cannot support max_lag {10**18}"),
+], ids=["sobol", "kronecker", "fejer"])
+def test_candidate_counts_and_lags_past_the_limit_exit_2(argv, message, tmp_path):
+    # candidate counts are checked before any array is made, and so are
+    # the lags of the Fejer grid (the window is too short for them)
+    base = ["diffract", "--rule", "thue-morse", "--len", "64"]
+    done = limited_run(base + argv + ["--out", str(tmp_path / "out.json")])
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert message in done.stderr

@@ -1,4 +1,4 @@
-"""Intensities, atom detection, circle-grid measures, and Fejer densities."""
+"""Intensities, atom detection, circle-grid measures, and Fejer distributions."""
 
 import json
 import warnings
@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from diffspec import spectral
 from diffspec.correlation import CorrelationSeq, autocorr_symbolic
 from diffspec.delone import PointSet1D
 from diffspec.errors import GridMismatch, OutOfRange, ZeroMass
@@ -18,7 +19,6 @@ from diffspec.spectral import (
     SpectralEstimate,
     UniformGrid,
     detect_atoms,
-    fejer_density,
     intensity_ratios,
     intensity_symbolic,
     intensity_table,
@@ -278,55 +278,71 @@ class TestGridsAndMeasures:
 
 
 def outer_product_fejer(eta: CorrelationSeq, t) -> np.ndarray:
-    """The Fejer density as one exponential per lag and point."""
+    """The Fejer density as one exponential per lag and point.
+
+    With t a cell centre of CIRCLE_GRID, each t l and its remainder
+    modulo 1 are exact doubles, so every phase is correctly rounded; rows
+    go in pieces to bound the phase matrix.
+    """
     m = eta.max_lag
     lags = np.arange(1, m + 1)
     w = 1.0 - lags / (m + 1.0)
-    phases = unit_phase(np.outer(np.atleast_1d(np.asarray(t, dtype=float)), lags))
-    return eta.value(0).real + 2.0 * (phases * (w * eta.data[m + 1 :])).real.sum(axis=1)
+    out = []
+    for piece in np.array_split(np.atleast_1d(np.asarray(t, dtype=float)), 16):
+        phases = unit_phase(np.outer(piece, lags) % 1.0)
+        out.append(eta.value(0).real + 2.0 * (phases * (w * eta.data[m + 1 :])).real.sum(axis=1))
+    return np.concatenate(out)
+
+
+def fejer_kernel(max_lag: int, s: float) -> float:
+    """K_M(s) = sin^2(pi (M+1) s) / ((M+1) sin^2(pi s)), the Fejer kernel."""
+    n = max_lag + 1
+    return np.sin(np.pi * n * s) ** 2 / (n * np.sin(np.pi * s) ** 2)
 
 
 class TestFejer:
-    @pytest.mark.parametrize("max_lag", [0, 1, 5, 64, 512, 3000])
+    @pytest.mark.parametrize("max_lag", [0, 1, 5, 64, 511, 512, 1023, 1024, 3000])
     def test_matches_the_outer_product_sum(self, max_lag):
+        # from max_lag n = 1024 on, several lags fold onto one residue mod n
         rng = np.random.default_rng(max_lag)
         z = rng.standard_normal(max_lag + 1) + 1j * rng.standard_normal(max_lag + 1)
         z[0] = abs(z[0])
         eta = CorrelationSeq(max_lag, np.concatenate([np.conj(z[:0:-1]), z]), 2 * max_lag + 4)
         weights = 1.0 - np.abs(eta.lags()) / (max_lag + 1.0)
         scale = np.abs(weights * eta.data).sum()
-        t = np.concatenate([rng.uniform(-1.0, 1.25, 64), [-1.0, -0.5, 0.0, 0.5, 1.0, 1.25]])
-        got = fejer_density(eta, t)
-        assert got.shape == t.shape
-        assert np.abs(got - outer_product_fejer(eta, t)).max() <= 1e-13 * scale
-        one = fejer_density(eta, 0.3)
-        assert type(one) is float
-        assert abs(one - outer_product_fejer(eta, 0.3)[0]) <= 1e-13 * scale
+        step = CIRCLE_GRID.step
+        want = step * np.maximum(outer_product_fejer(eta, CIRCLE_GRID.centers()), 0.0)
+        got = spectral_distribution(eta).masses
+        assert got.shape == (CIRCLE_GRID.n,)
+        assert np.abs(got - want).max() <= 1e-13 * scale * step
 
     def test_alternating_density_peaks_at_half(self):
+        # the kernel translated to 1/2; cells 511 and 512 are centred at
+        # 1/2 -+ 1/2048
         eta = autocorr_symbolic(alternating(512), 128)
-        t = np.array([0.5, 0.0, 0.25])
-        d = fejer_density(eta, t)
-        # the kernel translated to 1/2: M+1 on the atom, 1/(M+1) opposite
-        assert d[0] == pytest.approx(129.0)
-        assert d[1] == pytest.approx(1 / 129.0, rel=1e-9)
-        assert d[0] > 100 * d[2]
+        masses = spectral_distribution(eta).masses
+        want = CIRCLE_GRID.step * fejer_kernel(128, 1 / 2048)
+        assert masses[511] == pytest.approx(want, rel=1e-13)
+        assert masses[512] == pytest.approx(want, rel=1e-13)
+        assert masses[511] > 100 * masses[CIRCLE_GRID.cell_of(0.25)]
 
     def test_density_is_nonnegative(self):
+        # the floor cuts only wobble: the density itself is nonnegative
+        # to 1e-10 at every cell centre
         eta = autocorr_symbolic(pm_window(min_len=4096), 64)
-        t = np.linspace(0, 1, 513)
-        assert np.min(fejer_density(eta, t)) >= -1e-10
+        assert np.min(outer_product_fejer(eta, CIRCLE_GRID.centers())) >= -1e-10
+        assert np.min(spectral_distribution(eta).masses) >= 0.0
 
     def test_distribution_total_mass_is_eta_zero(self):
         eta = autocorr_symbolic(pm_window(min_len=4096), 200)
         mu = spectral_distribution(eta)
-        assert mu.total_mass == pytest.approx(1.0, abs=1e-9)
+        assert mu.total_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_singular_profile_of_the_parity_sequence(self):
         # mass piles up near 1/3 and thins out near 1/2
         eta = autocorr_symbolic(pm_window(min_len=2**14), 256)
-        d = fejer_density(eta, np.array([1 / 3, 1 / 2]))
-        assert d[0] > 10 * d[1]
+        masses = spectral_distribution(eta).masses
+        assert masses[CIRCLE_GRID.cell_of(1 / 3)] > 10 * max(masses[511], masses[512])
 
 
 class TestMeasureFamilies:
@@ -354,3 +370,11 @@ class TestMeasureFamilies:
 def test_candidate_generators_refuse_empty_lists(make, n):
     with pytest.raises(OutOfRange):
         make(n)
+
+
+@pytest.mark.parametrize("make", [sobol_candidates, kronecker_candidates])
+def test_candidate_generators_refuse_counts_past_the_limit(make, monkeypatch):
+    monkeypatch.setattr(spectral, "CANDIDATE_LIMIT", 64)
+    assert len(make(64)) == 64
+    with pytest.raises(OutOfRange, match="65 candidates, over the limit of 64"):
+        make(65)
