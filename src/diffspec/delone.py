@@ -33,6 +33,18 @@ _ROW_KEY = np.dtype((np.void, 16))
 SQRT2 = math.sqrt(2.0)
 
 
+def _pair_keys(pairs: np.ndarray) -> np.ndarray:
+    """One int64 key per (x, y) row of pairs, ordered by x, then y.
+
+    Each column is ranked, then the pair of ranks: both ranks stay below
+    len(pairs), so the key does not wrap, and np.unique of the keys
+    compares no row as a whole.
+    """
+    x_rank = np.unique(pairs[:, 0], return_inverse=True)[1]
+    y_vals, y_rank = np.unique(pairs[:, 1], return_inverse=True)
+    return x_rank * len(y_vals) + y_rank
+
+
 def exact_coords(exact: np.ndarray) -> np.ndarray:
     """Float values a + b sqrt(2) of exact rows (a, b).
 
@@ -120,15 +132,10 @@ class PointSet1D:
         else:
             fmt = "%.17g %s\n"
             cols = [self.coords.tolist()]
-        # each distinct weight, by bit pattern, is formatted once: rank
-        # each 8-byte half, then the pair of ranks, as the gap rows of
-        # enumerate_k_clusters; -0.0 and each NaN keep their own text
+        # each distinct weight, by the bit patterns of its two 8-byte
+        # halves, is formatted once; -0.0 and each NaN keep their own text
         halves = np.ascontiguousarray(self.weights).view(np.uint64).reshape(-1, 2)
-        re_rank = np.unique(halves[:, 0], return_inverse=True)[1]
-        im_vals, im_rank = np.unique(halves[:, 1], return_inverse=True)
-        _, first, ids = np.unique(
-            re_rank * len(im_vals) + im_rank, return_index=True, return_inverse=True
-        )
+        _, first, ids = np.unique(_pair_keys(halves), return_index=True, return_inverse=True)
         texts = ["%.12g %.12g" % (w.real, w.imag) for w in self.weights[first].tolist()]
         cols.append([texts[i] for i in ids.tolist()])
         fields = [None] * (len(cols) * len(self))
@@ -273,12 +280,7 @@ def enumerate_k_clusters(
     if ps.exact is None:
         gap_ids, minima, _ = _gap_classes(ps.gaps())
     else:
-        # rank each column, then the pair of ranks: both ranks stay below
-        # the number of gaps, so their product does not wrap
-        g = np.diff(ps.exact, axis=0)
-        a_rank = np.unique(g[:, 0], return_inverse=True)[1]
-        b_vals, b_rank = np.unique(g[:, 1], return_inverse=True)
-        gap_ids = np.unique(a_rank * len(b_vals) + b_rank, return_inverse=True)[1]
+        gap_ids = np.unique(_pair_keys(np.diff(ps.exact, axis=0)), return_inverse=True)[1]
 
     found: list[tuple[int, Cluster, int]] = []
     for size in np.unique(sizes).tolist():

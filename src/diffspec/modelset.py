@@ -6,12 +6,16 @@ coordinates live in Z[sqrt(2)] and are kept as exact integer pairs
 (a, b) <-> a + b sqrt(2): PointSet1D.exact is an int64 array of shape
 (n, 2) with one row per point.  Bragg peak positions live in the Fourier
 module (sqrt(2)/4) Z[sqrt(2)]; their exponential sums are evaluated with
-phases reduced exactly, in 64-bit fixed point: uint64 multiplication by
-the top 64 fractional bits of sqrt(2)/4 wraps exactly modulo 1, the
-rational half-integer part of the phase rides in the same wrap as its
-top bit (half a turn), and a float term carries the remaining bits.
-Read as a signed turn, the phase goes to the exponential with no floor.
-The reduction is accurate to a few 1e-16 on every platform and keeps
+phases reduced exactly, in 64-bit fixed point.  A real number modulo 1
+is (q + eps) / 2^64, q a uint64 and eps a float in [0, 1): _fixed_point
+finds it for a double, sqrt(2)/4 is (_Q + _EPS) / 2^64, and the
+half-integer part of a module element is the top bit of q, half a turn.
+One function, _turns, reduces every exact phase: sum_j m_j (q_j + eps_j)
+/ 2^64 for int64 m_j is one uint64 wrap, read as a signed turn, plus
+float terms for the remaining bits, and goes to the exponential with no
+floor.  It takes two columns here (the coordinates c and d of x = c +
+d sqrt(2)) and one in the symbolic table of spectral (the site n).  The
+reduction is accurate to a few 1e-16 on every platform and keeps
 extinctions clean at sample sizes where naively multiplied float phases
 would drown them in rounding noise.
 
@@ -72,12 +76,9 @@ from .subshift import BUILTIN_RULES, _grow
 # and _EPS (in [0, 1)) the rest, both from 50-digit arithmetic
 _Q = np.uint64(0x5A827999FCEF3242)
 _EPS = 0.17478590312625418
-# the shift that puts the parity of an integer n at 2^63, n/2 modulo 1
-_TOP_BIT = np.uint64(63)
 # bounds of |m| and |b c + a d| over a sample: a and b then fit int64, and
 # the float term m _EPS / 2^64 of a phase stays below 0.05 turns
 _INT_LIMIT = 2**62
-_BELOW_ONE = np.nextafter(1.0, 0.0)
 # a float phase k x is a rounded product, off by up to |k x| 2^-53 cycles;
 # past this many cycles of error the phases, and the sum, are noise
 FLOAT_PHASE_ERROR_LIMIT = 2.0**-20
@@ -146,73 +147,67 @@ def _in_phase_range(k: FourierModuleElement, c_max: int, d_max: int) -> bool:
     return a * c_max + 2 * b * d_max < _INT_LIMIT and b * c_max + a * d_max < _INT_LIMIT
 
 
-def _check_phase_range(k: FourierModuleElement, c_max: int, d_max: int) -> None:
-    """OutOfRange when the integer sums of k x could leave +-2^62."""
-    if not _in_phase_range(k, c_max, d_max):
-        raise OutOfRange(f"k = {k} too large for exact phases of these coordinates")
+def _fixed_point(ks: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Every k modulo 1 as (q + eps) / 2^64, q uint64 and eps in [0, 1).
+
+    A double is m / 2^j exactly, so q and eps come from one integer
+    division; k n mod 1 is then _turns((n, q, eps)) for any int64 n.
+    """
+    q = np.empty(len(ks), dtype=np.uint64)
+    eps = np.empty(len(ks))
+    for i, k in enumerate(ks):
+        if not np.isfinite(k):
+            raise OutOfRange(f"candidate frequency {k} is not finite")
+        num, den = k.as_integer_ratio()
+        top, rem = divmod(num << 64, den)
+        q[i] = top & 0xFFFFFFFFFFFFFFFF
+        eps[i] = rem / den
+    return q, eps
+
+
+def _turns(*terms) -> np.ndarray:
+    """sum_j m_j (q_j + eps_j) / 2^64 modulo 1, as a signed turn.
+
+    Each term is an int64 array m with the fixed point (q, eps) of a
+    real number modulo 1 (_fixed_point), q uint64 and eps a float, or
+    arrays of them that broadcast against m, every term to one shape.
+    The uint64 products m q and their sum wrap exactly modulo 2^64,
+    which is the reduction modulo 1; read through the int64 view the
+    sum is a turn in [-1/2, 1/2), and the float terms m eps / 2^64 are
+    added to it.  So the result is accurate to a few 1e-16 on the
+    circle however large m q is, and lies within the sum of
+    |m eps| / 2^64 of [-1/2, 1/2): no floor, since unit_phase takes
+    any real phase.
+    """
+    (m, q, _), *rest = terms
+    u = m.view(np.uint64) * q
+    for m, q, _ in rest:
+        u += m.view(np.uint64) * q
+    t = u.view(np.int64) * 2.0**-64
+    for m, _, eps in terms:
+        t += m * (eps * 2.0**-64)
+    return t
 
 
 def _module_turns(c: np.ndarray, d: np.ndarray, a, b) -> np.ndarray:
     """k x in turns, for k = (a, b) and x = c + d sqrt(2), exact modulo 1.
 
-    k x = n/2 + m sqrt(2)/4 with n = b c + a d and m = a c + 2 b d, and
-    m sqrt(2)/4 = m (_Q + _EPS) / 2^64.  The half-integer n/2 is the top
-    bit, half a turn, of n 2^63, so both terms modulo 1 are the uint64
-    u = m _Q + n 2^63 = c (a _Q + b 2^63) + d (2 b _Q + a 2^63), whose
-    products wrap exactly modulo 2^64.  Read through the int64 view, u
-    is a signed turn in [-1/2, 1/2); the float term m _EPS / 2^64, below
-    0.05 in size, is added to it.  The result lies in (-0.55, 0.55) and
-    is accurate to a few 1e-16 on the circle.  a and b are ints or int64
-    columns, which broadcast against the coordinate rows; the caller
-    has checked the range (_check_phase_range).
+    k x = c k + d (sqrt(2) k), and sqrt(2) k is the module element
+    (2b, a).  The fixed point of (a, b) = b/2 + a sqrt(2)/4 is
+    (a _Q + b 2^63, a _EPS): the half-integer b/2 is the top bit, half a
+    turn, of b 2^63.  So the turns are _turns over the two columns, one
+    uint64 wrap, with float terms (a c + 2 b d) _EPS / 2^64 below 0.05
+    in size: the result lies in (-0.55, 0.55).  a and b are ints or
+    int64 columns, which broadcast against the coordinate rows; the
+    caller has checked the range (_in_phase_range).
     """
     # arrays, not numpy scalars: scalar arithmetic warns when a product wraps
     ua = np.atleast_1d(np.asarray(a, dtype=np.int64)).view(np.uint64)
     ub = np.atleast_1d(np.asarray(b, dtype=np.int64)).view(np.uint64)
-    u = c.view(np.uint64) * (ua * _Q + (ub << _TOP_BIT))
-    u += d.view(np.uint64) * ((ub + ub) * _Q + (ua << _TOP_BIT))
-    t = u.view(np.int64) * 2.0**-64
-    t += c * (a * _EPS * 2.0**-64)
-    t += d * (2 * b * _EPS * 2.0**-64)
-    return t
-
-
-def _mod_one(frac: np.ndarray) -> np.ndarray:
-    """frac reduced to [0, 1) in place."""
-    frac -= np.floor(frac)
-    # a phase just below an integer can round up to 1.0, which is 0
-    # on the circle; the largest double below 1 is as close
-    return np.minimum(frac, _BELOW_ONE, out=frac)
-
-
-def wrap_phases(m: np.ndarray, q, eps) -> np.ndarray:
-    """Fractional parts of m (q + eps) / 2^64 for int64 m.
-
-    q is a uint64 and eps a float in [0, 1), or arrays of them that
-    broadcast against m: the fixed-point form of a real number modulo 1.
-    The uint64 product m q wraps exactly modulo 2^64, which is the
-    reduction modulo 1, and m eps / 2^64 is a float term that stays
-    small while |m| does.  The result is accurate to a few 1e-16 on the
-    circle, however large m q is.
-    """
-    frac = (m.view(np.uint64) * q).astype(np.float64) * 2.0**-64
-    frac += m * (eps * 2.0**-64)
-    return _mod_one(frac)
-
-
-def exact_phases(ps: PointSet1D, k: FourierModuleElement) -> np.ndarray:
-    """Fractional parts of k * x for every exact point x = c + d sqrt(2).
-
-    The signed fixed-point turns of the evaluator (_module_turns),
-    reduced to [0, 1): exact up to a few 1e-16 on the circle at any
-    coordinate size the int64 pairs hold; OutOfRange when k is so large
-    that the integer sums could leave +-2^62.
-    """
-    if ps.exact is None:
-        raise NotSilverMean("operation needs exact coordinates")
-    c, d = ps.exact[:, 0], ps.exact[:, 1]
-    _check_phase_range(k, *_coord_bounds(c, d))
-    return _mod_one(_module_turns(c, d, k.a, k.b))
+    return _turns(
+        (c, ua * _Q + (ub << 63), a * _EPS),
+        (d, (ub + ub) * _Q + (ua << 63), 2 * b * _EPS),
+    )
 
 
 def unit_phase(theta, scale: float = 1.0) -> np.ndarray:
@@ -435,12 +430,12 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
     come from the rows of the sample's axis grid (_AxisGrid), four reads
     and three products per point; where the sample has no grid, or a
     module element of ks is in range on the window but not on the whole
-    sample and its grid, they are unit_phase of the fixed-point turns of
-    exact_phases (the half-turn folded in, unreduced).  The factor rows
-    take theirs the same way.  The column bounds come with the grid from
-    the sample's axis plan, built once per sample, and serve both the
-    range check and the grid.  n_jobs > 1 threads
-    share the direct rows; the result does not depend on n_jobs.
+    sample and its grid, they are unit_phase of each point's fixed-point
+    turns (_module_turns).  The factor rows take theirs the same way.
+    The column bounds come with the grid from the sample's axis plan,
+    built once per sample, and serve both the range check and the grid.
+    n_jobs > 1 threads share the direct rows; the result does not depend
+    on n_jobs.
     Non-finite floats, float phases whose rounding error
     |k| max|x| 2^-53 passes FLOAT_PHASE_ERROR_LIMIT cycles, and module
     elements so large that the exact integer sums could leave +-2^62 on
@@ -461,9 +456,12 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
         grid, bounds = _axis_plan(ps)
         for j in module:
             if not _in_phase_range(ks[j], *bounds):
-                # the window's own bounds decide OutOfRange, as for
-                # exact_phases; inside them the points take their turns
-                _check_phase_range(ks[j], *_coord_bounds(c, d))
+                # the window's own bounds decide OutOfRange; inside them
+                # the points take their turns
+                if not _in_phase_range(ks[j], *_coord_bounds(c, d)):
+                    raise OutOfRange(
+                        f"k = {ks[j]} too large for exact phases of these coordinates"
+                    )
                 grid = None
     if len(module) > 2:  # |A| + |B| >= 2, so shorter lists take the direct rows
         pairs = np.array([(ks[j].a, ks[j].b) for j in module], dtype=np.int64)

@@ -16,8 +16,10 @@ dispatches to it: intensity_table_symbolic for a SymbolicWindow (every
 candidate, block-factored), intensity_table_at for a PointSet1D (factor
 rows for module lists on an exact sample when they need fewer
 exponentials than the list has module elements, direct rows for every
-other candidate).  detect_atoms, intensity_ratios and
-intensity_symbolic each read one table; a single k is a one-row table.
+other candidate).  detect_atoms and intensity_ratios each read one
+table; a single k is a one-row table.  Both tables reduce their exact
+phases with the one fixed-point reduction of modelset (_turns): the
+symbolic table at the site n, the module elements at the coordinates.
 
 Spectral distribution functions are represented as measures on the
 circle [0, 1) cut into equal cells.  spectral_distribution reads the
@@ -39,9 +41,10 @@ from .delone import PointSet1D
 from .errors import GridMismatch, OutOfRange, ZeroMass
 from .modelset import (
     FourierModuleElement,
+    _fixed_point,
+    _turns,
     intensity_table_at,
     unit_phase,
-    wrap_phases,
 )
 from .subshift import SymbolicWindow
 
@@ -64,24 +67,6 @@ def _symbolic_blocks(window: SymbolicWindow, sizes) -> tuple[np.ndarray, np.ndar
     return starts, starts + sizes
 
 
-def _fixed_point(ks: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Every k modulo 1 as (q + eps) / 2^64, q uint64 and eps in [0, 1).
-
-    A double is m / 2^j exactly, so q and eps come from one integer
-    division; k n mod 1 is then wrap_phases(n, q, eps) for any int64 n.
-    """
-    q = np.empty(len(ks), dtype=np.uint64)
-    eps = np.empty(len(ks))
-    for i, k in enumerate(ks):
-        if not np.isfinite(k):
-            raise OutOfRange(f"candidate frequency {k} is not finite")
-        num, den = k.as_integer_ratio()
-        top, rem = divmod(num << 64, den)
-        q[i] = top & 0xFFFFFFFFFFFFFFFF
-        eps[i] = rem / den
-    return q, eps
-
-
 # candidates per group of the symbolic table: its factor tables hold
 # (B + Q + segments) * _TABLE_GROUP complex numbers, whatever len(ks)
 _TABLE_GROUP = 64
@@ -98,10 +83,11 @@ def intensity_table_symbolic(window: SymbolicWindow, ks, sizes) -> np.ndarray:
     group is the row-wise dot of Y R with P, where R[r, k] = e(-k r) and
     P[q, k] = e(-k qB), and the candidates cost K (B + Q + segments)
     exponentials in all.  Each k n is reduced modulo 1 in 64-bit fixed
-    point before its exponential (wrap_phases), so the phases are exact
-    to a few 1e-16 however large k n is.  Segment sums are added up into
-    every block; candidates go in groups of _TABLE_GROUP, so memory does
-    not grow with len(ks).
+    point before its exponential (modelset._turns, the reduction of the
+    module elements), so the phases are exact to a few 1e-16 however
+    large k n is.  Segment sums are added up into every block;
+    candidates go in groups of _TABLE_GROUP, so memory does not grow
+    with len(ks).
     """
     ks = [k.value if isinstance(k, FourierModuleElement) else float(k) for k in ks]
     starts, stops = _symbolic_blocks(window, sizes)
@@ -125,9 +111,9 @@ def intensity_table_symbolic(window: SymbolicWindow, ks, sizes) -> np.ndarray:
     out = np.empty((len(ks), len(norm)))
     for g in range(0, len(ks), _TABLE_GROUP):
         q, eps = _fixed_point(ks[g : g + _TABLE_GROUP])
-        rk = unit_phase(wrap_phases(r, q, eps))
-        pk = unit_phase(wrap_phases(qb, q, eps))
-        seg = unit_phase(wrap_phases(s, q, eps))  # e(-k s), one row per segment
+        rk = unit_phase(_turns((r, q, eps)))
+        pk = unit_phase(_turns((qb, q, eps)))
+        seg = unit_phase(_turns((s, q, eps)))  # e(-k s), one row per segment
         for j, y in enumerate(segments):
             if y.dtype == np.float64:  # real Y times complex R, as one real product
                 yr = (y @ rk.view(np.float64)).view(np.complex128)
@@ -152,11 +138,6 @@ def intensity_table(source, ks, sizes, n_jobs: int = 1) -> np.ndarray:
     if isinstance(source, PointSet1D):
         return intensity_table_at(source, ks, sizes, n_jobs)
     raise TypeError(f"cannot estimate intensity of {type(source).__name__}")
-
-
-def intensity_symbolic(window: SymbolicWindow, k: float, n_sites: int) -> float:
-    """I_N(k) over a block of n_sites letters (see intensity_table_symbolic)."""
-    return float(intensity_table_symbolic(window, [k], [n_sites])[0, 0])
 
 
 def sampled_comb_intensity(

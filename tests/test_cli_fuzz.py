@@ -181,7 +181,7 @@ def test_fuzzed_pointset_files_exit_0_or_2(text, command, data):
         assert err.getvalue().startswith("error: "), (text, argv)
 
 
-def limited_run(argv, limit=1536 << 20):
+def limited_run(argv, limit=1536 << 20, timeout=120):
     """The CLI in a child process whose address space is capped at limit bytes.
 
     One BLAS thread keeps the child's own address space small.
@@ -194,7 +194,7 @@ def limited_run(argv, limit=1536 << 20):
     path = [str(package.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "OPENBLAS_NUM_THREADS": "1"}
     return subprocess.run([sys.executable, "-m", "diffspec.cli"] + argv, env=env,
-                          preexec_fn=cap, capture_output=True, text=True, timeout=120)
+                          preexec_fn=cap, capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("argv", [
@@ -236,3 +236,12 @@ def test_candidate_counts_and_lags_past_the_limit_exit_2(argv, message, tmp_path
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert message in done.stderr
+
+
+def test_factor_with_a_huge_shift_count_checks_only_the_shifts_that_fit(tmp_path):
+    # the shifts are clipped to those whose image covers the origin before
+    # the loop, so 10^18 of them take no longer than the window's few
+    argv = ["factor", "--rule", "thue-morse", "--len", "64", "--shifts", str(10**18)]
+    done = limited_run(argv + ["--out", str(tmp_path / "out.txt")], timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out.txt").read_text().endswith("equivariance ok shifts 63 max_dev 0\n")

@@ -13,7 +13,13 @@ from diffspec.factors import (
     verify_factor_equivariance,
     xor_map,
 )
-from diffspec.subshift import SymbolicWindow, fixed_point_window, rule_by_name, word_occurrences
+from diffspec.subshift import (
+    SymbolicWindow,
+    fixed_point_window,
+    rule_by_name,
+    sliding_words,
+    word_occurrences,
+)
 
 
 def tm_window(min_len=256, **kw):
@@ -125,6 +131,22 @@ class TestEquivariance:
         report = verify_factor_equivariance(w, xor_map(), range(1, 5), reference=bad)
         assert not report.ok
         assert report.first_violation is not None
+        assert report.max_abs_dev == 1.0
+
+    def test_a_wrong_word_lookup_is_a_violation(self, monkeypatch):
+        # the image's sliding lookup is checked against evaluate_at, a
+        # second algorithm: a lookup that swaps two words must fail it
+        from diffspec import factors
+
+        def swapped(letters, ell):
+            ids, first, counts = sliding_words(letters, ell)
+            swap = np.arange(len(first))
+            swap[:2] = 1, 0
+            return swap[ids], first, counts
+
+        monkeypatch.setattr(factors, "sliding_words", swapped)
+        report = verify_factor_equivariance(tm_window(128), xor_map(), range(1, 9))
+        assert not report.ok
         assert report.max_abs_dev == 1.0
 
 

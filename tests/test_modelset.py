@@ -11,7 +11,7 @@ from diffspec.delone import PointSet1D, enumerate_k_clusters, locator_set
 from diffspec.errors import NotSilverMean, OutOfRange
 from diffspec.modelset import (
     FourierModuleElement,
-    exact_phases,
+    _module_turns,
     inflate_factor,
     intensity_at,
     is_extinct,
@@ -98,7 +98,7 @@ class TestIntensity:
     def test_exact_phases_match_float_phases(self):
         ps = silver_mean_chain(400)
         k = FourierModuleElement(3, -2)
-        theta = np.asarray(exact_phases(ps, k), dtype=float)
+        theta = _module_turns(ps.exact[:, 0], ps.exact[:, 1], k.a, k.b)
         direct = (k.value * ps.coords) % 1.0
         # compare on the circle
         dev = np.abs(np.exp(2j * np.pi * theta) - np.exp(2j * np.pi * direct)).max()
@@ -131,23 +131,18 @@ class TestIntensity:
     def test_exact_phases_match_50_digit_reference(self, c, d, a, b):
         # |m| = |a c + 2 b d| reaches ~2^61, far past exact float integers
         mpmath = pytest.importorskip("mpmath")
-        ps = PointSet1D(np.array([c + d * SQRT2]), exact=np.array([[c, d]]))
-        got = float(exact_phases(ps, FourierModuleElement(a, b))[0])
+        got = float(_module_turns(np.array([c]), np.array([d]), a, b)[0])
         with mpmath.workdps(50):
             m = mpmath.mpf(a * c + 2 * b * d)
             kx = mpmath.mpf(b * c + a * d) / 2 + m * mpmath.sqrt(2) / 4
-            want = kx - mpmath.floor(kx)
-            dist = abs(mpmath.mpf(got) - want)
+            dist = (mpmath.mpf(got) - kx) % 1
             dist = float(min(dist, 1 - dist))
-        assert 0.0 <= got < 1.0
         assert dist <= 1e-15
 
     def test_exact_phases_refuse_int64_overflow(self):
         # a c + 2 b d would wrap int64 and give a plausible wrong intensity
         ps = silver_mean_chain(10000)
         k = FourierModuleElement(10**15, 10**15)
-        with pytest.raises(OutOfRange):
-            exact_phases(ps, k)
         with pytest.raises(OutOfRange):
             intensity_at(ps, k)
 
@@ -218,10 +213,6 @@ class TestWeightedComb:
         with pytest.raises(NotSilverMean) as err:
             inflate_factor(ps)
         assert str(err.value) == "gap 2+0r2 is neither 1 nor lambda"
-
-    def test_exact_phases_need_exact_coords(self):
-        with pytest.raises(NotSilverMean):
-            exact_phases(PointSet1D(np.arange(5.0)), FourierModuleElement(1, 0))
 
 
 @pytest.mark.parametrize("a_max, b_max", [(10**12, 1), (99999999999, 3), (-1, 0), (0, -2)])

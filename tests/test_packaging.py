@@ -109,12 +109,50 @@ def test_all_entries_resolve_once():
         assert hasattr(diffspec, name), name
 
 
+def callers() -> set[str]:
+    """Names loaded by the library, the acceptance gates or the benchmark."""
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += [Path(__file__).with_name("test_acceptance.py")]
+    files += sorted((PYPROJECT.parent / "perfbench").glob("*.py"))
+    return set().union(*(loaded_names(p) for p in files))
+
+
 def test_every_exported_name_has_a_caller():
     """Each __all__ entry is used by the library, the acceptance gates or
     the benchmark, not only by its own tests."""
     require_source_checkout()
-    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    files += [Path(__file__).with_name("test_acceptance.py")]
-    files += sorted((PYPROJECT.parent / "perfbench").glob("*.py"))
-    used = set().union(*(loaded_names(p) for p in files))
-    assert sorted(set(diffspec.__all__) - used) == []
+    assert sorted(set(diffspec.__all__) - callers()) == []
+
+
+# public members that only tests call, kept as independent oracles for them
+TEST_ORACLES = {"SubstitutionRule.legal_pairs", "FourierModuleElement.star_value"}
+
+
+def public_definitions() -> set[str]:
+    """Every public top-level function and class of the library, as its
+    name, and every public method of its classes, as Class.method."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not stmt.name.startswith("_"):
+                found.add(stmt.name)
+            if isinstance(stmt, ast.ClassDef):
+                found |= {
+                    f"{stmt.name}.{node.name}"
+                    for node in stmt.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                }
+    return found
+
+
+def test_every_public_definition_has_a_caller():
+    """Each public function, class and method is used by the library, the
+    acceptance gates or the benchmark, or is a named test oracle."""
+    require_source_checkout()
+    used = callers()
+    idle = {name for name in public_definitions() if name.split(".")[-1] not in used}
+    assert sorted(idle - TEST_ORACLES) == []
+    # an oracle that gains a caller leaves the list
+    assert sorted(TEST_ORACLES - idle) == []

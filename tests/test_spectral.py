@@ -20,8 +20,8 @@ from diffspec.spectral import (
     UniformGrid,
     detect_atoms,
     intensity_ratios,
-    intensity_symbolic,
     intensity_table,
+    intensity_table_symbolic,
     kronecker_candidates,
     nu_family,
     sampled_comb_intensity,
@@ -55,13 +55,13 @@ def alternating(n=64):
 class TestIntensity:
     def test_constant_sequence_concentrates_at_zero(self):
         w = SymbolicWindow(np.zeros(256, dtype=np.int16), -128)
-        assert intensity_symbolic(w, 0.0, 128) == pytest.approx(1.0)
-        assert intensity_symbolic(w, 0.5, 128) == pytest.approx(0.0, abs=1e-20)
+        assert intensity_table_symbolic(w, [0.0], [128])[0, 0] == pytest.approx(1.0)
+        assert intensity_table_symbolic(w, [0.5], [128])[0, 0] == pytest.approx(0.0, abs=1e-20)
 
     def test_alternating_sequence_concentrates_at_half(self):
         w = alternating()
-        assert intensity_symbolic(w, 0.5, 64) == pytest.approx(1.0)
-        assert intensity_symbolic(w, 0.0, 64) == pytest.approx(0.0, abs=1e-20)
+        assert intensity_table_symbolic(w, [0.5], [64])[0, 0] == pytest.approx(1.0)
+        assert intensity_table_symbolic(w, [0.0], [64])[0, 0] == pytest.approx(0.0, abs=1e-20)
 
     def test_parity_product_formula(self):
         # over the block [0, 2^L) the exponential sum factors, giving
@@ -73,11 +73,12 @@ class TestIntensity:
         for k in ks:
             for L in range(2, 17, 2):
                 want = np.prod(np.sin(np.pi * (2.0 ** np.arange(L) * k % 1.0)) ** 2)
-                assert abs(intensity_symbolic(w, k, 2**L) - want) <= 1e-15, (k, L)
+                got = intensity_table_symbolic(w, [k], [2**L])[0, 0]
+                assert abs(got - want) <= 1e-15, (k, L)
 
     def test_block_longer_than_window_raises(self):
         with pytest.raises(OutOfRange):
-            intensity_symbolic(alternating(8), 0.5, 1000)
+            intensity_table_symbolic(alternating(8), [0.5], [1000])
 
     def test_point_set_intensity_at_zero_is_density_squared(self):
         ps = PointSet1D(np.arange(100.0))
@@ -113,7 +114,8 @@ class TestNestedSizes:
                 block = vals[start - w.lo : start - w.lo + n]
                 phases = exact_phases(k, range(start, start + n))
                 direct = abs(np.sum(block * np.exp(-2j * np.pi * phases))) ** 2 / n**2
-                assert got == pytest.approx(intensity_symbolic(w, k, n), rel=1e-12, abs=0)
+                one = intensity_table_symbolic(w, [k], [n])[0, 0]
+                assert got == pytest.approx(one, rel=1e-12, abs=0)
                 assert got == pytest.approx(direct, rel=1e-12, abs=0)
 
     def test_pointset_radii_match_single_radius(self):
@@ -129,11 +131,8 @@ class TestNestedSizes:
         w = pm_window("period-doubling", 2048)
         sizes = [512, 1024, 2048]
         got = intensity_ratios(w, [0.25, 0.3], sizes)
-        want = np.mean(
-            [[intensity_symbolic(w, k, b) / intensity_symbolic(w, k, a)
-              for a, b in zip(sizes, sizes[1:])] for k in (0.25, 0.3)],
-            axis=0,
-        )
+        one = [[intensity_table_symbolic(w, [k], [n])[0, 0] for n in sizes] for k in (0.25, 0.3)]
+        want = np.mean([[b / a for a, b in zip(row, row[1:])] for row in one], axis=0)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
