@@ -197,9 +197,11 @@ def verify_factor_equivariance(
     compares the image's sliding lookup with a second algorithm.  Only
     the shifts whose shifted window and image both still cover the
     origin are checked, at most one per site of the window however
-    many shifts are asked for; for each, 9 positions n spaced evenly
-    over the image, both ends included.  Violations are reported, never
-    raised.
+    many shifts are asked for.  The first of them reads 9 sites of the
+    reference, spaced evenly over the part both images cover, both ends
+    included; each later shift t reads those sites turned cyclically by
+    t minus the first shift, so that each shift reads other sites.
+    Violations are reported, never raised.
     """
     if reference is None:
         reference = apply_block_map(window, g)
@@ -209,17 +211,19 @@ def verify_factor_equivariance(
     img_hi = window.hi - g.offset - (g.length - 1)
     t_lo, t_hi = max(window.lo, img_lo), min(window.hi, img_hi)
     checked = [t for t in range(t_lo, t_hi + 1) if t in shifts]
+    # reference sites n + t that both Phi_g x and the image of S^t x cover
+    r_lo, r_hi = max(img_lo, reference.lo), min(img_hi, reference.hi)
+    span = r_hi - r_lo
     first: tuple[int, int] | None = None
     max_dev = 0.0
     for t in checked:
+        if span < 0:
+            break
         shifted = window.shifted(t)
-        lo = max(img_lo, reference.lo) - t
-        hi = min(img_hi, reference.hi) - t
-        if hi < lo:
-            continue
-        for n in sorted({lo + (hi - lo) * j // 8 for j in range(9)}):
-            d = abs(evaluate_at(shifted, g, n) - ref_vals[n + t - reference.lo])
+        turn = t - checked[0]
+        for r in sorted({r_lo + (span * j // 8 + turn) % (span + 1) for j in range(9)}):
+            d = abs(evaluate_at(shifted, g, r - t) - ref_vals[r - reference.lo])
             max_dev = max(max_dev, d)
             if d > 1e-12 and first is None:
-                first = (t, n)
+                first = (t, r - t)
     return EquivarianceReport(first is None, checked, first, max_dev)

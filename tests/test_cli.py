@@ -65,6 +65,16 @@ class TestAutocorr:
         assert float(lag1[1]) == pytest.approx(-1.0 / 3.0, abs=1e-3)
         assert float(lag1[2]) == 0.0
 
+    def test_point_set_rows_count_their_pairs(self, capsys):
+        code, out, _ = run(
+            capsys, ["autocorr", "--silver-mean", "--points", "1000", "--zmax", "3"]
+        )
+        assert code == 0
+        rows = {float(ln.split(",")[0]): ln for ln in out.strip().splitlines()[1:]}
+        # the value at 0 sums the 1000 pairs (x, x); the 999 gaps are 1 or 1 + sqrt(2)
+        assert rows[0.0] == "0,0.500287918549,0,1000"
+        assert sum(int(rows[z].split(",")[3]) for z in rows if z > 0) == 999
+
     def test_too_many_lags_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, ["autocorr", "--rule", "thue-morse", "--len", "32", "--lags", "100000"]

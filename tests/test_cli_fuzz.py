@@ -21,6 +21,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from diffspec import cli
+from diffspec.correlation import PAIR_LIMIT
 from diffspec.spectral import CANDIDATE_LIMIT
 from diffspec.subshift import WINDOW_LIMIT
 
@@ -236,6 +237,16 @@ def test_candidate_counts_and_lags_past_the_limit_exit_2(argv, message, tmp_path
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert message in done.stderr
+
+
+def test_pairs_past_the_limit_exit_2_naming_it(tmp_path):
+    # the pair count is bounded from the smallest gap before the lag loop:
+    # 2e6 points at 1e5 lags would otherwise run for hours in O(n) memory
+    argv = ["autocorr", "--silver-mean", "--points", "2000000", "--zmax", "1e5"]
+    done = limited_run(argv + ["--out", str(tmp_path / "out.csv")])
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert f"over the limit of {PAIR_LIMIT} (PAIR_LIMIT)" in done.stderr
 
 
 def test_factor_with_a_huge_shift_count_checks_only_the_shifts_that_fit(tmp_path):

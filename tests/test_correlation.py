@@ -1,9 +1,14 @@
 """Autocorrelation of sequences and point sets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffspec.correlation import (
+    PAIR_LIMIT,
     autocorr_pointset,
     autocorr_symbolic,
     autocorr_via_spectral_inner,
@@ -111,6 +116,8 @@ class TestPointSets:
         ps = PointSet1D(np.arange(5.0))
         pc = autocorr_pointset(ps, 3.0)
         # extent 4, counts 5,4,3,2 at differences 0,1,2,3
+        assert pc.counts.tolist() == [2, 3, 4, 5, 4, 3, 2]
+        assert pc.to_csv().splitlines()[4] == "0,1.25,0,5"
         assert pc.value(0.0) == pytest.approx(5 / 4)
         assert pc.value(1.0) == pytest.approx(1.0)
         assert pc.value(3.0) == pytest.approx(2 / 4)
@@ -168,3 +175,123 @@ def test_silver_chain_pair_correlation_is_the_window_overlap(n):
                    if abs(z - (c + d * s)) < 1e-9]
         eta = 0.5 * max(0.0, 1.0 - abs(c - d * s) / s)
         assert abs(value - eta) <= 4.0 / n, (z, c, d)
+
+
+def brute_force_pointset(coords, weights, z_max, merge_tol):
+    """(diffs, values, counts) for z >= 0 from every pair (x_i, x_j), i <= j.
+
+    The O(n^2) reference: one list of all differences within
+    z_max + merge_tol, sorted, a difference more than merge_tol above the
+    one before it opening a new group.
+    """
+    n = len(coords)
+    pairs = sorted((
+        (coords[j] - coords[i], np.conj(weights[i]) * weights[j])
+        for i in range(n) for j in range(i, n)
+        if coords[j] - coords[i] <= z_max + merge_tol
+    ), key=lambda pair: pair[0])
+    groups = []
+    for z, p in pairs:
+        if groups and z - groups[-1][-1][0] <= merge_tol:
+            groups[-1].append((z, p))
+        else:
+            groups.append([(z, p)])
+    extent = coords[-1] - coords[0]
+    return (np.array([sum(z for z, _ in g) / len(g) for g in groups]),
+            np.array([sum(p for _, p in g) / extent for g in groups]),
+            np.array([len(g) for g in groups]))
+
+
+def assert_matches_brute_force(coords, weights, z_max, merge_tol=1e-9):
+    coords = np.asarray(coords, dtype=float)
+    weights = np.asarray(weights, dtype=complex)
+    pc = autocorr_pointset(PointSet1D(coords, weights), z_max, merge_tol)
+    diffs, values, counts = brute_force_pointset(coords, weights, z_max, merge_tol)
+    half = pc.diffs >= 0
+    assert pc.counts[half].tolist() == counts.tolist()
+    # the same sums in another order: each of the at most n^2 terms may
+    # carry one rounding more
+    terms = len(coords) ** 2 * np.finfo(float).eps
+    np.testing.assert_allclose(pc.diffs[half], diffs, rtol=terms, atol=0)
+    top = np.abs(weights).max() ** 2 / (coords[-1] - coords[0])
+    np.testing.assert_allclose(pc.values[half], values, rtol=0, atol=terms * top)
+
+
+class TestAgainstBruteForce:
+    def test_a_difference_shared_by_two_lags(self):
+        # gaps 1, 1, 2: difference 2 at lag 1 (2 -> 4) and at lag 2 (0 -> 2)
+        assert_matches_brute_force([0.0, 1.0, 2.0, 4.0], [1, 1j, -1, 2], 3.5)
+        pc = autocorr_pointset(PointSet1D(np.array([0.0, 1.0, 2.0, 4.0])), 3.5)
+        assert pc.counts[pc.diffs >= 0].tolist() == [4, 2, 2, 1]
+
+    def test_jitter_within_merge_tol_chains_across_lags(self):
+        # lag 2 gives 2 and 2 + 1.6e-9, too far apart to chain on their own;
+        # lag 1's 2 + 8e-10 lies between them, so all three are one group
+        coords = [0.0, 1.0, 2.0, 4.0 + 8e-10, 10.0, 11.0, 12.0 + 1.6e-9]
+        weights = [1, 1j, -1, 2 - 1j, 0.5, 1, -1j]
+        assert_matches_brute_force(coords, weights, 2.5)
+        pc = autocorr_pointset(PointSet1D(np.array(coords)), 2.5)
+        near_two = np.abs(pc.diffs - 2.0) < 1e-6
+        assert pc.counts[near_two].tolist() == [3]
+
+    def test_a_wide_chain_reaches_the_next_lag(self):
+        # lag 1 chains 1, 1 + 8e-10 and 1 + 1.6e-9; lag 2's 1 + 2.2e-9 is
+        # within merge_tol of the chain's top, not of its bottom
+        gaps = [1.0, 1.0 + 8e-10, 1.0 + 1.6e-9, 3.0, 0.5, 0.5 + 2.2e-9]
+        coords = np.concatenate([[0.0], np.cumsum(gaps)])
+        assert_matches_brute_force(coords, [1j, 1, 2, -1, 1, 0.5, 1], 2.5)
+        pc = autocorr_pointset(PointSet1D(coords), 2.5)
+        assert pc.counts[np.abs(pc.diffs - 1.0) < 1e-6].tolist() == [4]
+
+    def test_jitter_past_merge_tol_splits(self):
+        coords = [0.0, 1.0, 2.0 + 3e-9, 3.0 + 3e-9]
+        assert_matches_brute_force(coords, [1, 1, 1, 1], 2.5)
+        pc = autocorr_pointset(PointSet1D(np.array(coords)), 2.5)
+        assert np.count_nonzero(np.abs(pc.diffs - 1.0) < 1e-6) == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        gaps=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=1, max_size=14),
+        jitter=st.lists(st.sampled_from([0.0, 3e-10, -3e-10, 7e-10, 2e-9]), max_size=14),
+        weights=st.lists(st.complex_numbers(max_magnitude=4, allow_nan=False,
+                                            allow_infinity=False), max_size=15),
+        reach=st.floats(0.0, 0.95),
+        merge_tol=st.sampled_from([1e-9, 0.3, 0.0]),
+    )
+    def test_random_float_sets(self, gaps, jitter, weights, reach, merge_tol):
+        gaps = np.array(gaps) + np.resize(np.array(jitter + [0.0]), len(gaps))
+        coords = np.concatenate([[0.0], np.cumsum(gaps)])
+        w = np.resize(np.array(weights + [1.0], dtype=complex), len(coords))
+        assert_matches_brute_force(coords, w, reach * coords[-1], merge_tol)
+
+
+def test_silver_chain_lags_are_balanced():
+    # the chain is Sturmian: d consecutive gaps sum to at most two values, so
+    # each lag has at most 2 exact differences, and every group of the float
+    # merge is one exact difference
+    chain = silver_mean_chain(20000)
+    keys = set()
+    for d in range(1, 40):
+        rows = np.unique(chain.exact[d:] - chain.exact[:-d], axis=0)
+        assert len(rows) <= 2, d
+        keys.update((int(a), int(b)) for a, b in rows if a + b * np.sqrt(2) <= 30.0)
+    pc = autocorr_pointset(chain, 30.0)
+    assert np.count_nonzero(pc.diffs > 0) == len(keys)
+
+
+def test_memory_stays_linear_in_the_points():
+    # each lag is reduced as it is made, so no array grows with z_max
+    chain = silver_mean_chain(100000)
+    tracemalloc.start()
+    try:
+        autocorr_pointset(chain, 50.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_pairs_past_the_limit_are_refused_before_the_loop():
+    # 20000 points of gap 1 reach 15000 lags within z_max: 3.0e8 pairs
+    with pytest.raises(OutOfRange, match=f"over the limit of {PAIR_LIMIT}"):
+        autocorr_pointset(PointSet1D(np.arange(20000.0)), 15000.0)

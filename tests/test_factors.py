@@ -133,6 +133,22 @@ class TestEquivariance:
         assert report.first_violation is not None
         assert report.max_abs_dev == 1.0
 
+    def test_each_shift_reads_other_reference_sites(self, monkeypatch):
+        from diffspec import factors
+
+        w = tm_window(128)
+        sites = set()
+        evaluate = factors.evaluate_at
+
+        def spy(shifted, g, n):
+            sites.add(n + w.lo - shifted.lo)  # the reference site n + t
+            return evaluate(shifted, g, n)
+
+        monkeypatch.setattr(factors, "evaluate_at", spy)
+        report = verify_factor_equivariance(w, xor_map(), range(1, 10**18))
+        assert report.ok and len(report.shifts_checked) > 1
+        assert len(sites) > 9
+
     def test_a_wrong_word_lookup_is_a_violation(self, monkeypatch):
         # the image's sliding lookup is checked against evaluate_at, a
         # second algorithm: a lookup that swaps two words must fail it
