@@ -338,6 +338,7 @@ def autocorr_pointset(ps, z_max: float, merge_tol: float = 1e-9) -> PointCorrela
     # mirror to negative differences (z=0 group is first)
     neg_reps = -reps[1:][::-1]
     neg_sums = np.conj(sums[1:][::-1])
+    neg_sums.imag += 0.0  # -0.0 + 0.0 is +0.0: a real value mirrors without a -0
     neg_counts = counts[1:][::-1]
     diffs_full = np.concatenate([neg_reps, reps])
     values_full = np.concatenate([neg_sums, sums]) / extent

@@ -13,36 +13,54 @@ point-set geometry to the correlation and diffraction machinery.
 
 The window of x is the points in [x - K - 1e-9, x + K + 1e-9], found for
 all interior points by one np.searchsorted per bound.  A window is keyed
-by its left count and its word (subshift.sliding_words) of gap classes:
-exact (a, b) gap rows, or float gaps chain-merged within 1e-9.
+by its size, its left count and its word (subshift.sliding_words) of gap
+classes: exact (a, b) gap rows, or float gaps chain-merged within 1e-9.
+Rows are compared only when both the sample and the cluster are exact.
+The keys are grouped once per sample, radius and mode into a cluster
+plan: one label per interior point and one representative window per
+label.  The latest plan of each sample is kept while the sample lives,
+so its clusters, locator sets and frequencies check a cluster against
+the representatives only and read the labels for the rest.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyInterior, EmptyPointSet, IncompatibleCluster, MalformedInput
-from .subshift import sliding_words
+from .subshift import _ranks, sliding_words
 
 MERGE_TOL = 1e-9
-# an int64 (a, b) row as one raw 16-byte key; np.unique(axis=0) is far slower
-_ROW_KEY = np.dtype((np.void, 16))
 SQRT2 = math.sqrt(2.0)
 
 
-def _pair_keys(pairs: np.ndarray) -> np.ndarray:
-    """One int64 key per (x, y) row of pairs, ordered by x, then y.
+def _column_ranks(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each entry's rank among the distinct values of an integer column, in
+    increasing order, and their number.  A range of at most 4 len(col)
+    values is ranked in one pass (subshift._ranks), a wider one by np.unique."""
+    span = int(col.max()) - int(col.min()) + 1 if len(col) else 0
+    if span > 4 * len(col) or not len(col):
+        vals, ids = np.unique(col, return_inverse=True)
+        return ids, len(vals)
+    ids, counts = _ranks((col - col.min()).astype(np.intp), span)
+    return ids, len(counts)
+
+
+def _pair_keys(pairs: np.ndarray) -> tuple[np.ndarray, int]:
+    """One int64 key per (x, y) row of pairs, ordered by x, then y, and a
+    bound on the keys.
 
     Each column is ranked, then the pair of ranks: both ranks stay below
-    len(pairs), so the key does not wrap, and np.unique of the keys
-    compares no row as a whole.
+    len(pairs), so the key does not wrap, and ranking the keys compares
+    no row as a whole.
     """
-    x_rank = np.unique(pairs[:, 0], return_inverse=True)[1]
-    y_vals, y_rank = np.unique(pairs[:, 1], return_inverse=True)
-    return x_rank * len(y_vals) + y_rank
+    x_rank, n_x = _column_ranks(pairs[:, 0])
+    y_rank, n_y = _column_ranks(pairs[:, 1])
+    return x_rank * n_y + y_rank, n_x * n_y
 
 
 def exact_coords(exact: np.ndarray) -> np.ndarray:
@@ -135,7 +153,7 @@ class PointSet1D:
         # each distinct weight, by the bit patterns of its two 8-byte
         # halves, is formatted once; -0.0 and each NaN keep their own text
         halves = np.ascontiguousarray(self.weights).view(np.uint64).reshape(-1, 2)
-        _, first, ids = np.unique(_pair_keys(halves), return_index=True, return_inverse=True)
+        _, first, ids = np.unique(_pair_keys(halves)[0], return_index=True, return_inverse=True)
         texts = ["%.12g %.12g" % (w.real, w.imag) for w in self.weights[first].tolist()]
         cols.append([texts[i] for i in ids.tolist()])
         fields = [None] * (len(cols) * len(self))
@@ -261,6 +279,98 @@ def _gap_classes(gaps: np.ndarray, tol: float = MERGE_TOL) -> tuple[np.ndarray, 
     return ids, g[first], g[np.append(first[1:], True)[: len(g)]]
 
 
+def _class_of(lows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """The last class, given the smallest gap of each, whose smallest gap is
+    not above each value; for a gap of the sample, that is its own class."""
+    return np.searchsorted(lows, gaps, side="right") - 1
+
+
+@dataclass(frozen=True, eq=False)
+class _ClusterPlan:
+    """The K-windows of a sample's interior points, grouped once.
+
+    The interior is points start .. stop - 1.  labels[i] (smallest
+    unsigned dtype) names the group of interior point start + i: its
+    window size, left count and word of gap classes, exact rows when
+    exact is set and float gap classes otherwise.  Label j occurs
+    counts[j] times, first at point first[j], whose window is points
+    lo[j] .. hi[j] - 1.  lows and highs are the smallest and largest gap
+    of each float class; None in exact mode.
+    """
+
+    k_radius: float
+    exact: bool
+    start: int
+    stop: int
+    labels: np.ndarray
+    first: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    counts: np.ndarray
+    lows: np.ndarray | None
+    highs: np.ndarray | None
+
+
+def _group_windows(
+    sizes: np.ndarray, left: np.ndarray, lo: np.ndarray, gap_ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label each window by its size, left count and gap word.
+
+    Labels run by size, then by (left count, word rank); returns each
+    window's label and each label's first window and count.  The keys of
+    one size are below size times the number of its words, so
+    subshift._ranks groups them without a sort where that range is short.
+    """
+    labels = np.empty(len(sizes), dtype=np.intp)
+    firsts, counts = [], []
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        members = np.flatnonzero(sizes == size)
+        keys, span = left[members], size
+        if size > 1:
+            words, first, _ = sliding_words(gap_ids, size - 1)
+            keys = keys * len(first) + words[lo[members]]
+            span *= len(first)
+        inverse, count = _ranks(keys, span)
+        first = np.full(len(count), len(members), dtype=np.intp)
+        np.minimum.at(first, inverse, np.arange(len(members)))
+        labels[members] = sum(map(len, firsts)) + inverse
+        firsts.append(members[first])
+        counts.append(count)
+    return labels, np.concatenate(firsts), np.concatenate(counts)
+
+
+def _build_plan(ps: PointSet1D, k_radius: float, exact: bool) -> _ClusterPlan:
+    """The cluster plan of ps at radius K, on exact gap rows or float gap classes."""
+    idx, lo, hi = _windows(ps, k_radius)
+    sizes, left = hi - lo, idx - lo
+    if sizes.min() < 1:
+        raise IncompatibleCluster("cluster must contain its own center 0")
+    if exact:
+        gap_ids = _ranks(*_pair_keys(np.diff(ps.exact, axis=0)))[0]
+        lows = highs = None
+    else:
+        gap_ids, lows, highs = _gap_classes(ps.gaps())
+    labels, reps, counts = _group_windows(sizes, left, lo, gap_ids)
+    labels = labels.astype(np.min_scalar_type(len(reps) - 1))
+    return _ClusterPlan(k_radius, exact, int(idx[0]), int(idx[-1]) + 1, labels,
+                        idx[reps], lo[reps], hi[reps], counts, lows, highs)
+
+
+# the latest cluster plan of each sample that has had one: a PointSet1D is
+# immutable and hashed by identity, so a plan is never stale, and keeping
+# one per sample bounds the memory of a walk over many radii; a caller
+# reads the plan it got, so two threads that replace it stay correct
+_CLUSTER_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _cluster_plan(ps: PointSet1D, k_radius: float, exact: bool) -> _ClusterPlan:
+    """The plan of ps for (K, mode), built unless it is the one kept."""
+    plan = _CLUSTER_PLANS.get(ps)
+    if plan is None or plan.k_radius != k_radius or plan.exact != exact:
+        plan = _CLUSTER_PLANS[ps] = _build_plan(ps, k_radius, exact)
+    return plan
+
+
 def enumerate_k_clusters(
     ps: PointSet1D, k_radius: float
 ) -> list[tuple[Cluster, int]]:
@@ -273,59 +383,47 @@ def enumerate_k_clusters(
     Clusters come sorted by offsets; equal offsets keep the order of
     first occurrence.
     """
-    idx, lo, hi = _windows(ps, k_radius)
-    sizes, left = hi - lo, idx - lo
-    if sizes.min() < 1:
-        raise IncompatibleCluster("cluster must contain its own center 0")
-    if ps.exact is None:
-        gap_ids, minima, _ = _gap_classes(ps.gaps())
-    else:
-        gap_ids = np.unique(_pair_keys(np.diff(ps.exact, axis=0)), return_inverse=True)[1]
-
+    plan = _cluster_plan(ps, k_radius, ps.exact is not None)
     found: list[tuple[int, Cluster, int]] = []
-    for size in np.unique(sizes).tolist():
-        members = np.flatnonzero(sizes == size)
-        keys = left[members]
-        if size > 1:
-            words, first, _ = sliding_words(gap_ids, size - 1)
-            keys = keys * len(first) + words[lo[members]]
-        _, firsts, counts = np.unique(keys, return_index=True, return_counts=True)
-        for i, n in zip(members[firsts].tolist(), counts.tolist()):
-            a, b, x, c = lo[i], hi[i], idx[i], left[i]
-            if ps.exact is None:
-                steps = minima[gap_ids[a : b - 1]]
-                back, ahead = np.cumsum(steps[:c][::-1])[::-1], np.cumsum(steps[c:])
-                offs, exact = (*(-back).tolist(), 0.0, *ahead.tolist()), None
-            else:
-                offs = tuple((ps.coords[a:b] - ps.coords[x]).tolist())
-                exact = tuple(map(tuple, (ps.exact[a:b] - ps.exact[x]).tolist()))
-            found.append((i, Cluster(k_radius, offs, exact), n))
+    for x, a, b, n in zip(*(col.tolist() for col in (plan.first, plan.lo, plan.hi, plan.counts))):
+        if plan.exact:
+            offs = tuple((ps.coords[a:b] - ps.coords[x]).tolist())
+            exact = tuple(map(tuple, (ps.exact[a:b] - ps.exact[x]).tolist()))
+        else:
+            steps = plan.lows[_class_of(plan.lows, np.diff(ps.coords[a:b]))]
+            back, ahead = np.cumsum(steps[: x - a][::-1])[::-1], np.cumsum(steps[x - a :])
+            offs, exact = (*(-back).tolist(), 0.0, *ahead.tolist()), None
+        found.append((x, Cluster(k_radius, offs, exact), n))
     return [(c, n) for _, c, n in sorted(found, key=lambda icn: (icn[1].offsets, icn[0]))]
 
 
-def _locate(ps: PointSet1D, cluster: Cluster) -> tuple[np.ndarray, np.ndarray]:
-    """Interior points, and the mask of those whose window matches the cluster in
-    size, left count and each gap: as exact rows, or as float gap classes of ps."""
+def _locate(ps: PointSet1D, cluster: Cluster) -> tuple[_ClusterPlan, np.ndarray]:
+    """The plan of the cluster's radius and mode, and the mask of its labels
+    whose window matches the cluster in size, left count and each gap: as
+    exact rows, or as float gap classes of ps."""
     if any(abs(z) > cluster.k_radius + MERGE_TOL for z in cluster.offsets):
         raise IncompatibleCluster("cluster exceeds its stated radius")
-    idx, lo, hi = _windows(ps, cluster.k_radius)
-    if ps.exact is not None and cluster.exact_offsets is not None:
+    exact = ps.exact is not None and cluster.exact_offsets is not None
+    plan = _cluster_plan(ps, cluster.k_radius, exact)
+    if exact:
         rows = np.array(cluster.exact_offsets, dtype=np.int64).reshape(-1, 2)
         centre = np.append(np.flatnonzero(~rows.any(axis=1)), -1)[0]  # -1: no (0, 0) row
-        keys = np.diff(ps.exact, axis=0).view(_ROW_KEY)[:, 0]
-        want = np.diff(rows, axis=0).view(_ROW_KEY)[:, 0]
     else:
         rows = np.asarray(cluster.offsets)
         centre = np.argmin(np.abs(rows))
-        keys, lows, highs = _gap_classes(ps.gaps())
+    match = (plan.hi - plan.lo == len(rows)) & (plan.first - plan.lo == centre)
+    reps = np.flatnonzero(match)
+    windows = plan.lo[reps, None] + np.arange(len(rows))
+    if exact:
+        same = (np.diff(ps.exact[windows], axis=1) == np.diff(rows, axis=0)).all(axis=2)
+    else:
         gaps = np.diff(rows)
-        c = np.searchsorted(lows, gaps + MERGE_TOL, side="right") - 1
+        c = _class_of(plan.lows, gaps + MERGE_TOL)
         # c = -1, below every class, reads the appended -inf and stays -1
-        want = np.where(gaps <= np.append(highs, -np.inf)[c] + MERGE_TOL, c, -1)
-    hit = (hi - lo == len(rows)) & (idx - lo == centre)
-    for j, w in enumerate(want):
-        hit[hit] = keys[lo[hit] + j] == w
-    return idx, hit
+        want = np.where(gaps <= np.append(plan.highs, -np.inf)[c] + MERGE_TOL, c, -1)
+        same = _class_of(plan.lows, np.diff(ps.coords[windows], axis=1)) == want
+    match[reps] = same.all(axis=1)
+    return plan, match
 
 
 def locator_set(ps: PointSet1D, cluster: Cluster) -> PointSet1D:
@@ -334,8 +432,8 @@ def locator_set(ps: PointSet1D, cluster: Cluster) -> PointSet1D:
     The result carries unit weights (and exact coordinates when the
     input has them).  An empty result is returned, not raised.
     """
-    idx, hit = _locate(ps, cluster)
-    sel = idx[hit]
+    plan, match = _locate(ps, cluster)
+    sel = plan.start + np.flatnonzero(match[plan.labels])
     exact = ps.exact[sel] if ps.exact is not None else None
     return PointSet1D(ps.coords[sel], np.ones(len(sel), dtype=np.complex128), exact)
 
@@ -354,12 +452,12 @@ def cluster_frequency(ps: PointSet1D, cluster: Cluster) -> ClusterFrequency:
     relative divides by the overall point density, i.e. it is the
     fraction of interior points whose pattern matches.
     """
-    idx, hit = _locate(ps, cluster)
-    count = int(np.count_nonzero(hit))
-    span = float(ps.coords[idx[-1]] - ps.coords[idx[0]])
+    plan, match = _locate(ps, cluster)
+    count = int(plan.counts[match].sum())
+    span = float(ps.coords[plan.stop - 1] - ps.coords[plan.start])
     if span <= 0:
         raise EmptyInterior("interior span is empty")
-    return ClusterFrequency(count / span, count / len(idx), count)
+    return ClusterFrequency(count / span, count / (plan.stop - plan.start), count)
 
 
 def tent_ft(eps: float, k: np.ndarray | float) -> np.ndarray | float:

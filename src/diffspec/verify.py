@@ -13,7 +13,7 @@ import numpy as np
 
 from .correlation import autocorr_symbolic, autocorr_via_spectral_inner
 from .delone import enumerate_k_clusters, locator_set, smooth_comb, tent_ft
-from .errors import DiffspecError
+from .errors import DiffspecError, OutOfRange
 from .factors import BlockMap, apply_block_map, identity_map, indicator_block_map, xor_map
 from .modelset import (
     intensities_at,
@@ -161,6 +161,12 @@ def verify_word_freq(
     )
 
 
+# grid samples of the smoothing suite, at most, checked before the grid is
+# made: the suite's peak is about 80 bytes per sample (tracemalloc), so the
+# largest grid takes about 0.7 GB and fits an address space of 1.5 GiB
+SMOOTHING_GRID_LIMIT = 2**23
+
+
 def verify_smoothing(
     n_points: int = 2**13,
     k_radius: float = 1.1,
@@ -186,6 +192,12 @@ def verify_smoothing(
 
     x0 = float(locator.coords[0])
     x1 = float(locator.coords[-1])
+    samples = (x1 - x0 + 4 * eps) / t_step
+    if samples > SMOOTHING_GRID_LIMIT:
+        raise OutOfRange(
+            f"a smoothing grid of {samples:.6g} samples at eps {eps:g} and step {t_step:g} "
+            f"is over the limit of {SMOOTHING_GRID_LIMIT} (SMOOTHING_GRID_LIMIT)"
+        )
     t_grid = np.arange(x0 - 2 * eps, x1 + 2 * eps, t_step)
     f = smooth_comb(locator, eps, t_grid)
 

@@ -75,6 +75,19 @@ class TestAutocorr:
         assert rows[0.0] == "0,0.500287918549,0,1000"
         assert sum(int(rows[z].split(",")[3]) for z in rows if z > 0) == 999
 
+    def test_point_set_rows_mirror_without_negative_zero(self, capsys):
+        code, out, _ = run(
+            capsys, ["autocorr", "--silver-mean", "--points", "1000", "--zmax", "3"]
+        )
+        assert code == 0
+        lines = out.strip().splitlines()[1:]
+        assert not [ln for ln in lines if ",-0," in ln]
+        # unit weights give real values: each row at -z reads as the row at z
+        neg = [ln for ln in lines if ln.startswith("-")]
+        pos = [ln for ln in lines if not ln.startswith(("-", "0,"))]
+        assert [ln[1:] for ln in neg[::-1]] == pos
+        assert pos[0] == "1,0.146084072216,0,292"
+
     def test_too_many_lags_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, ["autocorr", "--rule", "thue-morse", "--len", "32", "--lags", "100000"]

@@ -24,6 +24,7 @@ from diffspec import cli
 from diffspec.correlation import PAIR_LIMIT
 from diffspec.spectral import CANDIDATE_LIMIT
 from diffspec.subshift import WINDOW_LIMIT
+from diffspec.verify import SMOOTHING_GRID_LIMIT
 
 NUMBER = st.sampled_from(
     ["-3", "-1", "-0.5", "0", "0.25", "1", "2.5", "3", "7", "inf", "-inf", "nan", "1e300"]
@@ -247,6 +248,17 @@ def test_pairs_past_the_limit_exit_2_naming_it(tmp_path):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert f"over the limit of {PAIR_LIMIT} (PAIR_LIMIT)" in done.stderr
+
+
+@pytest.mark.parametrize("eps", ["1e6", "1e9", "1e12"])
+def test_smoothing_grids_past_the_limit_exit_2_naming_it(eps, tmp_path):
+    # the grid's sample count is checked before np.arange makes it; the cap
+    # only guards against a check that is not there
+    argv = ["verify", "smoothing", "--points", "200", "--eps", eps]
+    done = limited_run(argv + ["--out", str(tmp_path / "out.txt")])
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert f"over the limit of {SMOOTHING_GRID_LIMIT} (SMOOTHING_GRID_LIMIT)" in done.stderr
 
 
 def test_factor_with_a_huge_shift_count_checks_only_the_shifts_that_fit(tmp_path):

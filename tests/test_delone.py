@@ -1,18 +1,25 @@
 """Point sets, cluster enumeration, locator sets, and bump smoothing."""
 
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diffspec import delone
 from diffspec.delone import (
     MERGE_TOL,
     Cluster,
+    ClusterFrequency,
     PointSet1D,
     _interior_indices,
     cluster_frequency,
     enumerate_k_clusters,
+    exact_coords,
     locator_set,
     smooth_comb,
     tent_ft,
@@ -173,6 +180,176 @@ class TestClusters:
         fr = cluster_frequency(ps, cluster)
         assert fr.count == 97
         assert fr.absolute == pytest.approx(97 / 96.0)  # interior spans 2 .. 98
+
+
+# exact gap rows (a, b) with a + b sqrt(2) > 0, and float gaps, some of
+# them within MERGE_TOL of each other and some just past it
+GAP_ROWS = [(1, 0), (0, 1), (1, 1), (-1, 1), (2, -1), (3, -2)]
+FLOAT_GAPS = [1.0, 1.0 + 2.0**-31, 1.0 + 2.0**-29, 1.5, 2.0 ** 0.5, 2.0 + 1e-7]
+
+
+@st.composite
+def samples(draw):
+    """Short exact sets, words over 2-3 gap rows, or float sets over 2-3 gaps;
+    starting at 1e9, an exact gap's float values spread past MERGE_TOL."""
+    n = draw(st.integers(4, 70))
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.sampled_from(GAP_ROWS), min_size=2, max_size=3, unique=True))
+        start = draw(st.sampled_from([(0, 0), (-5, 3), (10**9, 0)]))
+        word = draw(st.lists(st.sampled_from(rows), min_size=n - 1, max_size=n - 1))
+        exact = np.cumsum(np.array([start] + word, dtype=np.int64), axis=0)
+        return PointSet1D(exact_coords(exact), exact=exact)
+    gaps = draw(st.lists(st.sampled_from(FLOAT_GAPS), min_size=2, max_size=3, unique=True))
+    word = draw(st.lists(st.sampled_from(gaps), min_size=n - 1, max_size=n - 1))
+    start = draw(st.sampled_from([0.0, -3.25, 1e8]))
+    return PointSet1D(np.cumsum([start] + word))
+
+
+def brute_classes(gaps):
+    """Each gap's class and each class's smallest and largest gap: in sorted
+    order, a gap more than MERGE_TOL above the one before opens a class."""
+    ids, lows, highs = [0] * len(gaps), [], []
+    for j in sorted(range(len(gaps)), key=gaps.__getitem__):
+        if not highs or gaps[j] - highs[-1] > MERGE_TOL:
+            lows.append(gaps[j])
+            highs.append(gaps[j])
+        highs[-1] = gaps[j]
+        ids[j] = len(lows) - 1
+    return ids, lows, highs
+
+
+def brute_windows(ps, k_radius):
+    """Interior points, point by point, and the window of each point."""
+    x, k = ps.coords.tolist(), k_radius
+    interior = [i for i, xi in enumerate(x)
+                if xi >= x[0] + k - MERGE_TOL and xi <= x[-1] - k + MERGE_TOL]
+    return interior, {i: [j for j, xj in enumerate(x)
+                          if x[i] - k - MERGE_TOL <= xj <= x[i] + k + MERGE_TOL]
+                      for i in interior}
+
+
+def brute_hits(ps, cluster, windows):
+    """The points whose window shows the cluster: the same exact offsets when
+    both are exact, else the same size, centre and float gap class of each gap."""
+    x, offs = ps.coords.tolist(), list(cluster.offsets)
+    centre = min(range(len(offs)), key=lambda j: abs(offs[j]))
+    ids, lows, highs = brute_classes([b - a for a, b in zip(x, x[1:])])
+    want = [max((c for c in range(len(lows))
+                 if lows[c] <= b - a + MERGE_TOL and b - a <= highs[c] + MERGE_TOL), default=-1)
+            for a, b in zip(offs, offs[1:])]
+    hits = []
+    for i, window in windows.items():
+        if ps.exact is not None and cluster.exact_offsets is not None:
+            a, b = ps.exact[i].tolist()
+            same = [(c - a, d - b) for c, d in ps.exact[window].tolist()] == list(
+                cluster.exact_offsets)
+        else:
+            same = (len(window) == len(offs) and window.index(i) == centre
+                    and [ids[j] for j in window[:-1]] == want)
+        if same:
+            hits.append(i)
+    return hits
+
+
+def assert_clusters_match_brute_force(ps, k_radius):
+    """Every enumerated cluster, its float-only twin and a few altered
+    clusters have the brute-force locator set and frequency."""
+    interior, windows = brute_windows(ps, k_radius)
+    if not interior:
+        with pytest.raises(EmptyInterior):
+            enumerate_k_clusters(ps, k_radius)
+        return
+    found = enumerate_k_clusters(ps, k_radius)
+    assert sum(n for _, n in found) == len(interior)
+    clusters, floats = [], [Cluster(k_radius, (0.0,))]
+    for cluster, n in found:
+        assert len(brute_hits(ps, cluster, windows)) == n
+        clusters.append(cluster)
+        floats.append(Cluster(k_radius, cluster.offsets))
+        if len(cluster.offsets) > 1:
+            floats.append(Cluster(k_radius, cluster.offsets[1:] if cluster.offsets[0] else
+                                  cluster.offsets[:-1]))
+        if cluster.exact_offsets:
+            (a, b), *rest = cluster.exact_offsets
+            clusters.append(Cluster(k_radius, cluster.offsets, ((a - 1, b + 1), *rest)))
+    # on an exact sample the float clusters need a plan of their own, which
+    # replaces the exact one: checked in two runs, not built for every cluster
+    clusters += floats
+    span = float(ps.coords[interior[-1]] - ps.coords[interior[0]])
+    for cluster in clusters:
+        hits = brute_hits(ps, cluster, windows)
+        loc = locator_set(ps, cluster)
+        assert loc.coords.tolist() == ps.coords[hits].tolist()
+        assert loc.weights.tolist() == [1.0] * len(hits)
+        if ps.exact is None:
+            assert loc.exact is None
+        else:
+            assert loc.exact.tolist() == ps.exact[hits].tolist()
+        if span > 0:
+            n = len(hits)
+            assert cluster_frequency(ps, cluster) == ClusterFrequency(
+                n / span, n / len(interior), n)
+
+
+class TestClusterPlan:
+    @settings(max_examples=40, deadline=None)
+    @given(samples(), st.floats(0.5, 8.0), st.floats(0.5, 8.0))
+    def test_locators_and_frequencies_match_brute_force(self, ps, k1, k2):
+        # k2 replaces the plan of k1, and k1 then replaces it again
+        for k_radius in (k1, k2, k1):
+            assert_clusters_match_brute_force(ps, k_radius)
+
+    def test_float_cluster_on_exact_sample_at_large_coordinates(self):
+        """At 1e9 one exact gap's float values spread past MERGE_TOL, so the
+        float plan of an exact sample splits what its exact plan joins."""
+        exact = np.cumsum([(10**9, 0)] + [(1, 0), (0, 1), (1, 0)] * 30, axis=0)
+        ps = PointSet1D(exact_coords(exact), exact=exact)
+        assert len(enumerate_k_clusters(PointSet1D(ps.coords), 1.5)) > len(
+            enumerate_k_clusters(ps, 1.5))
+        assert_clusters_match_brute_force(ps, 1.5)
+
+    def test_labels_by_size_alone_fail_the_check(self, monkeypatch):
+        """The check sees a plan that joins windows of one size but other gaps."""
+
+        def by_size(sizes, left, lo, gap_ids):
+            _, first, labels, counts = np.unique(
+                sizes, return_index=True, return_inverse=True, return_counts=True)
+            return labels, first, counts
+
+        ps = silver_mean_chain(60)
+        assert_clusters_match_brute_force(ps, 1.1)
+        monkeypatch.setattr(delone, "_CLUSTER_PLANS", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(delone, "_group_windows", by_size)
+        with pytest.raises(AssertionError):
+            assert_clusters_match_brute_force(ps, 1.1)
+
+    def test_one_plan_serves_clusters_locators_and_frequencies(self, monkeypatch):
+        monkeypatch.setattr(delone, "_CLUSTER_PLANS", weakref.WeakKeyDictionary())
+        original, calls = delone._build_plan, []
+
+        def counting(ps, k_radius, exact):
+            calls.append((k_radius, exact))
+            return original(ps, k_radius, exact)
+
+        monkeypatch.setattr(delone, "_build_plan", counting)
+        ps = silver_mean_chain(100000)
+        found = enumerate_k_clusters(ps, 1.1)
+        for cluster, n in found:
+            assert cluster_frequency(ps, cluster).count == n
+            assert len(locator_set(ps, cluster)) == n
+        assert [n for _, n in found] == [29289, 41420, 29289]
+        assert calls == [(1.1, True)]
+        plan = delone._CLUSTER_PLANS[ps]
+        assert plan.labels.dtype == np.uint8 and len(plan.labels) == 99998
+        # a float cluster, then another radius: each replaces the one plan
+        locator_set(ps, Cluster(1.1, (0.0,)))
+        enumerate_k_clusters(ps, 2.5)
+        assert calls == [(1.1, True), (1.1, False), (2.5, True)]
+        assert len(delone._CLUSTER_PLANS) == 1
+        sample = weakref.ref(ps)
+        del ps
+        gc.collect()
+        assert sample() is None and len(delone._CLUSTER_PLANS) == 0
 
 
 class TestBumps:
