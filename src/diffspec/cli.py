@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlation import autocorr_pointset, autocorr_symbolic
-from .delone import PointSet1D, cluster_frequency, enumerate_k_clusters
+from .delone import MERGE_TOL, PointSet1D, cluster_frequency, enumerate_k_clusters
 from .errors import DiffspecError, OutOfRange
 from .factors import BlockMap, apply_block_map, verify_factor_equivariance
 from .modelset import (
@@ -237,6 +237,8 @@ def _schedule_from_args(args, src):
 
 
 def cmd_diffract(args) -> int:
+    if args.threads < 1:
+        raise OutOfRange(f"--threads must be at least 1, got {args.threads}")
     src = _load_source(args)
     candidates = _candidates_from_args(args, src)
     schedule = _schedule_from_args(args, src)
@@ -366,12 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value file overriding flags")
     common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument(
-        "--threads", type=int, default=1,
-        help="threads for the point-set candidates summed one by one (diffract): "
-        "floats, module elements on a float point set, and module lists too short "
-        "for the factor table; windows and the other module lists are one table",
-    )
 
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--rule", help="built-in rule name")
@@ -395,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("autocorr", parents=[common, source], help="autocorrelation CSV")
     p.add_argument("--lags", type=int, default=32, help="maximal lag")
     p.add_argument("--zmax", type=float, default=10.0, help="maximal point-set difference")
-    p.add_argument("--merge-tol", type=float, default=1e-9, help="difference merge tolerance")
+    p.add_argument("--merge-tol", type=float, default=MERGE_TOL, help="difference merge tolerance")
     p.set_defaults(func=cmd_autocorr)
 
     p = sub.add_parser("diffract", parents=[common, source], help="atom detection JSON")
@@ -408,6 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel-tol", type=float, default=0.05, help="atom stability tolerance")
     p.add_argument("--min-intensity", type=float, default=1e-6, help="atom intensity floor")
     p.add_argument("--fejer", type=int, help="add a circle-grid density with this many lags")
+    p.add_argument("--threads", type=int, default=1,
+                   help="threads, at least 1, for point-set candidates summed one by one")
     p.set_defaults(func=cmd_diffract)
 
     p = sub.add_parser("factor", parents=[common, source], help="apply a sliding block map")

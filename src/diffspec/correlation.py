@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .delone import MERGE_TOL, _chain
 from .errors import EmptyPointSet, NotHermitian, OutOfRange, WindowTooShort, ZTooLarge
 from .factors import BlockMap, apply_block_map
 from .subshift import SymbolicWindow
@@ -224,11 +225,11 @@ class PointCorrelation:
     values: np.ndarray
     counts: np.ndarray
     radius_used: float
-    merge_tol: float = 1e-9
+    merge_tol: float = MERGE_TOL
 
     def value(self, z: float) -> complex:
         i = np.searchsorted(self.diffs, z)
-        for j in (i - 1, i, i + 1):
+        for j in (i - 1, i):
             if 0 <= j < len(self.diffs) and abs(self.diffs[j] - z) <= self.merge_tol:
                 return complex(self.values[j])
         return 0.0 + 0j
@@ -248,34 +249,12 @@ class PointCorrelation:
 PAIR_LIMIT = 2**28
 
 
-def _chain(lo, hi, cols, merge_tol):
-    """Join the intervals [lo, hi] into chains and add up cols per chain.
-
-    Stable-sorted by lo, an interval opens a new chain when its lo is more
-    than merge_tol above the largest hi before it; hi None means hi = lo.
-    Returns each chain's lowest lo, highest hi, number of intervals and
-    column sums, in order of lo.  np.bincount adds each chain's entries
-    one after another, in the sorted order.
-    """
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
-    top = lo if hi is None else np.maximum.accumulate(hi[order])
-    new = np.empty(len(lo), dtype=bool)
-    new[0] = True
-    np.greater(lo[1:] - top[:-1], merge_tol, out=new[1:])
-    group = np.cumsum(new) - 1
-    first = np.flatnonzero(new)
-    sizes = np.diff(first, append=len(lo))
-    sums = [np.bincount(group, weights=col[order], minlength=len(first)) for col in cols]
-    return lo[first], top[first + sizes - 1], sizes, sums
-
-
-def autocorr_pointset(ps, z_max: float, merge_tol: float = 1e-9) -> PointCorrelation:
+def autocorr_pointset(ps, z_max: float, merge_tol: float = MERGE_TOL) -> PointCorrelation:
     """Difference-set autocorrelation of a finite weighted point set.
 
     The averaging volume is the sample extent (largest minus smallest
     coordinate), so value(0) estimates the weighted density.  Requires
-    z_max in [0, extent); merged differences use merge_tol.
+    z_max in [0, extent) and merge_tol >= 0, by default delone.MERGE_TOL.
 
     Differences chain as in one sorted list of them all: a difference
     more than merge_tol above the one before it opens a new group, and a
@@ -294,6 +273,8 @@ def autocorr_pointset(ps, z_max: float, merge_tol: float = 1e-9) -> PointCorrela
     """
     if not z_max >= 0:
         raise OutOfRange(f"z_max {z_max} must be nonnegative")
+    if not merge_tol >= 0:
+        raise OutOfRange(f"merge_tol {merge_tol} must be nonnegative")
     x = ps.coords
     w = ps.weights
     n = len(x)

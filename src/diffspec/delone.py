@@ -3,24 +3,28 @@
 A sample is a strictly increasing list of coordinates with complex
 weights.  Coordinates may carry exact representations in Z[sqrt(2)]: an
 int64 array of shape (n, 2) whose row (a, b) stands for a + b sqrt(2).
-When they do, the cluster operations below compare patterns exactly
-instead of through a float merge tolerance.
+When they do, the cluster operations below compare patterns exactly;
+float values are merged by the one rule owned here, MERGE_TOL and the
+chain merge _chain: sorted, a value more than MERGE_TOL above the
+largest before it opens a new class.  It makes the float gap classes
+below and the differences of correlation.autocorr_pointset.
 
 A K-cluster of a point x is the pattern (Lambda - x) within [-K, K].
 The locator set of a cluster collects every point showing that exact
 pattern; its density is the cluster's absolute frequency, which ties
 point-set geometry to the correlation and diffraction machinery.
 
-The window of x is the points in [x - K - 1e-9, x + K + 1e-9], found for
-all interior points by one np.searchsorted per bound.  A window is keyed
-by its size, its left count and its word (subshift.sliding_words) of gap
-classes: exact (a, b) gap rows, or float gaps chain-merged within 1e-9.
-Rows are compared only when both the sample and the cluster are exact.
-The keys are grouped once per sample, radius and mode into a cluster
-plan: one label per interior point and one representative window per
-label.  The latest plan of each sample is kept while the sample lives,
-so its clusters, locator sets and frequencies check a cluster against
-the representatives only and read the labels for the rest.
+The window of x is the points in [x - K - MERGE_TOL, x + K + MERGE_TOL],
+found for all interior points by one np.searchsorted per bound.  A
+window is keyed by its size, its left count and its word
+(subshift.sliding_words) of gap classes: exact (a, b) gap rows, or the
+float gap classes of _chain.  Rows are compared only when both the
+sample and the cluster are exact.  The keys are grouped once per sample,
+radius and mode into a cluster plan: one label per interior point and
+one representative window per label.  The latest plan of each sample
+is kept while the sample lives, so its clusters, locator sets and
+frequencies check a cluster against the representatives only and read
+the labels for the rest.
 """
 
 from __future__ import annotations
@@ -34,19 +38,39 @@ import numpy as np
 from .errors import EmptyInterior, EmptyPointSet, IncompatibleCluster, MalformedInput
 from .subshift import _ranks, sliding_words
 
-MERGE_TOL = 1e-9
+MERGE_TOL = 1e-9  # the one tolerance of float point sets, see _chain
 SQRT2 = math.sqrt(2.0)
+
+
+def _chain(lo, hi, cols, merge_tol):
+    """Join the intervals [lo, hi] into chains and add up cols per chain.
+
+    Stable-sorted by lo, an interval opens a new chain when its lo is more
+    than merge_tol above the largest hi before it; hi None means hi = lo.
+    Returns each chain's lowest lo, highest hi, number of intervals and
+    column sums, in order of lo.  np.bincount adds each chain's entries
+    one after another, in the sorted order.
+    """
+    order = np.argsort(lo, kind="stable")
+    lo = lo[order]
+    top = lo if hi is None else np.maximum.accumulate(hi[order])
+    new = np.empty(len(lo), dtype=bool)
+    new[:1] = True
+    np.greater(lo[1:] - top[:-1], merge_tol, out=new[1:])
+    group = np.cumsum(new) - 1
+    first = np.flatnonzero(new)
+    sizes = np.diff(first, append=len(lo))
+    sums = [np.bincount(group, weights=col[order], minlength=len(first)) for col in cols]
+    return lo[first], top[first + sizes - 1], sizes, sums
 
 
 def _column_ranks(col: np.ndarray) -> tuple[np.ndarray, int]:
     """Each entry's rank among the distinct values of an integer column, in
-    increasing order, and their number.  A range of at most 4 len(col)
-    values is ranked in one pass (subshift._ranks), a wider one by np.unique."""
-    span = int(col.max()) - int(col.min()) + 1 if len(col) else 0
-    if span > 4 * len(col) or not len(col):
-        vals, ids = np.unique(col, return_inverse=True)
-        return ids, len(vals)
-    ids, counts = _ranks((col - col.min()).astype(np.intp), span)
+    increasing order, and their number (subshift._ranks).  A range of at
+    most 4 len(col) values, its span taken in Python ints, is first
+    shifted to start at 0, so the shift cannot wrap."""
+    lo, span = (int(col.min()), int(col.max()) - int(col.min()) + 1) if len(col) else (0, 0)
+    ids, counts = _ranks((col - lo).astype(np.intp) if span <= 4 * len(col) else col, span)
     return ids, len(counts)
 
 
@@ -130,9 +154,9 @@ class PointSet1D:
     def gaps(self) -> np.ndarray:
         return np.diff(self.coords)
 
-    def distinct_gaps(self, tol: float = MERGE_TOL) -> np.ndarray:
+    def distinct_gaps(self) -> np.ndarray:
         """The smallest gap of each class of the float gap merge, sorted."""
-        return _gap_classes(self.gaps(), tol)[1]
+        return _chain(self.gaps(), None, (), MERGE_TOL)[0]
 
     def serialize(self) -> str:
         """Header line, then one point per line.
@@ -237,7 +261,7 @@ class Cluster:
     exact_offsets: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
-        if 0.0 not in self.offsets and not any(abs(z) <= MERGE_TOL for z in self.offsets):
+        if not any(abs(z) <= MERGE_TOL for z in self.offsets):
             raise IncompatibleCluster("cluster must contain its own center 0")
         if any(abs(z) > self.k_radius + MERGE_TOL for z in self.offsets):
             raise IncompatibleCluster("cluster offset outside [-K, K]")
@@ -266,17 +290,6 @@ def _windows(ps: PointSet1D, k_radius: float) -> tuple[np.ndarray, np.ndarray, n
     lo = np.searchsorted(x, x[idx] - k_radius - MERGE_TOL, side="left")
     hi = np.searchsorted(x, x[idx] + k_radius + MERGE_TOL, side="right")
     return idx, lo, hi
-
-
-def _gap_classes(gaps: np.ndarray, tol: float = MERGE_TOL) -> tuple[np.ndarray, ...]:
-    """Chain merge: in sorted order, a gap more than tol above the one before opens
-    a class.  Returns each gap's class and the smallest and largest gap per class."""
-    order = np.argsort(gaps)
-    g = gaps[order]
-    first = np.diff(g, prepend=-np.inf) > tol
-    ids = np.empty(len(g), dtype=np.int64)
-    ids[order] = np.cumsum(first) - 1
-    return ids, g[first], g[np.append(first[1:], True)[: len(g)]]
 
 
 def _class_of(lows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
@@ -349,7 +362,9 @@ def _build_plan(ps: PointSet1D, k_radius: float, exact: bool) -> _ClusterPlan:
         gap_ids = _ranks(*_pair_keys(np.diff(ps.exact, axis=0)))[0]
         lows = highs = None
     else:
-        gap_ids, lows, highs = _gap_classes(ps.gaps())
+        gaps = ps.gaps()
+        lows, highs = _chain(gaps, None, (), MERGE_TOL)[:2]
+        gap_ids = _class_of(lows, gaps)
     labels, reps, counts = _group_windows(sizes, left, lo, gap_ids)
     labels = labels.astype(np.min_scalar_type(len(reps) - 1))
     return _ClusterPlan(k_radius, exact, int(idx[0]), int(idx[-1]) + 1, labels,
@@ -401,8 +416,6 @@ def _locate(ps: PointSet1D, cluster: Cluster) -> tuple[_ClusterPlan, np.ndarray]
     """The plan of the cluster's radius and mode, and the mask of its labels
     whose window matches the cluster in size, left count and each gap: as
     exact rows, or as float gap classes of ps."""
-    if any(abs(z) > cluster.k_radius + MERGE_TOL for z in cluster.offsets):
-        raise IncompatibleCluster("cluster exceeds its stated radius")
     exact = ps.exact is not None and cluster.exact_offsets is not None
     plan = _cluster_plan(ps, cluster.k_radius, exact)
     if exact:

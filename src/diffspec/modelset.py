@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delone import SQRT2, PointSet1D, exact_coords
+from .delone import MERGE_TOL, SQRT2, PointSet1D, exact_coords
 from .errors import NotSilverMean, OutOfRange
 from .subshift import BUILTIN_RULES, _grow
 
@@ -339,14 +339,14 @@ def _nested_windows(ps: PointSet1D, radii) -> tuple[np.ndarray, np.ndarray]:
         raise OutOfRange("empty point set")
     radii = np.asarray(radii, dtype=float)
     extent = ps.extent
-    if 2 * radii.max() > extent + 1e-9:
+    if 2 * radii.max() > extent + MERGE_TOL:
         raise OutOfRange(f"2R = {2 * radii.max():g} exceeds extent {extent:g}")
     if radii.min() <= 0:
         raise OutOfRange(f"radius {radii.min():g} is not positive (extent {extent:g})")
     if not (_WIDTHS[0] <= 2 * radii.min() and 2 * radii.max() <= _WIDTHS[1]):
         raise OutOfRange(f"a window width 2R leaves [{_WIDTHS[0]:g}, {_WIDTHS[1]:g}]")
     x = ps.coords
-    stops = np.searchsorted(x, x[0] + 2 * radii + 1e-9, side="right")
+    stops = np.searchsorted(x, x[0] + 2 * radii + MERGE_TOL, side="right")
     return stops, (2 * radii) ** 2
 
 
@@ -645,9 +645,12 @@ def verify_inflation_identity(
     Additionally every extinct candidate is checked to carry intensity
     in the inflated chain (extinctions do not transport).  The inflated
     chain is evaluated once over the candidates and the original once
-    over their lambda k, each as one table (intensities_at).
+    over their lambda k, each as one table (intensities_at); a chain of
+    zero extent, original or inflated, raises OutOfRange.
     """
     infl = inflate_factor(ps)
+    if not min(ps.extent, infl.extent) > 0:
+        raise OutOfRange(f"a sample of {len(ps)} point(s) inflates to {len(infl)}: no extent")
     dens_orig = len(ps) / ps.extent
     dens_infl = len(infl) / infl.extent
     ratio = dens_infl / dens_orig

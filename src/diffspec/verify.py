@@ -89,8 +89,10 @@ def verify_dual_route(
     Fejer distributions on the circle grid must be small.  Route two is
     route one on the image that apply_block_map builds, through the same
     lag kernel, so this checks the factor-image lookup, not two
-    algorithms.
+    algorithms.  A negative max_lag raises OutOfRange.
     """
+    if max_lag < 0:
+        raise OutOfRange(f"max_lag {max_lag} must be nonnegative")
     rule = rule_by_name(rule_name)
     window = fixed_point_window(rule, 0, min_len)
     g = named_block_map(g_name, window)

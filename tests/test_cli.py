@@ -122,6 +122,26 @@ class TestDiffract:
         assert cli.main(self.ARGS + ["--out", str(p2), "--threads", "2"]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("threads", ["-1", "0"])
+    def test_threads_below_one_are_out_of_range(self, capsys, threads):
+        code, out, err = run(capsys, self.ARGS + ["--threads", threads])
+        assert code == 2 and out == ""
+        assert err == f"error: --threads must be at least 1, got {threads}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--rule", "thue-morse", "--len", "16"],
+        ["autocorr", "--rule", "thue-morse", "--len", "16"],
+        ["factor", "--rule", "thue-morse", "--len", "16"],
+        ["freq", "--rule", "thue-morse", "--len", "16"],
+        ["verify", "dual-route"],
+        ["modelset", "--points", "40"],
+    ], ids=lambda argv: argv[0])
+    def test_threads_is_a_diffract_flag_only(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
     def test_threads_do_not_change_pointset_output(self, tmp_path):
         # float candidates on a point set are the rows the threads serve
         args = ["diffract", "--silver-mean", "--points", "20000", "--kronecker", "16"]
@@ -280,6 +300,19 @@ class TestVerifyAndModelset:
         assert code == 0
         assert "suite dual-route: PASS" in out
 
+    def test_negative_lag_of_the_dual_route_suite_is_out_of_range(self, capsys):
+        code, out, err = run(capsys, ["verify", "dual-route", "--lags", "-1"])
+        assert code == 2 and out == ""
+        assert err == "error: max_lag -1 must be nonnegative\n"
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 4, 5])
+    def test_inflation_suite_on_a_chain_without_extent_is_out_of_range(self, capsys, points):
+        # the chain, or the inflated chain it leaves, has zero extent
+        code, out, err = run(capsys, ["verify", "inflation", "--points", str(points)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: a sample of {points} point(s) inflates to ")
+        assert err.endswith(": no extent\n") and err.count("\n") == 1
+
     def test_k_evaluation_lines(self, capsys):
         code, out, _ = run(capsys, ["modelset", "--points", "2000", "--k", "1,1"])
         assert code == 0
@@ -365,6 +398,13 @@ class TestConfigAndErrors:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: z_max") and "Traceback" not in err
+
+    def test_negative_merge_tol_is_out_of_range(self, capsys):
+        code, out, err = run(
+            capsys, ["autocorr", "--silver-mean", "--points", "40", "--merge-tol", "-1"]
+        )
+        assert code == 2 and out == ""
+        assert err == "error: merge_tol -1.0 must be nonnegative\n"
 
     @pytest.mark.parametrize(
         "body",

@@ -1,10 +1,10 @@
-"""Fuzzed command lines: every run exits 0 or 2 and never shows a traceback.
+"""Fuzzed command lines: every run exits 0, 1 or 2 and never shows a traceback.
 
-gen, autocorr, diffract and modelset check no property, so exit 1 (a
-property violation, reserved for suites and checks) must not occur
-either.  Sizes stay small; the numbers include negatives, 0, inf and nan.
-Sizes too large for memory run only in a child process whose address
-space is capped.
+gen, autocorr, diffract, freq and modelset check no property, so exit 1
+(a property violation, reserved for suites and checks) must not occur
+for them; factor and verify may exit 1.  Sizes stay small; the numbers
+include negatives, 0, inf and nan.  Sizes too large for memory, up to
+1e18, run only in a child process whose address space is capped.
 """
 
 import contextlib
@@ -24,7 +24,7 @@ from diffspec import cli
 from diffspec.correlation import PAIR_LIMIT
 from diffspec.spectral import CANDIDATE_LIMIT
 from diffspec.subshift import WINDOW_LIMIT
-from diffspec.verify import SMOOTHING_GRID_LIMIT
+from diffspec.verify import SMOOTHING_GRID_LIMIT, SUITE_NAMES
 
 NUMBER = st.sampled_from(
     ["-3", "-1", "-0.5", "0", "0.25", "1", "2.5", "3", "7", "inf", "-inf", "nan", "1e300"]
@@ -35,6 +35,10 @@ SIZE = st.one_of(st.sampled_from(["16", "40", "64"]), SMALL_INT)
 RULES = st.sampled_from(
     ["thue-morse", "period-doubling", "fibonacci", "silver-mean", "rudin-shapiro", "nope"]
 )
+MAPS = st.sampled_from(["identity", "xor", "indicator:ab", "indicator:", "indicator:z", "nope"])
+# chain lengths of the verify suites: mostly the short chains whose extent,
+# or that of their inflated factor, is 0 or too small for a cluster
+POINTS = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "6", "40"])
 
 
 def number_list(min_size=1, max_size=4):
@@ -62,7 +66,7 @@ def optional(flag, values):
 
 @st.composite
 def command_lines(draw):
-    command = draw(st.sampled_from(["gen", "autocorr", "diffract", "modelset"]))
+    command = draw(st.sampled_from(["gen", "autocorr", "diffract", "freq", "modelset"]))
     if command == "modelset":
         argv = ["modelset", "--points", draw(SIZE)]
         argv += draw(optional("--k", number_list(1, 3)))
@@ -75,6 +79,9 @@ def command_lines(draw):
         argv += draw(optional("--lags", SMALL_INT))
         argv += draw(optional("--zmax", NUMBER))
         argv += draw(optional("--merge-tol", NUMBER))
+    elif command == "freq":
+        argv += draw(optional("--maxlen", SMALL_INT))
+        argv += draw(optional("--k-radius", NUMBER))
     elif command == "diffract":
         n_flags = draw(st.sampled_from([0, 1, 1, 1, 1, 1, 2]))  # exactly one is valid
         flags = draw(st.lists(st.sampled_from(
@@ -110,9 +117,30 @@ def diffract_lines(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None)
-@given(argv=st.one_of(command_lines(), diffract_lines()))
-def test_fuzzed_command_lines_exit_0_or_2(argv):
+@st.composite
+def check_lines(draw):
+    """factor and verify, the commands that check a property, on small sizes.
+
+    verify always gets --len and --points, so that no suite runs at its
+    default size.
+    """
+    if draw(st.booleans()):
+        argv = ["factor"] + draw(sources())
+        argv += draw(optional("--g", MAPS))
+        argv += draw(optional("--shifts", SMALL_INT))
+        return argv
+    suite = draw(st.sampled_from(SUITE_NAMES + ("all",)))
+    argv = ["verify", suite, "--len", draw(SIZE), "--points", draw(POINTS)]
+    argv += draw(optional("--rule", RULES))
+    argv += draw(optional("--g", MAPS))
+    argv += draw(optional("--lags", SMALL_INT))
+    argv += draw(optional("--maxlen", SMALL_INT))
+    argv += draw(optional("--eps", NUMBER))
+    return argv
+
+
+def run_in_process(argv):
+    """Exit code and stderr of the CLI on argv, its output to a scratch file."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         argv = argv + ["--out", str(Path(tmp) / "out.txt")]
@@ -122,10 +150,27 @@ def test_fuzzed_command_lines_exit_0_or_2(argv):
             except SystemExit as exc:  # argparse usage errors
                 code = exc.code
     event(f"{argv[0]} exit {code}")
-    assert code in (0, 2), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.one_of(command_lines(), diffract_lines()))
+def test_fuzzed_command_lines_exit_0_or_2(argv):
+    code, err = run_in_process(argv)
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err
     if code == 2:
-        assert err.getvalue().strip(), argv
+        assert err.strip(), argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=check_lines())
+def test_fuzzed_check_lines_exit_0_1_or_2(argv):
+    code, err = run_in_process(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.strip(), argv
 
 
 HEADS = {
@@ -259,6 +304,34 @@ def test_smoothing_grids_past_the_limit_exit_2_naming_it(eps, tmp_path):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert f"over the limit of {SMOOTHING_GRID_LIMIT} (SMOOTHING_GRID_LIMIT)" in done.stderr
+
+
+HUGE = str(10**18)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--silver-mean", "--points", HUGE],
+    ["autocorr", "--rule", "thue-morse", "--len", "64", "--lags", HUGE],
+    ["autocorr", "--silver-mean", "--points", "200", "--zmax", "1e18"],
+    ["diffract", "--rule", "thue-morse", "--len", "64", "--dyadic", HUGE],
+    ["diffract", "--silver-mean", "--points", HUGE, "--candidates", "0.5"],
+    ["factor", "--rule", "thue-morse", "--len", HUGE],
+    ["freq", "--rule", "thue-morse", "--len", "64", "--maxlen", HUGE],
+    ["freq", "--silver-mean", "--points", "200", "--k-radius", "1e18"],
+    ["verify", "dual-route", "--len", "64", "--lags", HUGE],
+    ["verify", "word-freq", "--len", "64", "--maxlen", HUGE],
+    ["verify", "inflation", "--points", HUGE],
+    ["modelset", "--points", HUGE],
+    ["modelset", "--points", "200", "--box", f"{HUGE},1,1"],
+    ["modelset", "--points", "200", "--k", f"{HUGE},{HUGE}"],
+], ids=lambda argv: " ".join(argv).replace(HUGE, "1e18"))
+def test_sizes_up_to_1e18_exit_2(argv, tmp_path):
+    # every size is refused before anything of that size is made; the cap
+    # only guards against a check that is not there
+    done = limited_run(argv + ["--out", str(tmp_path / "out.txt")])
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_factor_with_a_huge_shift_count_checks_only_the_shifts_that_fit(tmp_path):

@@ -152,6 +152,11 @@ class TestPointSets:
         with pytest.raises(OutOfRange):
             autocorr_pointset(PointSet1D(np.arange(4.0)), z_max)
 
+    @pytest.mark.parametrize("merge_tol", [-1.0, -1e-300, float("nan")])
+    def test_merge_tol_must_be_nonnegative(self, merge_tol):
+        with pytest.raises(OutOfRange, match="merge_tol"):
+            autocorr_pointset(PointSet1D(np.arange(4.0)), 2.0, merge_tol)
+
     def test_z_max_zero_is_the_diagonal(self):
         pc = autocorr_pointset(PointSet1D(np.arange(4.0)), 0.0)
         assert pc.diffs.tolist() == [0.0]

@@ -55,6 +55,22 @@ class TestPointSet:
         ps = PointSet1D(np.array([0.0, 1.0, 2.0 + 1e-12, 4.0]))
         assert len(ps.distinct_gaps()) == 2
 
+    @pytest.mark.parametrize("col", [
+        np.array([], dtype=np.int64),
+        np.array([5, -3, 5, 0], dtype=np.int64),
+        np.array([2**62, -(2**62), 0, 2**62], dtype=np.int64),
+        np.array([2**63 - 1, -(2**63), 2**63 - 1], dtype=np.int64),
+        np.array([2**63 - 1, 2**63 - 2, 2**63 - 1], dtype=np.int64),
+        np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64),
+        np.array([2**64 - 1, 2**64 - 2], dtype=np.uint64),
+    ], ids=["empty", "short", "wide", "full-int64", "short-at-top", "wide-uint64",
+            "short-uint64"])
+    def test_column_ranks_are_the_ranks_of_np_unique(self, col):
+        # a span past int64 must not wrap, whichever branch ranks it
+        ids, n = delone._column_ranks(col)
+        values, want = np.unique(col, return_inverse=True)
+        assert (ids.tolist(), n) == (want.tolist(), len(values))
+
     def test_serialize_parse_float_round_trip(self):
         ps = PointSet1D(np.array([0.0, 1.25]), weights=np.array([1.0, 0.5 - 2j]))
         back = PointSet1D.parse(ps.serialize())
@@ -132,6 +148,11 @@ class TestClusters:
         ps = PointSet1D(np.arange(10.0))
         ghost = Cluster(1.1, (0.0,))
         assert len(locator_set(ps, ghost)) == 0
+
+    def test_one_exact_point_is_one_cluster_at_radius_zero(self):
+        # no gaps: the exact plan ranks an empty column of gap rows
+        ps = PointSet1D([0.0], exact=[[0, 0]])
+        assert enumerate_k_clusters(ps, 0.0) == [(Cluster(0.0, (0.0,), ((0, 0),)), 1)]
 
     def test_empty_interior(self):
         with pytest.raises(EmptyInterior):

@@ -21,7 +21,8 @@ from diffspec.delone import (
     Cluster,
     ClusterFrequency,
     PointSet1D,
-    _gap_classes,
+    _chain,
+    _class_of,
     _interior_indices,
     cluster_frequency,
     enumerate_k_clusters,
@@ -318,8 +319,8 @@ def test_gaps_within_merge_tolerance_share_a_class():
     s = 2.0**-30
     gaps = np.tile([1.0, 1.0 + s, 1.0 + 2 * s, 1.0 + 4 * s, 1.0 + 2 * s], 12)
     ps = PointSet1D(np.concatenate([[0.0], np.cumsum(gaps)]))
-    ids, lows, highs = _gap_classes(ps.gaps())
-    assert ids.tolist() == [0, 0, 0, 1, 0] * 12
+    lows, highs = _chain(ps.gaps(), None, (), MERGE_TOL)[:2]
+    assert _class_of(lows, ps.gaps()).tolist() == [0, 0, 0, 1, 0] * 12
     assert lows.tolist() == [1.0, 1.0 + 4 * s]
     assert highs.tolist() == [1.0 + 2 * s, 1.0 + 4 * s]
     assert ps.distinct_gaps().tolist() == [1.0, 1.0 + 4 * s]

@@ -1,4 +1,5 @@
-"""Declared dependencies against what the library really imports."""
+"""Declared dependencies against what the library really imports, and
+names and constants against where the library defines them."""
 
 import ast
 import os
@@ -156,3 +157,24 @@ def test_every_public_definition_has_a_caller():
     assert sorted(idle - TEST_ORACLES) == []
     # an oracle that gains a caller leaves the list
     assert sorted(TEST_ORACLES - idle) == []
+
+
+def test_the_merge_tolerance_is_written_once():
+    """1e-9, the float merge tolerance, appears in the library's code only
+    as the value of delone.MERGE_TOL; every other use reads that name.
+    Float constants are scanned, so docstrings and comments do not count."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+        assigned = {
+            id(node.value)
+            for node in nodes
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "MERGE_TOL"
+        }
+        found += [
+            f"{path.name}:{node.lineno}" + (" MERGE_TOL" if id(node) in assigned else "")
+            for node in nodes
+            if isinstance(node, ast.Constant) and node.value == 1e-9
+        ]
+    assert [place for place in found if not place.endswith(" MERGE_TOL")] == []
+    assert len(found) == 1 and found[0].startswith("delone.py:"), found
