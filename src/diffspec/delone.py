@@ -7,7 +7,10 @@ When they do, the cluster operations below compare patterns exactly;
 float values are merged by the one rule owned here, MERGE_TOL and the
 chain merge _chain: sorted, a value more than MERGE_TOL above the
 largest before it opens a new class.  It makes the float gap classes
-below and the differences of correlation.autocorr_pointset.
+below and the differences of correlation.autocorr_pointset.  Values
+alone take one np.sort and each finds its class by np.searchsorted
+(_class_of); only intervals, whose running maximum needs the order,
+take a stable argsort.
 
 A K-cluster of a point x is the pattern (Lambda - x) within [-K, K].
 The locator set of a cluster collects every point showing that exact
@@ -45,23 +48,40 @@ SQRT2 = math.sqrt(2.0)
 def _chain(lo, hi, cols, merge_tol):
     """Join the intervals [lo, hi] into chains and add up cols per chain.
 
-    Stable-sorted by lo, an interval opens a new chain when its lo is more
-    than merge_tol above the largest hi before it; hi None means hi = lo.
+    Sorted by lo, an interval opens a new chain when its lo is more than
+    merge_tol above the largest hi before it; hi None means hi = lo.
     Returns each chain's lowest lo, highest hi, number of intervals and
     column sums, in order of lo.  np.bincount adds each chain's entries
-    one after another, in the sorted order.
+    one after another.  Given hi, the intervals are stable-sorted (the
+    running maximum of hi needs the order) and every column is added in
+    that order.  With hi None, lo is only np.sort-ed: each entry's chain
+    is the last one starting at or below it (_class_of), a column that
+    is lo itself is added in sorted order, so a chain's sum of lo is the
+    sequential sum of its sorted values, and any other column in input
+    order.
     """
-    order = np.argsort(lo, kind="stable")
-    lo = lo[order]
-    top = lo if hi is None else np.maximum.accumulate(hi[order])
-    new = np.empty(len(lo), dtype=bool)
+    if hi is None:
+        s = top = np.sort(lo)
+    else:
+        order = np.argsort(lo, kind="stable")
+        s, top = lo[order], np.maximum.accumulate(hi[order])
+    new = np.empty(len(s), dtype=bool)
     new[:1] = True
-    np.greater(lo[1:] - top[:-1], merge_tol, out=new[1:])
-    group = np.cumsum(new) - 1
+    np.greater(s[1:] - top[:-1], merge_tol, out=new[1:])
     first = np.flatnonzero(new)
-    sizes = np.diff(first, append=len(lo))
-    sums = [np.bincount(group, weights=col[order], minlength=len(first)) for col in cols]
-    return lo[first], top[first + sizes - 1], sizes, sums
+    sizes = np.diff(first, append=len(s))
+    k = len(first)
+    if hi is None:
+        group = _class_of(s[first], lo) if cols else None
+        sums = [
+            np.bincount(np.repeat(np.arange(k), sizes), weights=s, minlength=k) if col is lo
+            else np.bincount(group, weights=col, minlength=k)
+            for col in cols
+        ]
+    else:
+        group = np.repeat(np.arange(k), sizes)
+        sums = [np.bincount(group, weights=col[order], minlength=k) for col in cols]
+    return s[first], top[first + sizes - 1], sizes, sums
 
 
 def _column_ranks(col: np.ndarray) -> tuple[np.ndarray, int]:

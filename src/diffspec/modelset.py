@@ -63,6 +63,7 @@ valid for as long as its sample lives.
 from __future__ import annotations
 
 import math
+import os
 import weakref
 from dataclasses import dataclass
 
@@ -434,8 +435,8 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
     turns (_module_turns).  The factor rows take theirs the same way.
     The column bounds come with the grid from the sample's axis plan,
     built once per sample, and serve both the range check and the grid.
-    n_jobs > 1 threads share the direct rows; the result does not depend
-    on n_jobs.
+    Up to n_jobs threads, no more than the direct rows or the cores,
+    share the direct rows; the result does not depend on n_jobs.
     Non-finite floats, float phases whose rounding error
     |k| max|x| 2^-53 passes FLOAT_PHASE_ERROR_LIMIT cycles, and module
     elements so large that the exact integer sums could leave +-2^62 on
@@ -503,10 +504,11 @@ def intensity_table_at(ps: PointSet1D, ks, radii, n_jobs: int = 1) -> np.ndarray
 
     rows = np.flatnonzero(direct)
     todo = [ks[j] for j in rows]
-    if n_jobs > 1 and len(todo) > 1:
+    workers = min(n_jobs, len(todo), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             found = list(pool.map(direct_sums, todo))
     else:
         found = [direct_sums(k) for k in todo]

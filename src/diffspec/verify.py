@@ -89,7 +89,10 @@ def verify_dual_route(
     Fejer distributions on the circle grid must be small.  Route two is
     route one on the image that apply_block_map builds, through the same
     lag kernel, so this checks the factor-image lookup, not two
-    algorithms.  A negative max_lag raises OutOfRange.
+    algorithms.  The distributions use dist_lags lags, or as many as
+    a short window supports, but never fewer than max_lag, so a max_lag
+    the window cannot support is refused naming it.  A negative max_lag
+    raises OutOfRange.
     """
     if max_lag < 0:
         raise OutOfRange(f"max_lag {max_lag} must be nonnegative")
@@ -98,7 +101,7 @@ def verify_dual_route(
     g = named_block_map(g_name, window)
     image = apply_block_map(window, g)
 
-    lags = max(max_lag, dist_lags)
+    lags = max(max_lag, min(dist_lags, (len(image) - 4) // 2))
     eta_inner = autocorr_via_spectral_inner(window, g, lags)
     eta_direct = autocorr_symbolic(image, lags)
     dev = max(

@@ -300,6 +300,16 @@ class TestVerifyAndModelset:
         assert code == 0
         assert "suite dual-route: PASS" in out
 
+    def test_dual_route_suite_on_a_short_window(self, capsys):
+        # 31 values support 13 lags: the distributions take those, and a
+        # --lags past them is refused naming that lag
+        code, out, err = run(capsys, ["verify", "dual-route", "--len", "16", "--lags", "1"])
+        assert code == 0 and err == ""
+        assert out.startswith("suite dual-route: PASS\n") and "lags = 1\n" in out
+        code, out, err = run(capsys, ["verify", "dual-route", "--len", "16", "--lags", "14"])
+        assert code == 2 and out == ""
+        assert err == "error: 31 values cannot support max_lag 14 (need 32)\n"
+
     def test_negative_lag_of_the_dual_route_suite_is_out_of_range(self, capsys):
         code, out, err = run(capsys, ["verify", "dual-route", "--lags", "-1"])
         assert code == 2 and out == ""

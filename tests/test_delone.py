@@ -373,6 +373,81 @@ class TestClusterPlan:
         assert sample() is None and len(delone._CLUSTER_PLANS) == 0
 
 
+def reference_chain(lo, hi, cols, merge_tol):
+    """_chain over one sorted Python list: stable by lo, a value more than
+    merge_tol above the largest hi before it opens a chain, and each column
+    summed one entry after another from 0.0; lo itself (and, given hi,
+    every column) in sorted order, any other column in input order."""
+    lo_l = lo.tolist()
+    hi_l = lo_l if hi is None else hi.tolist()
+    chains, lows, highs, top = [], [], [], -np.inf
+    for i in sorted(range(len(lo_l)), key=lo_l.__getitem__):
+        if not chains or lo_l[i] - top > merge_tol:
+            chains.append([])
+            lows.append(lo_l[i])
+            highs.append(None)
+        chains[-1].append(i)
+        top = max(top, hi_l[i])
+        highs[-1] = top
+    sums = []
+    for col in cols:
+        values = col.tolist()
+        totals = []
+        for members in chains:
+            total = 0.0
+            for i in members if hi is not None or col is lo else sorted(members):
+                total += values[i]
+            totals.append(total)
+        sums.append(totals)
+    return lows, highs, [len(c) for c in chains], sums
+
+
+# values on a grid of 0.25 with ties, some moved by less or more than 1e-9,
+# some by a tenth, whose sums depend on the order of the terms
+chain_values = st.builds(lambda k, jitter: k * 0.25 + jitter, st.integers(0, 12),
+                         st.sampled_from([0.0, 3e-10, 1.1e-9, 0.1, 0.2]))
+
+
+class TestChain:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.lists(chain_values, max_size=40), st.booleans(),
+           st.sampled_from([0.0, 1e-9, 0.3]))
+    def test_matches_one_sorted_list(self, data, values, intervals, merge_tol):
+        n = len(values)
+        lo = np.array(values, dtype=float)
+        widths = data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 2.0]), min_size=n, max_size=n))
+        hi = lo + np.array(widths, dtype=float) if intervals else None
+        extra = np.array(data.draw(st.lists(
+            st.floats(-1e6, 1e6, allow_subnormal=False), min_size=n, max_size=n)), dtype=float)
+        cols = (lo, extra, lo.copy())
+        lows, highs, sizes, sums = delone._chain(lo, hi, cols, merge_tol)
+        want = reference_chain(lo, hi, cols, merge_tol)
+        assert (lows.tolist(), highs.tolist(), sizes.tolist()) == want[:3]
+        assert [s.tolist() for s in sums] == want[3]
+
+    def test_ties_at_a_chain_start_join_that_chain(self):
+        lo = np.array([1.0, 0.0, 1.0, 2.0, 1.0])
+        lows, highs, sizes, (count,) = delone._chain(lo, None, (np.ones(5),), 0.0)
+        assert lows.tolist() == highs.tolist() == [0.0, 1.0, 2.0]
+        assert sizes.tolist() == count.tolist() == [1, 3, 1]
+
+    def test_values_add_in_sorted_order(self):
+        lo = np.array([0.1, 0.7, 0.3, 0.2])
+        total = delone._chain(lo, None, (lo,), 0.5)[3][0]
+        assert total.tolist() == [((0.1 + 0.2) + 0.3) + 0.7] != [((0.1 + 0.7) + 0.3) + 0.2]
+
+    def test_a_long_interval_covers_the_ones_after_it(self):
+        lo, hi = np.array([0.0, 1.0, 3.0]), np.array([5.0, 1.5, 3.5])
+        lows, highs, sizes, _ = delone._chain(lo, hi, (), 0.0)
+        assert (lows.tolist(), highs.tolist(), sizes.tolist()) == ([0.0], [5.0], [3])
+
+    def test_empty_input(self):
+        empty = np.empty(0)
+        for hi in (None, empty):
+            lows, highs, sizes, (total,) = delone._chain(empty, hi, (empty,), MERGE_TOL)
+            assert len(lows) == len(highs) == len(sizes) == len(total) == 0
+
+
 class TestBumps:
     def test_tent_values(self):
         ps = PointSet1D(np.array([0.0]))

@@ -1,6 +1,8 @@
 """The batched module evaluator, the unit-phase kernel and the limit oracle."""
 
+import concurrent.futures
 import json
+import os
 import tracemalloc
 from functools import lru_cache
 
@@ -242,6 +244,26 @@ class TestMixedLists:
         np.testing.assert_array_equal(intensity_table_at(ps, ks, radii, n_jobs=2), one)
         np.testing.assert_array_equal(intensity_table_at(float_copy(ps), ks, radii, n_jobs=3),
                                       intensity_table_at(float_copy(ps), ks, radii))
+
+    @pytest.mark.parametrize("cores, workers", [(64, 3), (2, 2), (None, None)])
+    def test_thread_pool_is_capped_by_rows_and_cores(self, monkeypatch, cores, workers):
+        # n_jobs = 10**6 over 3 direct rows: the pool is never asked for
+        # more than the rows or the cores, and one core runs the rows
+        # without a pool; the recording pool itself starts at most 3 threads
+        started = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 3), **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        ps = chain(500)
+        ks, radii = [0.25, 0.5, 0.75], [ps.extent / 2]
+        got = intensity_table_at(ps, ks, radii, n_jobs=10**6)
+        assert started == ([] if workers is None else [workers])
+        np.testing.assert_array_equal(got, intensity_table_at(ps, ks, radii))
 
 
 class TestCallers:
