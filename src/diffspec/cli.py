@@ -9,7 +9,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 from .correlation import autocorr_pointset, autocorr_symbolic
 from .delone import MERGE_TOL, PointSet1D, cluster_frequency, enumerate_k_clusters
 from .errors import DiffspecError, OutOfRange
-from .factors import BlockMap, apply_block_map, verify_factor_equivariance
+from .factors import BlockMap, _parse_complex, apply_block_map, verify_factor_equivariance
 from .modelset import (
     FourierModuleElement,
     inflate_factor,
@@ -39,15 +38,16 @@ from .spectral import (
 from .subshift import (
     SymbolicWindow,
     build_frequency_table,
+    data_lines,
     fixed_point_window,
     letter_frequencies_pf,
     letter_id,
-    letter_name,
     parse_rule,
     rule_by_name,
     word_letters,
+    word_name,
 )
-from .verify import SUITE_NAMES, named_block_map, run_suite
+from .verify import SUITE_KEYWORDS, SUITE_NAMES, named_block_map, run_suite
 
 
 # the largest |weight| accepted: |sum of w e(-kx)|^2 and every correlation
@@ -73,10 +73,10 @@ def _parse_box(text: str) -> tuple[int, int, float]:
     return int(vals[0]), int(vals[1]), vals[2]
 
 
-def _parse_weights(text: str, n_letters: int) -> dict[int, complex]:
-    """Weight list "a=1,b=-1"; values in Python complex syntax, i or j."""
+def _parse_weights(text: str | None, n_letters: int) -> dict[int, complex]:
+    """Weight list "a=1,b=-1", none if text is None; values in Python complex syntax, i or j."""
     weights: dict[int, complex] = {}
-    for tok in text.split(","):
+    for tok in (text or "").split(","):
         tok = tok.strip()
         if not tok:
             continue
@@ -85,7 +85,7 @@ def _parse_weights(text: str, n_letters: int) -> dict[int, complex]:
             raise DiffspecError(f"weight entry {tok!r} is not letter=value")
         letter = letter_id(name.strip(), n_letters)
         try:
-            weights[letter] = complex(val.strip().replace("i", "j"))
+            weights[letter] = _parse_complex(val)
         except ValueError as exc:
             raise DiffspecError(f"bad weight value {val!r}") from exc
         if not abs(weights[letter]) <= MAX_WEIGHT:
@@ -112,8 +112,7 @@ def _serialize_window(window: SymbolicWindow) -> str:
 
 
 def _parse_window_text(text: str, weights_spec: str | None) -> SymbolicWindow:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = list(data_lines(text))
     head = lines[0].split() if lines else []
     if len(lines) < 2 or len(head) != 5 or head[:2] != ["window", "lo"] or head[3] != "letters":
         raise DiffspecError("window file must start with 'window lo <lo> letters <n>'")
@@ -123,9 +122,7 @@ def _parse_window_text(text: str, weights_spec: str | None) -> SymbolicWindow:
     letters = word_letters(lines[1])
     if len(letters) != n:
         raise DiffspecError(f"window header says letters {n}, the word has {len(letters)}")
-    n_letters = int(letters.max()) + 1
-    weights = _parse_weights(weights_spec, n_letters) if weights_spec else {}
-    return SymbolicWindow(letters, lo, weights)
+    return SymbolicWindow(letters, lo, _parse_weights(weights_spec, int(letters.max()) + 1))
 
 
 def _rule_from_args(args):
@@ -139,9 +136,7 @@ def _rule_from_args(args):
 def _window_from_args(args) -> SymbolicWindow:
     rule = _rule_from_args(args)
     seed = letter_id(args.seed_letter, rule.n_letters)
-    weights = None
-    if getattr(args, "weights", None):
-        weights = _parse_weights(args.weights, rule.n_letters)
+    weights = _parse_weights(getattr(args, "weights", None), rule.n_letters)
     return fixed_point_window(rule, seed, args.len, weights=weights)
 
 
@@ -156,8 +151,7 @@ def _load_source(args) -> SymbolicWindow | PointSet1D:
         raise DiffspecError(f"give one source, not {', '.join(given)}")
     if getattr(args, "infile", None):
         text = Path(args.infile).read_text()
-        words = (ln.partition("#")[0].split() for ln in io.StringIO(text))
-        kind = next((w[0] for w in words if w), "")
+        kind = next((ln.split()[0] for ln in data_lines(text)), "")
         if kind == "pointset":
             _refuse_weights(args)
             return _parse_pointset_text(text)
@@ -275,7 +269,7 @@ def cmd_factor(args) -> int:
     lines = [f"factor lo {image.lo} letters {len(image)}", image.word_string()]
     for out_id in sorted(image.weights):
         val = image.weights[out_id]
-        lines.append(f"value {letter_name(out_id)} = {val.real:.12g}{val.imag:+.12g}i")
+        lines.append(f"value {word_name([out_id])} = {val.real:.12g}{val.imag:+.12g}i")
     verdict = "ok" if report.ok else "violated"
     lines.append(
         f"equivariance {verdict} shifts {len(report.shifts_checked)} "
@@ -293,9 +287,8 @@ def cmd_freq(args) -> int:
         pf = None if args.infile else letter_frequencies_pf(_rule_from_args(args))
         buf.append("word,frequency,pf_frequency")
         for word in sorted(table.freqs, key=lambda w: (len(w), w)):
-            name = "".join(letter_name(c) for c in word)
             pf_col = f"{pf[word[0]]:.12g}" if pf is not None and len(word) == 1 else ""
-            buf.append(f"{name},{table.freqs[word]:.12g},{pf_col}")
+            buf.append(f"{word_name(word)},{table.freqs[word]:.12g},{pf_col}")
     else:
         buf.append("offsets,count,absolute,relative")
         for cluster, _count in enumerate_k_clusters(src, args.k_radius):
@@ -306,22 +299,21 @@ def cmd_freq(args) -> int:
     return 0
 
 
+# the verify flags, by the suite keyword each one sets
+_VERIFY_FLAGS = {"rule_name": "rule", "g_name": "g", "min_len": "len", "max_lag": "lags",
+                 "max_word_len": "maxlen", "n_points": "points", "eps": "eps"}
+
+
 def cmd_verify(args) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    reports = []
-    for name in names:
-        reports.append(
-            run_suite(
-                name,
-                rule_name=args.rule,
-                g_name=args.g,
-                min_len=args.len,
-                max_lag=args.lags,
-                max_word_len=args.maxlen,
-                n_points=args.points,
-                eps=args.eps,
-            )
-        )
+    given = {k: getattr(args, d) for k, d in _VERIFY_FLAGS.items() if getattr(args, d) is not None}
+    unread = [k for k in given if not any(k in SUITE_KEYWORDS[name] for name in names)]
+    if unread:
+        raise DiffspecError(f"verify {args.suite} reads no --{_VERIFY_FLAGS[unread[0]]}")
+    reports = [
+        run_suite(name, **{k: v for k, v in given.items() if k in SUITE_KEYWORDS[name]})
+        for name in names
+    ]
     _write_out(args, "\n".join(r.summary() for r in reports) + "\n")
     return 0 if all(r.ok for r in reports) else 1
 
@@ -461,10 +453,7 @@ def _apply_config(args, parser: argparse.ArgumentParser):
         else:
             types[action.dest] = action.type or str
 
-    for raw in Path(args.config).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in data_lines(Path(args.config).read_text()):
         key, sep, val = line.partition("=")
         if not sep:
             raise DiffspecError(f"config line {line!r} is not key=value")

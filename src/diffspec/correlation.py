@@ -15,7 +15,6 @@ weighted point density.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,12 +57,16 @@ class CorrelationSeq:
             raise NotHermitian(f"eta(-m) != conj(eta(m)), deviation {dev:g}")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("lag_or_diff,re,im,n_used\n")
-        for m in range(-self.max_lag, self.max_lag + 1):
-            z = self.value(m)
-            buf.write(f"{m},{z.real:.12g},{z.imag:.12g},{self.pair_count(m)}\n")
-        return buf.getvalue()
+        lags = range(-self.max_lag, self.max_lag + 1)
+        return _csv(lags, self.data, map(self.pair_count, lags))
+
+
+def _csv(keys, values, counts) -> str:
+    """The correlation CSV, a row per lag or difference; an integer lag,
+    below 10^12, prints as itself at 12 significant digits."""
+    rows = (f"{k:.12g},{v.real:.12g},{v.imag:.12g},{int(c)}\n"
+            for k, v, c in zip(keys, values, counts))
+    return "lag_or_diff,re,im,n_used\n" + "".join(rows)
 
 
 # sites per row of the lag kernel's site matrix, at most: each product
@@ -235,11 +238,7 @@ class PointCorrelation:
         return 0.0 + 0j
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("lag_or_diff,re,im,n_used\n")
-        for z, v, c in zip(self.diffs, self.values, self.counts):
-            buf.write(f"{z:.12g},{v.real:.12g},{v.imag:.12g},{int(c)}\n")
-        return buf.getvalue()
+        return _csv(self.diffs, self.values, self.counts)
 
 
 # pairs (x, x + z) with 0 <= z <= z_max that autocorr_pointset reduces, at

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInterior, EmptyPointSet, IncompatibleCluster, MalformedInput
-from .subshift import _ranks, sliding_words
+from .subshift import _is_data, _ranks, sliding_words
 
 MERGE_TOL = 1e-9  # the one tolerance of float point sets, see _chain
 SQRT2 = math.sqrt(2.0)
@@ -246,11 +246,6 @@ class PointSet1D:
 
 _EXACT_ROW = np.dtype([("a", "i8"), ("b", "i8"), ("wr", "f8"), ("wi", "f8")])
 _FLOAT_ROW = np.dtype([("x", "f8"), ("wr", "f8"), ("wi", "f8")])
-
-
-def _is_data(line: str) -> bool:
-    """Whether a text line holds more than blanks and a # comment."""
-    return bool(line.partition("#")[0].strip())
 
 
 def _bad_line(lines: list[str], first: int, dtype: np.dtype, mode: str) -> MalformedInput:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedInput, MissingTableEntry, WindowTooShort
-from .subshift import LETTER_NAMES, SymbolicWindow, letter_id, sliding_words
+from .subshift import SymbolicWindow, data_lines, sliding_words, word_letters, word_name
 
 
 def _fmt_complex(z: complex) -> str:
@@ -29,9 +29,11 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _parse_complex(s: str) -> complex:
+    """A complex number in Python syntax whose imaginary unit is i or j."""
     s = s.strip()
-    if s.endswith("i"):
-        return complex(s[:-1] + "j")
+    body = s.removesuffix(")").rstrip()
+    if body.endswith("i"):
+        s = body[:-1] + "j" + s[len(body):]
     return complex(s)
 
 
@@ -74,8 +76,7 @@ class BlockMap:
     def serialize(self) -> str:
         lines = [f"offset {self.offset} length {self.length}"]
         for w in sorted(self.table):
-            name = "".join(LETTER_NAMES[c] for c in w)
-            lines.append(f"{name} -> {_fmt_complex(self.table[w])}")
+            lines.append(f"{word_name(w)} -> {_fmt_complex(self.table[w])}")
         if self.default is not None:
             lines.append(f"* -> {_fmt_complex(self.default)}")
         return "\n".join(lines) + "\n"
@@ -84,8 +85,7 @@ class BlockMap:
     def parse(cls, text: str) -> "BlockMap":
         """Read the format written by serialize; MalformedInput otherwise."""
         try:
-            lines = [ln.strip() for ln in text.splitlines()]
-            lines = [ln for ln in lines if ln and not ln.startswith("#")]
+            lines = list(data_lines(text))
             if not lines or not lines[0].startswith("offset"):
                 raise ValueError("block map file must start with an offset header")
             head = lines[0].split()
@@ -105,8 +105,7 @@ class BlockMap:
                     continue
                 if len(src) != length:
                     raise ValueError(f"word {src!r} does not match length {length}")
-                word = tuple(letter_id(c, len(LETTER_NAMES)) for c in src)
-                table[word] = val
+                table[tuple(word_letters(src).tolist())] = val
             return cls(offset, length, table, default)
         except ValueError as exc:
             raise MalformedInput(str(exc)) from exc

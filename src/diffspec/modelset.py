@@ -635,14 +635,14 @@ def verify_inflation_identity(
     ps: PointSet1D,
     candidates: list[FourierModuleElement],
     top: int = 20,
-    intensity_floor: float = 1e-3,
 ) -> InflationReport:
     """Check I_inflated(k) == C * I_original(lambda k) over candidates.
 
     C is the squared density ratio of the two chains (the per-chain
     normalization makes the identity hold only up to this constant,
     which is reported).  Candidates whose lambda k is extinct have both
-    sides zero and are skipped; the remaining ones are ranked by
+    sides zero and are skipped, and so are those whose two sides both
+    lie below 1e-3; the remaining ones are ranked by
     inflated intensity and the strongest ``top`` are compared.
     Additionally every extinct candidate is checked to carry intensity
     in the inflated chain (extinctions do not transport).  The inflated
@@ -666,7 +666,7 @@ def verify_inflation_identity(
     rows: list[InflationRow] = []
     for j, orig in zip(compared, i_orig):
         target = c_scale * orig
-        if max(i_infl[j], target) < intensity_floor:
+        if max(i_infl[j], target) < 1e-3:
             continue
         rel = abs(i_infl[j] - target) / max(target, 1e-300)
         rows.append(InflationRow(candidates[j], i_infl[j], orig, rel))

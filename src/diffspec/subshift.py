@@ -8,11 +8,14 @@ and the letter frequencies are the entries of the normalized right
 Perron-Frobenius eigenvector of the count matrix.
 
 Letters are small integer ids internally.  Names like ``a``, ``b`` only
-appear at the text boundary (rule files, CLI output).
+appear at the text boundary (rule files, CLI output): letter_id,
+word_letters, word_name, and data_lines, the comment rule of input files.
 """
 
 from __future__ import annotations
 
+import io
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,15 +27,19 @@ _LETTER_BYTES = np.frombuffer(LETTER_NAMES.encode("ascii"), dtype=np.uint8)
 _MAX_ID = int(np.iinfo(np.int16).max)  # letters are stored as int16
 
 
-def letter_name(i: int) -> str:
-    return LETTER_NAMES[i]
+def _is_data(line: str) -> bool:
+    """Whether a text line holds more than blanks and a # comment."""
+    return bool(line.partition("#")[0].strip())
 
 
-def letter_id(name: str, n_letters: int) -> int:
-    i = LETTER_NAMES.find(name)
-    if i < 0 or i >= n_letters:
-        raise ValueError(f"unknown letter {name!r}")
-    return i
+def data_lines(text: str) -> Iterator[str]:
+    """The data of every line of text, read lazily: each line is cut at
+    its first # and stripped, and blank lines are dropped.  Lines break
+    where str.splitlines breaks them."""
+    for chunk in io.StringIO(text):  # one \n-ended piece at a time
+        for line in chunk.splitlines():
+            if _is_data(line):
+                yield line.partition("#")[0].strip()
 
 
 def word_letters(word: str) -> np.ndarray:
@@ -46,6 +53,19 @@ def word_letters(word: str) -> np.ndarray:
     if len(bad):
         raise MalformedInput(f"unknown letter {word[bad[0]]!r}")
     return ids
+
+
+def letter_id(name: str, n_letters: int) -> int:
+    """The id of name, one letter among the first n_letters; MalformedInput otherwise."""
+    ids = word_letters(name) if len(name) == 1 else ()
+    if len(ids) != 1 or ids[0] >= n_letters:
+        raise MalformedInput(f"unknown letter {name!r}")
+    return int(ids[0])
+
+
+def word_name(ids) -> str:
+    """The word of letter ids, written in LETTER_NAMES."""
+    return _LETTER_BYTES[np.asarray(ids, dtype=np.int16)].tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -152,27 +172,18 @@ def parse_rule(text: str) -> SubstitutionRule:
     """
     try:
         raw: dict[str, str] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for line in data_lines(text):
             left, arrow, right = line.partition("->")
-            if not arrow:
-                raise ValueError(f"bad rule line {line!r}")
-            src = left.strip()
-            dst = right.strip()
-            if len(src) != 1 or not dst:
+            src, dst = left.strip(), right.strip()
+            if not arrow or len(src) != 1 or not dst:
                 raise ValueError(f"bad rule line {line!r}")
             raw[src] = dst
         names = sorted(raw)
-        expect = [LETTER_NAMES[i] for i in range(len(names))]
-        if names != expect:
+        if names != list(LETTER_NAMES[: len(names)]):
             raise ValueError(f"alphabet must be contiguous letters, got {names}")
-        n = len(names)
-        images = tuple(
-            tuple(letter_id(c, n) for c in raw[LETTER_NAMES[i]]) for i in range(n)
+        return SubstitutionRule(
+            tuple(tuple(letter_id(c, len(names)) for c in raw[a]) for a in names)
         )
-        return SubstitutionRule(images)
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
 
@@ -251,7 +262,7 @@ class SymbolicWindow:
         return SymbolicWindow(self.letters, self.lo - t, dict(self.weights))
 
     def word_string(self) -> str:
-        return _LETTER_BYTES[self.letters].tobytes().decode("ascii")
+        return word_name(self.letters)
 
 
 #: the most letters _grow builds, the level-t words of all letters together
@@ -307,7 +318,7 @@ def fixed_point_window(
         raise ValueError(f"seed {seed} outside alphabet")
     if rule.image(seed)[0] != seed:
         raise NotAFixedPointSeed(
-            f"image of {letter_name(seed)} does not start with {letter_name(seed)}"
+            f"image of {word_name([seed])} does not start with {word_name([seed])}"
         )
     if min_len < 1:
         raise ValueError("min_len must be positive")

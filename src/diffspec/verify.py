@@ -7,6 +7,7 @@ print a one-line verdict or assert on the numbers.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,8 @@ from .subshift import (
     letter_id,
     rule_by_name,
     word_frequency_empirical,
+    word_name,
 )
-
-SUITE_NAMES = ("dual-route", "word-freq", "smoothing", "inflation", "extinction")
 
 
 @dataclass
@@ -77,19 +77,16 @@ def verify_dual_route(
     g_name: str = "xor",
     min_len: int = 2**16,
     max_lag: int = 32,
-    dev_tol: float = 1e-12,
-    dist_lags: int = 512,
-    dist_tol: float = 0.05,
 ) -> SuiteReport:
     """Dual-route autocorrelation and its distribution on the circle.
 
     Route one averages conj(y_n) y_{n+m} over the factor image y; route
     two takes the inner products <g | U^m g> along the original window.
-    Both the term-by-term deviation and the L1 distance between the two
-    Fejer distributions on the circle grid must be small.  Route two is
+    The term-by-term deviation must be at most 1e-12 and the L1 distance
+    between the two Fejer distributions on the circle grid at most 0.05.  Route two is
     route one on the image that apply_block_map builds, through the same
     lag kernel, so this checks the factor-image lookup, not two
-    algorithms.  The distributions use dist_lags lags, or as many as
+    algorithms.  The distributions use 512 lags, or as many as
     a short window supports, but never fewer than max_lag, so a max_lag
     the window cannot support is refused naming it.  A negative max_lag
     raises OutOfRange.
@@ -101,7 +98,7 @@ def verify_dual_route(
     g = named_block_map(g_name, window)
     image = apply_block_map(window, g)
 
-    lags = max(max_lag, min(dist_lags, (len(image) - 4) // 2))
+    lags = max(max_lag, min(512, (len(image) - 4) // 2))
     eta_inner = autocorr_via_spectral_inner(window, g, lags)
     eta_direct = autocorr_symbolic(image, lags)
     dev = max(
@@ -112,7 +109,7 @@ def verify_dual_route(
     d_direct = spectral_distribution(eta_direct)
     l1 = float(np.abs(d_inner.masses - d_direct.masses).sum())
 
-    ok = dev <= dev_tol and l1 <= dist_tol
+    ok = dev <= 1e-12 and l1 <= 0.05
     return SuiteReport(
         "dual-route",
         ok,
@@ -124,13 +121,13 @@ def verify_word_freq(
     rule_name: str = "fibonacci",
     max_word_len: int = 4,
     min_len: int = 2**16,
-    tol: float = 1e-3,
 ) -> SuiteReport:
     """Word frequencies recovered from lag-zero spectral inner products.
 
     nu_w = <1_w | 1_w> on one sample must match direct counting on an
     independently grown sample twice the size, and the letter values
-    must match the Perron eigenvector of the substitution matrix.
+    must match the Perron eigenvector of the substitution matrix, each
+    to within 1e-3.
     """
     rule = rule_by_name(rule_name)
     window = fixed_point_window(rule, 0, min_len)
@@ -147,13 +144,12 @@ def verify_word_freq(
         word_dev = max(word_dev, abs(nu - counted))
         if len(w) == 1:
             nu_letters[w[0]] = nu
-        name = "".join(chr(ord("a") + c) for c in w)
-        lines.append(f"nu[{name}] = {nu:.6f}  counted {counted:.6f}")
+        lines.append(f"nu[{word_name(w)}] = {nu:.6f}  counted {counted:.6f}")
 
     pf = letter_frequencies_pf(rule)
     letter_dev = max(abs(nu_letters[i] - pf[i]) for i in nu_letters)
 
-    ok = word_dev <= tol and letter_dev <= tol
+    ok = max(word_dev, letter_dev) <= 1e-3
     return SuiteReport(
         "word-freq",
         ok,
@@ -170,40 +166,41 @@ def verify_word_freq(
 # made: the suite's peak is about 80 bytes per sample (tracemalloc), so the
 # largest grid takes about 0.7 GB and fits an address space of 1.5 GiB
 SMOOTHING_GRID_LIMIT = 2**23
+_SMOOTHING_STEP = 0.005  # the step of its grid
 
 
-def verify_smoothing(
-    n_points: int = 2**13,
-    k_radius: float = 1.1,
-    eps: float = 0.25,
-    t_step: float = 0.005,
-    top: int = 10,
-    tol: float = 0.01,
-) -> SuiteReport:
+def verify_smoothing(n_points: int = 2**13, eps: float = 0.25) -> SuiteReport:
     """Smoothing factorizes through the transform of the tent.
 
-    The intensity of the tent-smoothed locator comb at k must equal
-    tent_ft(eps, k)^2 times the raw comb intensity; checked at the
-    strongest raw peaks, where the quadrature route is well conditioned.
+    The intensity of the tent-smoothed comb of the singleton K = 1.1
+    locator set at k must equal tent_ft(eps, k)^2 times the raw comb
+    intensity, to a relative 0.01; checked at the 10 strongest raw peaks,
+    where the quadrature route is well conditioned.  A locator set of
+    zero extent raises OutOfRange.
     """
     chain = silver_mean_chain(n_points)
-    clusters = enumerate_k_clusters(chain, k_radius)
+    clusters = enumerate_k_clusters(chain, 1.1)
     singleton = next(c for c, _ in clusters if c.offsets == (0,))
     locator = locator_set(chain, singleton)
+    if not locator.extent > 0:
+        raise OutOfRange(
+            f"a sample of {n_points} point(s) has {len(locator)} locator point(s): no extent"
+        )
 
     candidates = module_box(6, 3, 3.0)
     by_intensity = zip(candidates, intensities_at(locator, candidates))
-    ranked = sorted(by_intensity, key=lambda kr: -kr[1])[:top]
+    ranked = sorted(by_intensity, key=lambda kr: -kr[1])[:10]
 
     x0 = float(locator.coords[0])
     x1 = float(locator.coords[-1])
-    samples = (x1 - x0 + 4 * eps) / t_step
+    samples = (x1 - x0 + 4 * eps) / _SMOOTHING_STEP
     if samples > SMOOTHING_GRID_LIMIT:
         raise OutOfRange(
-            f"a smoothing grid of {samples:.6g} samples at eps {eps:g} and step {t_step:g} "
+            f"a smoothing grid of {samples:.6g} samples at eps {eps:g} "
+            f"and step {_SMOOTHING_STEP:g} "
             f"is over the limit of {SMOOTHING_GRID_LIMIT} (SMOOTHING_GRID_LIMIT)"
         )
-    t_grid = np.arange(x0 - 2 * eps, x1 + 2 * eps, t_step)
+    t_grid = np.arange(x0 - 2 * eps, x1 + 2 * eps, _SMOOTHING_STEP)
     f = smooth_comb(locator, eps, t_grid)
 
     worst = 0.0
@@ -215,7 +212,7 @@ def verify_smoothing(
         worst = max(worst, rel)
         lines.append(f"k = {k.value:+.6f}  raw {raw:.4e}  smoothed {smoothed:.4e}  rel {rel:.2e}")
 
-    ok = worst <= tol
+    ok = worst <= 0.01
     return SuiteReport(
         "smoothing",
         ok,
@@ -307,12 +304,15 @@ _SUITES = {
     "inflation": verify_inflation,
     "extinction": verify_extinction,
 }
+SUITE_NAMES = tuple(_SUITES)
+#: the keywords each suite reads, from its signature
+SUITE_KEYWORDS = {
+    name: frozenset(inspect.signature(fn).parameters) for name, fn in _SUITES.items()
+}
 
 
 def run_suite(name: str, **kwargs) -> SuiteReport:
-    """Run one named suite, forwarding only the keywords it accepts."""
+    """Run one named suite on kwargs, keywords among SUITE_KEYWORDS[name]."""
     if name not in _SUITES:
         raise DiffspecError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    fn = _SUITES[name]
-    accepted = fn.__code__.co_varnames[: fn.__code__.co_argcount]
-    return fn(**{k: v for k, v in kwargs.items() if k in accepted and v is not None})
+    return _SUITES[name](**kwargs)

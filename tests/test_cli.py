@@ -323,6 +323,25 @@ class TestVerifyAndModelset:
         assert err.startswith(f"error: a sample of {points} point(s) inflates to ")
         assert err.endswith(": no extent\n") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("points", [3, 4, 5])
+    def test_smoothing_suite_on_a_locator_set_without_extent_is_out_of_range(
+        self, capsys, points
+    ):
+        # the one singleton locator point of a chain this short has no extent
+        code, out, err = run(capsys, ["verify", "smoothing", "--points", str(points)])
+        assert code == 2 and out == ""
+        assert err == f"error: a sample of {points} point(s) has 1 locator point(s): no extent\n"
+
+    @pytest.mark.parametrize(
+        "suite, flag",
+        [("dual-route", "--points"), ("word-freq", "--eps"), ("smoothing", "--rule"),
+         ("inflation", "--len"), ("extinction", "--maxlen")],
+    )
+    def test_a_flag_the_suite_does_not_read_exits_2_naming_it(self, capsys, suite, flag):
+        code, out, err = run(capsys, ["verify", suite, flag, "3"])
+        assert code == 2 and out == ""
+        assert err == f"error: verify {suite} reads no {flag}\n"
+
     def test_k_evaluation_lines(self, capsys):
         code, out, _ = run(capsys, ["modelset", "--points", "2000", "--k", "1,1"])
         assert code == 0

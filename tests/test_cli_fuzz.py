@@ -117,11 +117,22 @@ def diffract_lines(draw):
     return argv
 
 
+# the flags each verify suite reads: its size flag first, then the others
+SUITE_FLAGS = {
+    "dual-route": [("--len", SIZE), ("--rule", RULES), ("--g", MAPS), ("--lags", SMALL_INT)],
+    "word-freq": [("--len", SIZE), ("--rule", RULES), ("--maxlen", SMALL_INT)],
+    "smoothing": [("--points", POINTS), ("--eps", NUMBER)],
+    "inflation": [("--points", POINTS)],
+    "extinction": [("--points", POINTS)],
+}
+
+
 @st.composite
 def check_lines(draw):
     """factor and verify, the commands that check a property, on small sizes.
 
-    verify always gets --len and --points, so that no suite runs at its
+    verify draws only flags its suites read, and always their size flags
+    (--len, --points, or both for all), so that no suite runs at its
     default size.
     """
     if draw(st.booleans()):
@@ -130,12 +141,14 @@ def check_lines(draw):
         argv += draw(optional("--shifts", SMALL_INT))
         return argv
     suite = draw(st.sampled_from(SUITE_NAMES + ("all",)))
-    argv = ["verify", suite, "--len", draw(SIZE), "--points", draw(POINTS)]
-    argv += draw(optional("--rule", RULES))
-    argv += draw(optional("--g", MAPS))
-    argv += draw(optional("--lags", SMALL_INT))
-    argv += draw(optional("--maxlen", SMALL_INT))
-    argv += draw(optional("--eps", NUMBER))
+    names = SUITE_NAMES if suite == "all" else (suite,)
+    flags = dict(flag for name in names for flag in SUITE_FLAGS[name])
+    argv = ["verify", suite]
+    for flag, values in flags.items():
+        if flag in ("--len", "--points"):
+            argv.append(f"{flag}={draw(values)}")
+        else:
+            argv += draw(optional(flag, values))
     return argv
 
 
@@ -169,6 +182,7 @@ def test_fuzzed_check_lines_exit_0_1_or_2(argv):
     code, err = run_in_process(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err
+    assert " reads no " not in err  # every flag drawn is one its suites read
     if code == 2:
         assert err.strip(), argv
 
