@@ -61,5 +61,9 @@ class NotSilverMean(DiffspecError):
     """The point set lacks the exact coordinates this operation needs."""
 
 
+class UnnamedLetter(DiffspecError):
+    """A letter id outside the 26 names a..z cannot be written as text."""
+
+
 class MalformedInput(DiffspecError, ValueError):
     """A text input does not follow its file format."""

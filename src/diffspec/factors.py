@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedInput, MissingTableEntry, WindowTooShort
-from .subshift import SymbolicWindow, data_lines, sliding_words, word_letters, word_name
+from .subshift import SymbolicWindow, data_lines, word_letters, word_name, word_plan
 
 
 def _fmt_complex(z: complex) -> str:
@@ -153,9 +153,8 @@ def apply_block_map(window: SymbolicWindow, g: BlockMap) -> SymbolicWindow:
     if not (out_lo <= 0 <= out_hi):
         raise WindowTooShort("factor image does not cover the index origin")
 
-    word_ids, first, _ = sliding_words(window.letters, g.length)
-    words = np.lib.stride_tricks.sliding_window_view(window.letters, g.length)[first]
-    vals = [g.table.get(w, g.default) for w in map(tuple, words.tolist())]
+    plan = word_plan(window, g.length)
+    vals = [g.table.get(w, g.default) for w in plan.words]
     missing = sum(v is None for v in vals)
     if missing:
         raise MissingTableEntry(f"{missing} block words without table entry")
@@ -163,7 +162,7 @@ def apply_block_map(window: SymbolicWindow, g: BlockMap) -> SymbolicWindow:
     ids = _output_ids(g)
     lookup = np.array([ids[complex(v)] for v in vals], dtype=np.int16)
     out_weights = {i: complex(v) for v, i in ids.items()}
-    return SymbolicWindow(lookup[word_ids], out_lo, out_weights)
+    return SymbolicWindow(lookup.take(plan.ids), out_lo, out_weights)
 
 
 def evaluate_at(window: SymbolicWindow, g: BlockMap, n: int) -> complex:

@@ -15,12 +15,20 @@ word_letters, word_name, and data_lines, the comment rule of input files.
 from __future__ import annotations
 
 import io
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedInput, NotAFixedPointSeed, NotPrimitive, OutOfRange, WindowTooShort
+from .errors import (
+    MalformedInput,
+    NotAFixedPointSeed,
+    NotPrimitive,
+    OutOfRange,
+    UnnamedLetter,
+    WindowTooShort,
+)
 
 LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 _LETTER_BYTES = np.frombuffer(LETTER_NAMES.encode("ascii"), dtype=np.uint8)
@@ -64,8 +72,14 @@ def letter_id(name: str, n_letters: int) -> int:
 
 
 def word_name(ids) -> str:
-    """The word of letter ids, written in LETTER_NAMES."""
-    return _LETTER_BYTES[np.asarray(ids, dtype=np.int16)].tobytes().decode("ascii")
+    """The word of letter ids, written in LETTER_NAMES; UnnamedLetter
+    for an id outside 0..25, which has no name."""
+    ids = np.asarray(ids, dtype=np.int16)
+    bad = np.flatnonzero((ids < 0) | (ids >= len(LETTER_NAMES)))
+    if len(bad):
+        raise UnnamedLetter(f"letter id {ids[bad[0]]} has no name: words are written "
+                            f"in the {len(LETTER_NAMES)} letters a..z")
+    return _LETTER_BYTES[ids].tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -194,7 +208,7 @@ def rule_by_name(name: str) -> SubstitutionRule:
     return BUILTIN_RULES[name]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SymbolicWindow:
     """A finite block x_lo ... x_hi of a sequence, indexed around an origin.
 
@@ -202,7 +216,11 @@ class SymbolicWindow:
     complex value used when the window is read as a weighted comb.  The
     index origin must lie inside the window (lo <= 0 <= hi).  A window of
     fixed_point_window is a slice of one one-sided fixed point, with its
-    origin where a copy of the fixed point's prefix starts.
+    origin where a copy of the fixed point's prefix starts.  A window is
+    immutable: its fields cannot be reassigned and letters is a
+    read-only int16 view of the array given (not a copy when that is
+    int16 already, so it must not be written afterwards), so its word
+    plans (word_plan) stay valid.  It is hashed and compared by identity.
     """
 
     letters: np.ndarray
@@ -211,8 +229,10 @@ class SymbolicWindow:
 
     def __post_init__(self):
         ids = np.asarray(self.letters)
-        self.letters = ids.astype(np.int16, copy=False)
-        if self.letters.ndim != 1 or len(self.letters) == 0:
+        letters = ids.astype(np.int16, copy=False).view()
+        letters.flags.writeable = False
+        object.__setattr__(self, "letters", letters)
+        if letters.ndim != 1 or len(letters) == 0:
             raise WindowTooShort("window needs at least one letter")
         if not (self.lo <= 0 <= self.hi):
             raise ValueError("index origin must lie inside the window")
@@ -223,8 +243,9 @@ class SymbolicWindow:
             raise ValueError(f"letter id {bad} outside 0..{_MAX_ID}")
         if not self.weights:
             present = np.zeros(high + 1, dtype=bool)
-            present[self.letters] = True
-            self.weights = {int(c): complex(1.0) for c in np.flatnonzero(present)}
+            present[letters] = True
+            weights = {int(c): complex(1.0) for c in np.flatnonzero(present)}
+            object.__setattr__(self, "weights", weights)
 
     @property
     def hi(self) -> int:
@@ -385,6 +406,40 @@ def sliding_words(letters: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray
     return ids, first, counts
 
 
+@dataclass(frozen=True)
+class WordPlan:
+    """The words of length ell of one window, from one sliding_words.
+
+    ids[i] is the rank of the word at site i, in the narrowest unsigned
+    dtype that holds the ranks; words[k] is the word of rank k as a
+    tuple, in lexicographic order, and occurs counts[k] times.
+    """
+
+    ids: np.ndarray
+    words: tuple[tuple[int, ...], ...]
+    counts: np.ndarray
+
+
+# the word plans of each window that has had one, by length: a window is
+# immutable and hashed by identity, so a plan is never stale; every length
+# is kept, since a walk over words asks for its lengths interleaved; a
+# plan holds no reference to its window, so the plans die with it
+_WORD_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def word_plan(window: SymbolicWindow, ell: int) -> WordPlan:
+    """The plan of the window's words of length ell, built on the first call."""
+    plans = _WORD_PLANS.setdefault(window, {})
+    plan = plans.get(ell)
+    if plan is None:
+        ids, first, counts = sliding_words(window.letters, ell)
+        # the words column by column: zip makes each tuple, with no list per word
+        columns = [window.letters[j : j + len(ids)][first].tolist() for j in range(ell)]
+        plan = plans[ell] = WordPlan(ids.astype(np.min_scalar_type(len(counts) - 1)),
+                                     tuple(zip(*columns)), counts)
+    return plan
+
+
 def dictionary(window: SymbolicWindow, max_len: int) -> set[tuple[int, ...]]:
     """All words of length 1..max_len occurring in the window."""
     return set(build_frequency_table(window, max_len).freqs)
@@ -451,8 +506,7 @@ def build_frequency_table(window: SymbolicWindow, max_len: int) -> WordFrequency
         )
     freqs: dict[tuple[int, ...], float] = {}
     for ell in range(1, max_len + 1):
-        _, first, counts = sliding_words(window.letters, ell)
-        words = np.lib.stride_tricks.sliding_window_view(window.letters, ell)[first]
+        plan = word_plan(window, ell)
         n = len(window) - ell + 1
-        freqs.update((tuple(w), c / n) for w, c in zip(words.tolist(), counts.tolist()))
+        freqs.update(zip(plan.words, (c / n for c in plan.counts.tolist())))
     return WordFrequencyTable(max_len, dict(sorted(freqs.items())), max_len / len(window))

@@ -1,5 +1,6 @@
 """End-to-end command line checks: round trips, exit codes, determinism."""
 
+import itertools
 import json
 import time
 
@@ -269,6 +270,19 @@ class TestFactorAndFreq:
         assert code == 0, err
         shifts = int(out.split("equivariance ok shifts ")[1].split()[0])
         assert 0 < shifts < 200
+
+    def test_factor_refuses_an_image_of_more_than_26_values(self, capsys, tmp_path):
+        # every word of length 5 its own value: image ids run up to 31,
+        # past the 26 letter names a..z
+        words = ["".join(w) for w in itertools.product("ab", repeat=5)]
+        path = tmp_path / "map.txt"
+        path.write_text("offset 0 length 5\n" + "".join(f"{w} -> {i}\n" for i, w in enumerate(words)))
+        code, out, err = run(
+            capsys, ["factor", "--rule", "thue-morse", "--len", "256", "--map-file", str(path)]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: letter id 26 has no name") and "26 letters" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_cluster_frequencies_from_point_set_file(self, capsys, tmp_path, exact):

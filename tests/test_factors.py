@@ -151,8 +151,10 @@ class TestEquivariance:
 
     def test_a_wrong_word_lookup_is_a_violation(self, monkeypatch):
         # the image's sliding lookup is checked against evaluate_at, a
-        # second algorithm: a lookup that swaps two words must fail it
-        from diffspec import factors
+        # second algorithm: a lookup that swaps two words must fail it.
+        # The swap goes into the encoder the word plan is built from, on
+        # a fresh window that has no plan yet
+        from diffspec import subshift
 
         def swapped(letters, ell):
             ids, first, counts = sliding_words(letters, ell)
@@ -160,8 +162,10 @@ class TestEquivariance:
             swap[:2] = 1, 0
             return swap[ids], first, counts
 
-        monkeypatch.setattr(factors, "sliding_words", swapped)
-        report = verify_factor_equivariance(tm_window(128), xor_map(), range(1, 9))
+        w = tm_window(128)
+        assert w not in subshift._WORD_PLANS
+        monkeypatch.setattr(subshift, "sliding_words", swapped)
+        report = verify_factor_equivariance(w, xor_map(), range(1, 9))
         assert not report.ok
         assert report.max_abs_dev == 1.0
 

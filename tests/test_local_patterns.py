@@ -9,9 +9,12 @@ class minima: they are == a loop computing those sums, and lie within
 len(offsets) * MERGE_TOL of the loops' merged offsets.
 """
 
+import dataclasses
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,11 +31,13 @@ from diffspec.delone import (
     enumerate_k_clusters,
     locator_set,
 )
+from diffspec import subshift
 from diffspec.errors import IncompatibleCluster, MissingTableEntry
 from diffspec.factors import (
     BlockMap,
     _output_ids,
     apply_block_map,
+    evaluate_at,
     identity_map,
     indicator_block_map,
     xor_map,
@@ -47,6 +52,7 @@ from diffspec.subshift import (
     fixed_point_window,
     sliding_words,
     word_frequency_empirical,
+    word_plan,
 )
 
 K_RADII = (0.5, 1.0, 1.1, 1.0 + math.sqrt(2.0), 2.5, 3.5, 6.0)
@@ -438,3 +444,67 @@ def test_sliding_words_ids_first_and_counts(rule_window, ell):
     assert ids.tolist() == [rank[w] for w in blocks]
     assert first.tolist() == [blocks.index(w) for w in distinct]
     assert counts.tolist() == [blocks.count(w) for w in distinct]
+
+
+# --- word plans: one encoding per (window, length) -------------------------
+
+
+def test_table_and_all_indicator_images_encode_each_length_once(monkeypatch):
+    calls = []
+
+    def counting(letters, ell):
+        calls.append(ell)
+        return sliding_words(letters, ell)
+
+    monkeypatch.setattr(subshift, "sliding_words", counting)
+    fib = fixed_point_window(BUILTIN_RULES["fibonacci"], 0, 2**12)
+    table = build_frequency_table(fib, 4)
+    words = list(table.freqs)
+    assert len(words) == 14
+    for i in np.random.default_rng(33).permutation(len(words)):
+        apply_block_map(fib, indicator_block_map(words[i]))
+    assert dictionary(fib, 4) == set(words)
+    assert sorted(calls) == [1, 2, 3, 4]
+    assert all(word_plan(fib, ell).ids.dtype == np.uint8 for ell in range(1, 5))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_RULES))
+def test_plan_images_and_tables_match_plan_free_routes(name):
+    window = fixed_point_window(BUILTIN_RULES[name], 0, 100)
+    for ell in (3, 1, 4, 2):  # interleaved, so later lengths meet kept plans
+        got = build_frequency_table(window, ell)
+        want = ref_build_frequency_table(window, ell)
+        assert list(got.freqs.items()) == list(want.freqs.items())
+        for word in got.freqs:
+            g = indicator_block_map(word, offset=-(len(word) // 2))
+            image = apply_block_map(window, g)
+            values = image.values()
+            sites = range(image.lo, image.hi + 1)
+            assert [values[n - image.lo] for n in sites] == [
+                evaluate_at(window, g, n) for n in sites
+            ]
+
+
+def test_window_is_immutable():
+    window = fixed_point_window(BUILTIN_RULES["thue-morse"], 0, 64)
+    with pytest.raises(ValueError):
+        window.letters[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        window.lo = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        window.letters = np.zeros(4, dtype=np.int16)
+    # hashed and compared by identity: an equal copy is another window
+    twin = SymbolicWindow(window.letters, window.lo, dict(window.weights))
+    assert window == window and twin != window
+    assert len({window, twin}) == 2
+
+
+def test_plans_die_with_their_window():
+    window = fixed_point_window(BUILTIN_RULES["fibonacci"], 0, 512)
+    apply_block_map(window, xor_map())
+    build_frequency_table(window, 3)
+    assert window in subshift._WORD_PLANS
+    ref = weakref.ref(window)
+    del window
+    gc.collect()
+    assert ref() is None

@@ -6,7 +6,7 @@ import pytest
 
 from diffspec import cli
 from diffspec.delone import PointSet1D
-from diffspec.errors import MalformedInput
+from diffspec.errors import MalformedInput, UnnamedLetter
 from diffspec.factors import BlockMap, _parse_complex
 from diffspec.modelset import silver_mean_chain
 from diffspec.subshift import data_lines, letter_id, parse_rule, word_letters, word_name
@@ -95,6 +95,11 @@ class TestLetters:
         assert word_name((0, 1, 25)) == "abz"
         assert word_name(word_letters("abaab")) == "abaab"
         assert word_name(()) == ""
+
+    @pytest.mark.parametrize("ids, bad", [((0, 26), 26), ((-1, 3), -1), ((300,), 300)])
+    def test_an_id_past_the_26_names_is_refused(self, ids, bad):
+        with pytest.raises(UnnamedLetter, match=f"letter id {bad} has no name.*26 letters"):
+            word_name(ids)
 
     @pytest.mark.parametrize(
         "argv",
