@@ -24,22 +24,21 @@ window is keyed by its size, its left count and its word
 float gap classes of _chain.  Rows are compared only when both the
 sample and the cluster are exact.  The keys are grouped once per sample,
 radius and mode into a cluster plan: one label per interior point and
-one representative window per label.  The latest plan of each sample
-is kept while the sample lives, so its clusters, locator sets and
-frequencies check a cluster against the representatives only and read
-the labels for the rest.
+one representative window per label.  Each plan stays on its sample
+(subshift.derived) while the sample lives, so its clusters, locator
+sets and frequencies check a cluster against the representatives only
+and read the labels for the rest.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyInterior, EmptyPointSet, IncompatibleCluster, MalformedInput
-from .subshift import _is_data, _ranks, sliding_words
+from .subshift import _is_data, _ranks, derived, sliding_words
 
 MERGE_TOL = 1e-9  # the one tolerance of float point sets, see _chain
 SQRT2 = math.sqrt(2.0)
@@ -124,13 +123,15 @@ class PointSet1D:
     pair (a, b) of each point a + b sqrt(2).  A sample is immutable:
     its fields cannot be reassigned and hold read-only views of the
     arrays given (not copies, so those must not be written afterwards),
-    and what is derived from it once, the axis plan of modelset, stays
-    valid.  It is hashed and compared by identity.
+    so the plans kept on it (subshift.derived), its cluster plans and
+    the axis plan of modelset, stay valid.  It is hashed and compared by
+    identity.
     """
 
     coords: np.ndarray
     weights: np.ndarray | None = None
     exact: np.ndarray | None = None
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=float)
@@ -386,19 +387,9 @@ def _build_plan(ps: PointSet1D, k_radius: float, exact: bool) -> _ClusterPlan:
                         idx[reps], lo[reps], hi[reps], counts, lows, highs)
 
 
-# the latest cluster plan of each sample that has had one: a PointSet1D is
-# immutable and hashed by identity, so a plan is never stale, and keeping
-# one per sample bounds the memory of a walk over many radii; a caller
-# reads the plan it got, so two threads that replace it stay correct
-_CLUSTER_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _cluster_plan(ps: PointSet1D, k_radius: float, exact: bool) -> _ClusterPlan:
-    """The plan of ps for (K, mode), built unless it is the one kept."""
-    plan = _CLUSTER_PLANS.get(ps)
-    if plan is None or plan.k_radius != k_radius or plan.exact != exact:
-        plan = _CLUSTER_PLANS[ps] = _build_plan(ps, k_radius, exact)
-    return plan
+    """The plan of ps for (K, mode), built on the first call for it."""
+    return derived(ps, (k_radius, exact), lambda: _build_plan(ps, k_radius, exact))
 
 
 def enumerate_k_clusters(

@@ -154,7 +154,7 @@ def apply_block_map(window: SymbolicWindow, g: BlockMap) -> SymbolicWindow:
         raise WindowTooShort("factor image does not cover the index origin")
 
     plan = word_plan(window, g.length)
-    vals = [g.table.get(w, g.default) for w in plan.words]
+    vals = [g.table.get(w, g.default) for w in plan.tuples()]
     missing = sum(v is None for v in vals)
     if missing:
         raise MissingTableEntry(f"{missing} block words without table entry")

@@ -54,24 +54,21 @@ the grid, the bounds of |c| and |d| and each point's four entries in the
 grid's row are the sample's axis plan (_axis_plan), built by its first
 exact row and read by every later call on it.  The four index columns
 take the narrowest unsigned dtype that holds them, uint16 on the
-10^5-point chain, so 4 n 2 bytes (0.8 MB there).  Plans live in a
-weak-keyed table and go with their samples; a PointSet1D is immutable
-(frozen fields, read-only arrays, hashed by identity), so a plan stays
-valid for as long as its sample lives.
+10^5-point chain, so 4 n 2 bytes (0.8 MB there).  The plan is kept on
+its sample (subshift.derived) for as long as the sample lives.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .delone import MERGE_TOL, SQRT2, PointSet1D, exact_coords
 from .errors import NotSilverMean, OutOfRange
-from .subshift import BUILTIN_RULES, _grow
+from .subshift import BUILTIN_RULES, _grow, derived
 
 # sqrt(2)/4 = (_Q + _EPS) / 2^64: _Q holds its first 64 fractional bits
 # and _EPS (in [0, 1)) the rest, both from 50-digit arithmetic
@@ -311,19 +308,9 @@ def _axis_grid(exact: np.ndarray) -> tuple[_AxisGrid | None, tuple[int, int]]:
     return _AxisGrid(points, index), bounds
 
 
-# the axis plan, _axis_grid of its exact coordinates, of each sample that
-# has had an exact row: a PointSet1D is immutable and hashed by identity,
-# so a plan is never stale, and two threads that both build one build
-# the same
-_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _axis_plan(ps: PointSet1D) -> tuple[_AxisGrid | None, tuple[int, int]]:
     """_axis_grid(ps.exact), built on the first call for each sample."""
-    plan = _PLANS.get(ps)
-    if plan is None:
-        plan = _PLANS[ps] = _axis_grid(ps.exact)
-    return plan
+    return derived(ps, "axes", lambda: _axis_grid(ps.exact))
 
 
 # window widths 2R whose square is a normal float

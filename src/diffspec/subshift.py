@@ -15,7 +15,6 @@ word_letters, word_name, and data_lines, the comment rule of input files.
 from __future__ import annotations
 
 import io
-import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -219,13 +218,15 @@ class SymbolicWindow:
     origin where a copy of the fixed point's prefix starts.  A window is
     immutable: its fields cannot be reassigned and letters is a
     read-only int16 view of the array given (not a copy when that is
-    int16 already, so it must not be written afterwards), so its word
-    plans (word_plan) stay valid.  It is hashed and compared by identity.
+    int16 already, so it must not be written afterwards), so the word
+    plans kept on it (word_plan, derived) stay valid.  It is hashed and
+    compared by identity.
     """
 
     letters: np.ndarray
     lo: int
     weights: dict[int, complex] = field(default_factory=dict)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = np.asarray(self.letters)
@@ -406,38 +407,53 @@ def sliding_words(letters: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray
     return ids, first, counts
 
 
+def derived(sample, key, build):
+    """The plan build() of an immutable sample under key, kept on the sample.
+
+    The plans of a SymbolicWindow or PointSet1D live in its private
+    _plans dict, read and written here only: the first call for a key
+    builds, and every key stays while the sample lives.  The sample is
+    immutable, so no plan goes stale, and a plan holds no reference to
+    it, so it dies with it.  modelset.intensity_table_at builds the axis
+    plan before its threads start; two callers that both miss a key
+    build equal plans, so either may be kept.
+    """
+    plan = sample._plans.get(key)
+    if plan is None:
+        plan = sample._plans[key] = build()
+    return plan
+
+
 @dataclass(frozen=True)
 class WordPlan:
     """The words of length ell of one window, from one sliding_words.
 
     ids[i] is the rank of the word at site i, in the narrowest unsigned
-    dtype that holds the ranks; words[k] is the word of rank k as a
-    tuple, in lexicographic order, and occurs counts[k] times.
+    dtype that holds the ranks; words is a read-only int16 array of one
+    row per distinct word, in lexicographic order: row k is the word of
+    rank k, which occurs counts[k] times.
     """
 
     ids: np.ndarray
-    words: tuple[tuple[int, ...], ...]
+    words: np.ndarray
     counts: np.ndarray
 
+    def tuples(self) -> Iterator[tuple[int, ...]]:
+        """The words as tuples, made on each call, column by column."""
+        return zip(*self.words.T.tolist())
 
-# the word plans of each window that has had one, by length: a window is
-# immutable and hashed by identity, so a plan is never stale; every length
-# is kept, since a walk over words asks for its lengths interleaved; a
-# plan holds no reference to its window, so the plans die with it
-_WORD_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+def _build_word_plan(letters: np.ndarray, ell: int) -> WordPlan:
+    """The WordPlan of letters at length ell: each word is read at its first site."""
+    ids, first, counts = sliding_words(letters, ell)
+    words = letters[first[:, None] + np.arange(ell)]
+    words.flags.writeable = False
+    return WordPlan(ids.astype(np.min_scalar_type(len(counts) - 1)), words, counts)
 
 
 def word_plan(window: SymbolicWindow, ell: int) -> WordPlan:
     """The plan of the window's words of length ell, built on the first call."""
-    plans = _WORD_PLANS.setdefault(window, {})
-    plan = plans.get(ell)
-    if plan is None:
-        ids, first, counts = sliding_words(window.letters, ell)
-        # the words column by column: zip makes each tuple, with no list per word
-        columns = [window.letters[j : j + len(ids)][first].tolist() for j in range(ell)]
-        plan = plans[ell] = WordPlan(ids.astype(np.min_scalar_type(len(counts) - 1)),
-                                     tuple(zip(*columns)), counts)
-    return plan
+    return derived(window, ell, lambda: _build_word_plan(window.letters, ell))
 
 
 def dictionary(window: SymbolicWindow, max_len: int) -> set[tuple[int, ...]]:
@@ -508,5 +524,5 @@ def build_frequency_table(window: SymbolicWindow, max_len: int) -> WordFrequency
     for ell in range(1, max_len + 1):
         plan = word_plan(window, ell)
         n = len(window) - ell + 1
-        freqs.update(zip(plan.words, (c / n for c in plan.counts.tolist())))
+        freqs.update(zip(plan.tuples(), (c / n for c in plan.counts.tolist())))
     return WordFrequencyTable(max_len, dict(sorted(freqs.items())), max_len / len(window))

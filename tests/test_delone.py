@@ -339,13 +339,13 @@ class TestClusterPlan:
 
         ps = silver_mean_chain(60)
         assert_clusters_match_brute_force(ps, 1.1)
-        monkeypatch.setattr(delone, "_CLUSTER_PLANS", weakref.WeakKeyDictionary())
         monkeypatch.setattr(delone, "_group_windows", by_size)
+        # an equal sample has no plans yet, so it builds one with by_size
+        twin = PointSet1D(ps.coords, ps.weights, ps.exact)
         with pytest.raises(AssertionError):
-            assert_clusters_match_brute_force(ps, 1.1)
+            assert_clusters_match_brute_force(twin, 1.1)
 
     def test_one_plan_serves_clusters_locators_and_frequencies(self, monkeypatch):
-        monkeypatch.setattr(delone, "_CLUSTER_PLANS", weakref.WeakKeyDictionary())
         original, calls = delone._build_plan, []
 
         def counting(ps, k_radius, exact):
@@ -360,17 +360,37 @@ class TestClusterPlan:
             assert len(locator_set(ps, cluster)) == n
         assert [n for _, n in found] == [29289, 41420, 29289]
         assert calls == [(1.1, True)]
-        plan = delone._CLUSTER_PLANS[ps]
+        plan = ps._plans[(1.1, True)]
         assert plan.labels.dtype == np.uint8 and len(plan.labels) == 99998
-        # a float cluster, then another radius: each replaces the one plan
-        locator_set(ps, Cluster(1.1, (0.0,)))
-        enumerate_k_clusters(ps, 2.5)
+        # a float cluster and another radius each add a plan; every plan stays
+        for _ in range(2):
+            locator_set(ps, Cluster(1.1, (0.0,)))
+            enumerate_k_clusters(ps, 2.5)
+            enumerate_k_clusters(ps, 1.1)
         assert calls == [(1.1, True), (1.1, False), (2.5, True)]
-        assert len(delone._CLUSTER_PLANS) == 1
-        sample = weakref.ref(ps)
-        del ps
+        assert list(ps._plans) == calls
+        sample, kept = weakref.ref(ps), weakref.ref(plan)
+        del ps, plan
         gc.collect()
-        assert sample() is None and len(delone._CLUSTER_PLANS) == 0
+        assert sample() is None and kept() is None
+
+    def test_alternating_exact_and_float_clusters_build_one_plan_per_mode(self, monkeypatch):
+        """Each exact cluster followed by its float twin, on one exact
+        sample: both modes' plans stay, so each is built once."""
+        original, calls = delone._build_plan, []
+
+        def counting(ps, k_radius, exact):
+            calls.append((k_radius, exact))
+            return original(ps, k_radius, exact)
+
+        monkeypatch.setattr(delone, "_build_plan", counting)
+        ps = silver_mean_chain(20000)
+        found = enumerate_k_clusters(ps, 2.5)
+        assert len(found) == 3
+        for cluster, n in found:
+            assert len(locator_set(ps, cluster)) == n
+            assert len(locator_set(ps, Cluster(2.5, cluster.offsets))) == n
+        assert calls == [(2.5, True), (2.5, False)]
 
 
 def reference_chain(lo, hi, cols, merge_tol):

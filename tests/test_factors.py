@@ -163,7 +163,7 @@ class TestEquivariance:
             return swap[ids], first, counts
 
         w = tm_window(128)
-        assert w not in subshift._WORD_PLANS
+        assert w._plans == {}
         monkeypatch.setattr(subshift, "sliding_words", swapped)
         report = verify_factor_equivariance(w, xor_map(), range(1, 9))
         assert not report.ok

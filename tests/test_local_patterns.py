@@ -42,7 +42,7 @@ from diffspec.factors import (
     indicator_block_map,
     xor_map,
 )
-from diffspec.modelset import silver_mean_chain
+from diffspec.modelset import FourierModuleElement, intensity_at, silver_mean_chain
 from diffspec.subshift import (
     BUILTIN_RULES,
     SymbolicWindow,
@@ -500,11 +500,19 @@ def test_window_is_immutable():
 
 
 def test_plans_die_with_their_window():
+    """Word plans stay on their window, cluster and axis plans on their
+    point set, and each plan goes with its sample."""
     window = fixed_point_window(BUILTIN_RULES["fibonacci"], 0, 512)
     apply_block_map(window, xor_map())
     build_frequency_table(window, 3)
-    assert window in subshift._WORD_PLANS
-    ref = weakref.ref(window)
-    del window
+    assert sorted(window._plans) == [1, 2, 3]
+    ps = silver_mean_chain(500)
+    enumerate_k_clusters(ps, 1.1)
+    intensity_at(ps, FourierModuleElement(1, 1), 100.0)
+    assert list(ps._plans) == [(1.1, True), "axes"]
+    refs = [weakref.ref(sample) for sample in (window, ps)]
+    refs.append(weakref.ref(word_plan(window, 2)))
+    refs.append(weakref.ref(ps._plans[(1.1, True)]))
+    del window, ps
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None] * 4

@@ -189,3 +189,32 @@ def test_the_merge_tolerance_is_written_once():
         ]
     assert [place for place in found if not place.endswith(" MERGE_TOL")] == []
     assert len(found) == 1 and found[0].startswith("delone.py:"), found
+
+
+def test_plans_are_kept_by_one_store():
+    """No module keeps a weak-keyed table: weakref is imported nowhere, and
+    the _plans field of a sample is read or written only by
+    subshift.derived, so every plan is kept by its one rule."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        store = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) == ("subshift.py", "derived")
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            found += [f"{path.name}:{node.lineno} import {m}" for m in modules
+                      if m.split(".")[0] == "weakref"]
+            named = (isinstance(node, ast.Attribute) and node.attr == "_plans") or (
+                isinstance(node, ast.Constant) and node.value == "_plans")
+            if named and id(node) not in store:
+                found.append(f"{path.name}:{node.lineno} _plans")
+    assert found == []
