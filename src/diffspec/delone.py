@@ -22,9 +22,10 @@ found for all interior points by one np.searchsorted per bound.  A
 window is keyed by its size, its left count and its word
 (subshift.sliding_words) of gap classes: exact (a, b) gap rows, or the
 float gap classes of _chain.  Rows are compared only when both the
-sample and the cluster are exact.  The keys are grouped once per sample,
-radius and mode into a cluster plan: one label per interior point and
-one representative window per label.  Each plan stays on its sample
+sample and the cluster are exact.  subshift.row_ranks ranks the gap
+rows and groups the keys once per sample, radius and mode into a
+cluster plan: one label per interior point and one representative
+window per label.  Each plan stays on its sample
 (subshift.derived) while the sample lives, so its clusters, locator
 sets and frequencies check a cluster against the representatives only
 and read the labels for the rest.
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyInterior, EmptyPointSet, IncompatibleCluster, MalformedInput
-from .subshift import _is_data, _ranks, derived, sliding_words
+from .subshift import _is_data, derived, row_ranks, sliding_words
 
 MERGE_TOL = 1e-9  # the one tolerance of float point sets, see _chain
 SQRT2 = math.sqrt(2.0)
@@ -81,29 +82,6 @@ def _chain(lo, hi, cols, merge_tol):
         group = np.repeat(np.arange(k), sizes)
         sums = [np.bincount(group, weights=col[order], minlength=k) for col in cols]
     return s[first], top[first + sizes - 1], sizes, sums
-
-
-def _column_ranks(col: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each entry's rank among the distinct values of an integer column, in
-    increasing order, and their number (subshift._ranks).  A range of at
-    most 4 len(col) values, its span taken in Python ints, is first
-    shifted to start at 0, so the shift cannot wrap."""
-    lo, span = (int(col.min()), int(col.max()) - int(col.min()) + 1) if len(col) else (0, 0)
-    ids, counts = _ranks((col - lo).astype(np.intp) if span <= 4 * len(col) else col, span)
-    return ids, len(counts)
-
-
-def _pair_keys(pairs: np.ndarray) -> tuple[np.ndarray, int]:
-    """One int64 key per (x, y) row of pairs, ordered by x, then y, and a
-    bound on the keys.
-
-    Each column is ranked, then the pair of ranks: both ranks stay below
-    len(pairs), so the key does not wrap, and ranking the keys compares
-    no row as a whole.
-    """
-    x_rank, n_x = _column_ranks(pairs[:, 0])
-    y_rank, n_y = _column_ranks(pairs[:, 1])
-    return x_rank * n_y + y_rank, n_x * n_y
 
 
 def exact_coords(exact: np.ndarray) -> np.ndarray:
@@ -198,7 +176,7 @@ class PointSet1D:
         # each distinct weight, by the bit patterns of its two 8-byte
         # halves, is formatted once; -0.0 and each NaN keep their own text
         halves = np.ascontiguousarray(self.weights).view(np.uint64).reshape(-1, 2)
-        _, first, ids = np.unique(_pair_keys(halves)[0], return_index=True, return_inverse=True)
+        ids, first, _ = row_ranks(halves.T)
         texts = ["%.12g %.12g" % (w.real, w.imag) for w in self.weights[first].tolist()]
         cols.append([texts[i] for i in ids.tolist()])
         fields = [None] * (len(cols) * len(self))
@@ -345,37 +323,26 @@ def _group_windows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Label each window by its size, left count and gap word.
 
-    Labels run by size, then by (left count, word rank); returns each
-    window's label and each label's first window and count.  The keys of
-    one size are below size times the number of its words, so
-    subshift._ranks groups them without a sort where that range is short.
+    Labels run by size, then left count, then word rank among the words
+    of that length (sliding_words); returns each window's label and each
+    label's first window and count.  Left counts are below sizes.
     """
-    labels = np.empty(len(sizes), dtype=np.intp)
-    firsts, counts = [], []
+    words = np.zeros(len(sizes), dtype=np.intp)
     for size in np.flatnonzero(np.bincount(sizes)).tolist():
-        members = np.flatnonzero(sizes == size)
-        keys, span = left[members], size
         if size > 1:
-            words, first, _ = sliding_words(gap_ids, size - 1)
-            keys = keys * len(first) + words[lo[members]]
-            span *= len(first)
-        inverse, count = _ranks(keys, span)
-        first = np.full(len(count), len(members), dtype=np.intp)
-        np.minimum.at(first, inverse, np.arange(len(members)))
-        labels[members] = sum(map(len, firsts)) + inverse
-        firsts.append(members[first])
-        counts.append(count)
-    return labels, np.concatenate(firsts), np.concatenate(counts)
+            members = np.flatnonzero(sizes == size)
+            words[members] = sliding_words(gap_ids, size - 1)[0][lo[members]]
+    return row_ranks([sizes, left, words], int(max(sizes.max(), words.max())) + 1)
 
 
 def _build_plan(ps: PointSet1D, k_radius: float, exact: bool) -> _ClusterPlan:
     """The cluster plan of ps at radius K, on exact gap rows or float gap classes."""
+    if k_radius < 0:
+        raise IncompatibleCluster(f"cluster radius K = {k_radius:g} must be nonnegative")
     idx, lo, hi = _windows(ps, k_radius)
     sizes, left = hi - lo, idx - lo
-    if sizes.min() < 1:
-        raise IncompatibleCluster("cluster must contain its own center 0")
     if exact:
-        gap_ids = _ranks(*_pair_keys(np.diff(ps.exact, axis=0)))[0]
+        gap_ids = row_ranks(np.diff(ps.exact, axis=0).T)[0]
         lows = highs = None
     else:
         gaps = ps.gaps()

@@ -10,6 +10,9 @@ Perron-Frobenius eigenvector of the count matrix.
 Letters are small integer ids internally.  Names like ``a``, ``b`` only
 appear at the text boundary (rule files, CLI output): letter_id,
 word_letters, word_name, and data_lines, the comment rule of input files.
+
+One encoder, row_ranks, ranks every local pattern: words (sliding_words),
+and in delone exact gap rows, cluster windows and point-file weights.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .errors import (
 LETTER_NAMES = "abcdefghijklmnopqrstuvwxyz"
 _LETTER_BYTES = np.frombuffer(LETTER_NAMES.encode("ascii"), dtype=np.uint8)
 _MAX_ID = int(np.iinfo(np.int16).max)  # letters are stored as int16
+_FIRST_ROWS = 2**14  # the rows row_ranks searches first for each row's first site
 
 
 def _is_data(line: str) -> bool:
@@ -386,25 +390,51 @@ def _ranks(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return rank[codes], counts[present]
 
 
+def _column_ranks(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each entry's rank among the distinct values of an integer column, in
+    increasing order, and their number (_ranks).  A range of at most
+    4 len(col) values, its span taken in Python ints, is first shifted
+    to start at 0, so the shift cannot wrap."""
+    lo, span = (int(col.min()), int(col.max()) - int(col.min()) + 1) if len(col) else (0, 0)
+    ids, counts = _ranks((col - lo).astype(np.intp) if span <= 4 * len(col) else col, span)
+    return ids, len(counts)
+
+
+def row_ranks(columns, size: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, first, counts): ids[i] is the lexicographic rank of row i of
+    equal-length integer columns; row k first occurs at first[k] and
+    occurs counts[k] times.  With size, the columns hold codes below it
+    (size times the row count below 2**63); else each column is ranked
+    (_column_ranks).  Multiply-add codes are re-ranked (_ranks) whenever
+    the next multiply could pass the row count, so none wraps int64.
+    First sites are sought in the first _FIRST_ROWS rows, then in all."""
+    columns, sizes = (zip(*map(_column_ranks, columns)) if size is None
+                      else (columns, [size] * len(columns)))
+    n = len(columns[0])
+    codes, size = columns[0].astype(np.int64, copy=False), sizes[0]
+    for col, base in zip(columns[1:], sizes[1:]):
+        if size * base > n:
+            codes, counts = _ranks(codes, size)
+            size = len(counts)
+        codes = codes * base + col
+        size *= base
+    ids, counts = _ranks(codes, size)
+    first = np.full(len(counts), n, dtype=np.intp)
+    for stop in (min(n, _FIRST_ROWS), n):
+        np.minimum.at(first, ids[:stop], np.arange(stop))
+        if first.max(initial=-1) < n:  # every row has met its first site
+            break
+    return ids, first, counts
+
+
 def sliding_words(letters: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ids, first, counts): ids[i] is the lexicographic rank of the word
     letters[i : i + ell]; word k is letters[first[k] : first[k] + ell] and
-    occurs counts[k] times.  Base-b multiply-add codes are re-ranked
-    (order-preserving _ranks) whenever the next multiply could pass
-    len(letters): no int64 wrap, no array sized by b**ell."""
-    letters = np.asarray(letters, dtype=np.int64)
-    base = int(letters.max()) + 1
-    codes, size = letters[: len(letters) - ell + 1], base
-    for j in range(1, ell):
-        if size * base > len(letters):
-            codes, counts = _ranks(codes, size)
-            size = len(counts)
-        codes = codes * base + letters[j : j + len(codes)]
-        size *= base
-    ids, counts = _ranks(codes, size)
-    first = np.full(len(counts), len(ids), dtype=np.intp)
-    np.minimum.at(first, ids, np.arange(len(ids)))
-    return ids, first, counts
+    occurs counts[k] times.  The row_ranks of the ell shifted views of
+    the letters, which are their own codes."""
+    letters = np.asarray(letters)
+    return row_ranks(np.lib.stride_tricks.sliding_window_view(letters, ell).T,
+                     int(letters.max()) + 1)
 
 
 def derived(sample, key, build):

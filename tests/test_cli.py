@@ -532,6 +532,15 @@ class TestConfigAndErrors:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {argv[-2]} must be finite")
 
+    @pytest.mark.parametrize("radius, shown", [("-1", "-1"), ("-1e-10", "-1e-10")])
+    def test_negative_cluster_radius_is_named(self, capsys, radius, shown):
+        # -1e-10 lies within the merge tolerance of 0, yet is refused too
+        code, out, err = run(
+            capsys, ["freq", "--silver-mean", "--points", "50", f"--k-radius={radius}"]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cluster radius K = {shown} must be nonnegative\n"
+
     def test_non_finite_option_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("zmax=nan\n")

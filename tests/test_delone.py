@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffspec import delone
+from diffspec import delone, subshift
 from diffspec.delone import (
     MERGE_TOL,
     Cluster,
@@ -67,7 +67,7 @@ class TestPointSet:
             "short-uint64"])
     def test_column_ranks_are_the_ranks_of_np_unique(self, col):
         # a span past int64 must not wrap, whichever branch ranks it
-        ids, n = delone._column_ranks(col)
+        ids, n = subshift._column_ranks(col)
         values, want = np.unique(col, return_inverse=True)
         assert (ids.tolist(), n) == (want.tolist(), len(values))
 

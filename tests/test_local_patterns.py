@@ -15,9 +15,12 @@ import itertools
 import math
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffspec.delone import (
     MERGE_TOL,
@@ -50,6 +53,7 @@ from diffspec.subshift import (
     build_frequency_table,
     dictionary,
     fixed_point_window,
+    row_ranks,
     sliding_words,
     word_frequency_empirical,
     word_plan,
@@ -444,6 +448,64 @@ def test_sliding_words_ids_first_and_counts(rule_window, ell):
     assert ids.tolist() == [rank[w] for w in blocks]
     assert first.tolist() == [blocks.index(w) for w in distinct]
     assert counts.tolist() == [blocks.count(w) for w in distinct]
+
+
+# --- row ranks: the one encoder of every local pattern ----------------------
+
+EXTREMES = {
+    np.int64: [-(2**63), -(2**62), -1, 0, 1, 2**62, 2**63 - 1],
+    np.uint64: [0, 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1],
+}
+SPECIAL_WEIGHTS = [0.0, -0.0, complex(-0.0, -0.0), 1.0, 0.5 - 2j, math.nan,
+                   complex(1.0, math.nan), math.inf, -math.inf]
+
+
+@st.composite
+def integer_columns(draw):
+    """(columns, size): 1-4 equal-length int64 or uint64 columns whose rows
+    repeat, with values spanning past int64, as codes below a drawn size,
+    or as the two uint64 halves of complex weights."""
+    n_rows = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["sized", "int64", "uint64", "weights"]))
+    if kind == "weights":
+        pool = st.sampled_from(SPECIAL_WEIGHTS) | st.complex_numbers(allow_nan=True)
+        weights = np.array(draw(st.lists(pool, min_size=n_rows, max_size=n_rows)), complex)
+        return list(weights.view(np.uint64).reshape(-1, 2).T), None
+    n_cols = draw(st.integers(1, 4))
+    if kind == "sized":
+        size = draw(st.integers(1, 50) | st.sampled_from([2**31, 2**40]))
+        dtype, values = np.int64, st.integers(0, size - 1)
+    else:
+        size, dtype = None, getattr(np, kind)
+        info = np.iinfo(dtype)
+        values = (st.sampled_from(EXTREMES[dtype]) | st.integers(0, 5)
+                  | st.integers(int(info.min), int(info.max)))
+    distinct = draw(st.lists(st.tuples(*[values] * n_cols), min_size=1, max_size=8))
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=n_rows, max_size=n_rows))
+    return list(np.array(rows, dtype=dtype).reshape(n_rows, n_cols).T), size
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_columns(), st.sampled_from([0, 1, 3, subshift._FIRST_ROWS]))
+def test_row_ranks_are_the_row_ranks_of_np_unique(columns_size, first_rows):
+    """Ranks, first rows and counts as np.unique over whole rows gives them,
+    with and without size, and whether or not each row's first site lies
+    in the rows searched first."""
+    columns, size = columns_size
+    _, first, ids, counts = np.unique(
+        np.stack(columns, axis=1), axis=0,
+        return_index=True, return_inverse=True, return_counts=True)
+    with mock.patch.object(subshift, "_FIRST_ROWS", first_rows):
+        for got in [row_ranks(columns)] + ([row_ranks(columns, size)] if size else []):
+            assert [a.tolist() for a in got] == [ids.tolist(), first.tolist(), counts.tolist()]
+
+
+def test_row_ranks_find_rows_first_met_past_the_first_rows():
+    col = np.zeros(subshift._FIRST_ROWS + 3, dtype=np.int64)
+    col[-2:] = [2, 1]
+    ids, first, counts = row_ranks([col], 3)
+    assert (ids[-2:].tolist(), first.tolist(), counts.tolist()) == (
+        [2, 1], [0, len(col) - 1, len(col) - 2], [len(col) - 2, 1, 1])
 
 
 # --- word plans: one encoding per (window, length) -------------------------

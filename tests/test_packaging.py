@@ -218,3 +218,31 @@ def test_plans_are_kept_by_one_store():
             if named and id(node) not in store:
                 found.append(f"{path.name}:{node.lineno} _plans")
     assert found == []
+
+
+def test_local_patterns_are_ranked_by_one_encoder():
+    """np.minimum.at, the search for each row's first site, appears only in
+    subshift.row_ranks; subshift._ranks is imported or read only inside
+    subshift; and delone calls no np.unique, so every local pattern it
+    ranks goes through row_ranks."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        encoder = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) == ("subshift.py", "row_ranks")
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            attr = node.attr if isinstance(node, ast.Attribute) else None
+            if (attr == "at" and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "minimum" and id(node) not in encoder):
+                found.append(f"{path.name}:{node.lineno} minimum.at")
+            if attr == "unique" and path.name == "delone.py":
+                found.append(f"{path.name}:{node.lineno} unique")
+            if path.name != "subshift.py":
+                names = [alias.name for alias in node.names] if isinstance(
+                    node, ast.ImportFrom) else [attr or getattr(node, "id", None)]
+                found += [f"{path.name}:{node.lineno} _ranks" for n in names if n == "_ranks"]
+    assert found == []
