@@ -63,6 +63,7 @@ from .subshift import (
     SubstitutionRule,
     SymbolicWindow,
     build_frequency_table,
+    collared,
     dictionary,
     fixed_point_window,
     letter_frequencies_pf,
@@ -99,6 +100,7 @@ __all__ = [
     "autocorr_via_spectral_inner",
     "build_frequency_table",
     "cluster_frequency",
+    "collared",
     "detect_atoms",
     "dictionary",
     "enumerate_k_clusters",

@@ -125,7 +125,9 @@ def _correlate_values(
     y = np.zeros(-(-n // b) * b, dtype=table.dtype)
     for lo in range(0, n, _GATHER_PIECE):
         hi = min(lo + _GATHER_PIECE, n)
-        y[lo:hi] = table[letters[lo:hi]]
+        # clip reads what indexing would: letters are >= 0 (SymbolicWindow
+        # checks), and weight_table, like its r, ends at the largest letter
+        np.take(table, letters[lo:hi], out=y[lo:hi], mode="clip")
     y = y.reshape(-1, b)
     # H_q in the right half of a buffer whose left half and last row
     # stay 0: upper[j, d] = H_q[j, j + d] and lower[j, d] = H_q[j, j + d - b]

@@ -462,9 +462,7 @@ def smooth_comb(ps: PointSet1D, eps: float, t_grid: np.ndarray) -> np.ndarray:
     """Samples of (phi * comb)(t) = sum_x w_x phi(t - x) on the grid.
 
     phi is the unit-height tent of half-width eps, whose transform is
-    tent_ft.  With a tent narrower than the packing radius at most one
-    point can contribute per t; this is asserted because it is what
-    makes the smoothed comb a faithful copy of the point set.
+    tent_ft.
     """
     if eps <= 0:
         raise ValueError("tent half-width must be positive")
@@ -477,8 +475,6 @@ def smooth_comb(ps: PointSet1D, eps: float, t_grid: np.ndarray) -> np.ndarray:
     lo = np.searchsorted(x, t_grid - eps, side="left")
     hi = np.searchsorted(x, t_grid + eps, side="right")
     n_contrib = hi - lo
-    if eps < ps.packing_radius:
-        assert int(n_contrib.max(initial=0)) <= 1, "tent narrower than packing radius"
     for j in range(int(n_contrib.max(initial=0))):
         has = n_contrib > j
         pts = lo[has] + j

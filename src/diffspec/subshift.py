@@ -143,34 +143,6 @@ class SubstitutionRule:
         if not self.is_primitive():
             raise NotPrimitive("substitution has no positive matrix power")
 
-    def legal_pairs(self) -> set[tuple[int, int]]:
-        """All two-letter words of the subshift.
-
-        Computed as the closure of the pairs inside letter images under
-        inflation: a pair (u, v) contributes the pairs inside image(u),
-        inside image(v), and the crossing pair (last of image(u),
-        first of image(v)).
-        """
-        if self.n_letters == 1:
-            return {(0, 0)}
-        pairs: set[tuple[int, int]] = set()
-        for img in self.images:
-            for x, y in zip(img, img[1:]):
-                pairs.add((x, y))
-        changed = True
-        while changed:
-            changed = False
-            for u, v in list(pairs):
-                iu, iv = self.images[u], self.images[v]
-                candidates = [(iu[-1], iv[0])]
-                candidates += list(zip(iu, iu[1:]))
-                candidates += list(zip(iv, iv[1:]))
-                for c in candidates:
-                    if c not in pairs:
-                        pairs.add(c)
-                        changed = True
-        return pairs
-
 
 #: named rules usable from the CLI; all primitive
 BUILTIN_RULES: dict[str, SubstitutionRule] = {
@@ -293,6 +265,7 @@ class SymbolicWindow:
 
 #: the most letters _grow builds, the level-t words of all letters together
 WINDOW_LIMIT = 2**31
+COLLARED_LIMIT = 2**16  # the most letters collared holds, its words times ell
 
 
 def _grow(rule: SubstitutionRule, letter: int, min_len: int) -> list[np.ndarray]:
@@ -372,6 +345,42 @@ def fixed_point_window(
             break
     left = np.concatenate(tail[::-1])[-min_len:]
     return SymbolicWindow(np.concatenate([left, right]), -min_len, weights or {})
+
+
+def collared(rule: SubstitutionRule, ell: int) -> tuple[SubstitutionRule, np.ndarray]:
+    """(sigma, words): the ell-block substitution sigma_ell of a primitive
+    rule, whose letter k is row k of words, the legal words of length ell
+    as a read-only int16 array in lexicographic order (as in WordPlan).
+
+    sigma maps w to the ell-words of image(w) at its positions 0 ...
+    |image(w_0)| - 1.  The words are the closure under sigma of the first
+    ell letters of some image^t(0), so no window is read; a -> a never
+    grows, and its sigma is the identity on a^ell.  Raises NotPrimitive,
+    ValueError for ell < 1, and OutOfRange past COLLARED_LIMIT letters.
+    """
+    rule.require_primitive()
+    if ell < 1:
+        raise ValueError("ell must be positive")
+    images: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    todo = [(0,) * ell if rule.images == ((0,),) else (0,)]
+    while todo:
+        word = todo.pop()
+        if word in images:
+            continue
+        if (len(images) + 1) * ell > COLLARED_LIMIT:
+            raise OutOfRange(f"the legal words of length {ell} hold more than "
+                             f"{COLLARED_LIMIT} letters (COLLARED_LIMIT)")
+        while len(word) < ell:  # only the start word, cut from image^t(0)
+            word = rule.apply(word)[:ell]
+        full = rule.apply(word)
+        images[word] = [full[i : i + ell] for i in range(len(rule.image(word[0])))]
+        todo += images[word]
+    order = sorted(images)
+    rank = {word: k for k, word in enumerate(order)}
+    sigma = SubstitutionRule(tuple(tuple(rank[v] for v in images[w]) for w in order))
+    words = np.array(order, dtype=np.int16)
+    words.flags.writeable = False
+    return sigma, words
 
 
 def _ranks(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -495,7 +504,8 @@ def letter_frequencies_pf(rule: SubstitutionRule) -> np.ndarray:
     """Letter frequencies from the Perron-Frobenius eigenvector.
 
     Returns the right eigenvector of the count matrix for the largest
-    eigenvalue, normalized to sum 1.  Requires primitivity.
+    eigenvalue, normalized to sum 1.  Requires primitivity.  For the
+    sigma of collared(rule, ell), these are the frequencies of its words.
     """
     rule.require_primitive()
     m = rule.count_matrix().astype(float)

@@ -492,6 +492,14 @@ class TestBumps:
         f = smooth_comb(ps, 0.5, t)
         np.testing.assert_allclose(f.real, [0.5, 1.0, 0.5, 0.0, 1.0])
 
+    def test_smooth_comb_with_both_neighbours_in_a_rounded_window(self):
+        # eps is below the packing radius 0.5, but at 1e4 the rounded ends
+        # t -+ eps reach both points; each tent is 0 there
+        ps = PointSet1D(np.array([1e4, 1e4 + 1.0]))
+        eps = np.nextafter(0.5, 0)
+        assert eps < ps.packing_radius
+        assert smooth_comb(ps, eps, np.array([1e4 + 0.5])).tolist() == [0.0]
+
     def test_smooth_comb_carries_weights(self):
         ps = PointSet1D(np.array([0.0, 3.0]), weights=np.array([2.0, -1.0 + 0j]))
         f = smooth_comb(ps, 0.5, np.array([0.0, 3.0]))

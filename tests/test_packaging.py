@@ -129,7 +129,6 @@ def test_every_exported_name_has_a_caller():
 
 # public members that only tests call, kept as independent oracles for them
 TEST_ORACLES = {
-    "SubstitutionRule.legal_pairs",
     "FourierModuleElement.star_value",
     "SymbolicWindow.letter",
 }

@@ -13,6 +13,7 @@ from diffspec.subshift import (
     SymbolicWindow,
     _grow,
     build_frequency_table,
+    collared,
     dictionary,
     fixed_point_window,
     letter_frequencies_pf,
@@ -20,6 +21,7 @@ from diffspec.subshift import (
     rule_by_name,
     word_frequency_empirical,
     word_occurrences,
+    word_plan,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -37,6 +39,31 @@ PREFIXES = {
 
 def window(name, min_len=256, **kw):
     return fixed_point_window(rule_by_name(name), 0, min_len, **kw)
+
+
+def legal_words(rule, ell):
+    """The legal words of length ell, as tuples, from collared."""
+    return set(map(tuple, collared(rule, ell)[1].tolist()))
+
+
+def pair_closure(rule):
+    """All two-letter words, as the closure of the pairs inside letter
+    images under inflation: a pair (u, v) contributes the pairs inside
+    image(u), inside image(v), and the crossing pair (last of image(u),
+    first of image(v))."""
+    if rule.n_letters == 1:
+        return {(0, 0)}
+    pairs = {pair for img in rule.images for pair in zip(img, img[1:])}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in list(pairs):
+            iu, iv = rule.images[u], rule.images[v]
+            for pair in [(iu[-1], iv[0]), *zip(iu, iu[1:]), *zip(iv, iv[1:])]:
+                if pair not in pairs:
+                    pairs.add(pair)
+                    changed = True
+    return pairs
 
 
 class TestRules:
@@ -71,10 +98,11 @@ class TestRules:
                 assert m[:, j].sum() == len(rule.image(j))
 
     def test_legal_pairs(self):
-        assert rule_by_name("thue-morse").legal_pairs() == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        assert rule_by_name("fibonacci").legal_pairs() == {(0, 0), (0, 1), (1, 0)}
-        assert rule_by_name("period-doubling").legal_pairs() == {(0, 0), (0, 1), (1, 0)}
-        assert len(rule_by_name("rudin-shapiro").legal_pairs()) == 8
+        pairs = {name: legal_words(rule_by_name(name), 2) for name in PREFIXES}
+        assert pairs["thue-morse"] == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert pairs["fibonacci"] == {(0, 0), (0, 1), (1, 0)}
+        assert pairs["period-doubling"] == {(0, 0), (0, 1), (1, 0)}
+        assert len(pairs["rudin-shapiro"]) == 8
 
 
 class TestFixedPointWindow:
@@ -92,7 +120,7 @@ class TestFixedPointWindow:
     @pytest.mark.parametrize("name", sorted(PREFIXES))
     def test_every_adjacent_pair_is_legal(self, name):
         w = window(name)
-        pairs = rule_by_name(name).legal_pairs()
+        pairs = legal_words(rule_by_name(name), 2)
         letters = w.letters
         seen = set(zip(letters[:-1].tolist(), letters[1:].tolist()))
         assert seen <= pairs
@@ -254,7 +282,7 @@ class TestAgainstTupleRoute:
     @given(permutation_rules(), st.integers(1, 300))
     def test_rules_with_a_permuted_last_letter_map(self, rule, min_len):
         assert_matches_tuple_route(rule, 0, min_len)
-        pairs = rule.legal_pairs()
+        pairs = legal_words(rule, 2)
         letters = fixed_point_window(rule, 0, min_len).letters.tolist()
         assert set(zip(letters, letters[1:])) <= pairs
 
@@ -265,7 +293,7 @@ class TestAgainstTupleRoute:
         w = fixed_point_window(rule, 0, min_len)
         assert w.lo == -min_len
         letters = w.letters.tolist()
-        assert set(zip(letters, letters[1:])) <= rule.legal_pairs()
+        assert set(zip(letters, letters[1:])) <= legal_words(rule, 2)
         assert_matches_tuple_route(rule, 0, min_len)
 
     def test_gen_from_a_rule_file_with_long_cycles(self, tmp_path):
@@ -285,6 +313,106 @@ class TestAgainstTupleRoute:
         assert len(fixed_point_window(parse_rule("a -> a"), 0, 512)) == 1024
         with pytest.raises(OutOfRange, match="1026 letters, over the limit of 1024"):
             fixed_point_window(parse_rule("a -> a"), 0, 513)
+
+
+class TestCollared:
+    """The ell-block substitution against the pair closure and windows."""
+
+    @pytest.mark.parametrize("name", sorted(PREFIXES))
+    def test_pairs_equal_the_pair_closure(self, name):
+        rule = rule_by_name(name)
+        assert legal_words(rule, 2) == pair_closure(rule)
+
+    @settings(max_examples=50, deadline=None)
+    @given(permutation_rules())
+    def test_pairs_equal_the_pair_closure_with_a_permuted_last_letter_map(self, rule):
+        assert legal_words(rule, 2) == pair_closure(rule)
+
+    def test_pairs_equal_the_pair_closure_of_long_cycles(self):
+        rule = parse_rule(cyclic_rule())
+        assert legal_words(rule, 2) == pair_closure(rule)
+
+    @pytest.mark.parametrize("name", sorted(PREFIXES))
+    def test_words_are_those_of_a_long_window(self, name):
+        w = window(name, 2**16)
+        for ell in range(1, 5):
+            assert np.array_equal(collared(rule_by_name(name), ell)[1], word_plan(w, ell).words)
+
+    @settings(max_examples=100, deadline=None)
+    @given(primitive_rules(), st.integers(1, 4))
+    def test_words_of_random_rules_are_those_of_a_long_window(self, rule, ell):
+        w = fixed_point_window(rule, 0, 2**15)
+        assert np.array_equal(collared(rule, ell)[1], word_plan(w, ell).words)
+
+    @pytest.mark.parametrize("name", sorted(PREFIXES))
+    def test_sigma_1_is_the_rule(self, name):
+        rule = rule_by_name(name)
+        sigma, words = collared(rule, 1)
+        assert sigma == rule
+        assert words.tolist() == [[a] for a in range(rule.n_letters)]
+
+    @pytest.mark.parametrize("name", sorted(PREFIXES))
+    @pytest.mark.parametrize("ell", [2, 3, 5])
+    def test_sigma_fixes_the_word_sequence_of_the_fixed_point(self, name, ell):
+        # the ell-words u[i : i + ell] of u = image(u), as ranks, are the
+        # fixed point of sigma_ell
+        rule = rule_by_name(name)
+        sigma, words = collared(rule, ell)
+        rank = {tuple(row): k for k, row in enumerate(words.tolist())}
+        u = fixed_point_prefix(rule, 0, 3000)
+        seq = tuple(rank[u[i : i + ell]] for i in range(len(u) - ell + 1))
+        image = sigma.apply(seq[:500])
+        assert image == seq[: len(image)]
+
+    def test_words_are_a_read_only_int16_array(self):
+        sigma, words = collared(rule_by_name("rudin-shapiro"), 4)
+        assert words.dtype == np.int16 and words.shape == (sigma.n_letters, 4)
+        assert not words.flags.writeable
+        assert sorted(map(tuple, words.tolist())) == list(map(tuple, words.tolist()))
+
+    @pytest.mark.parametrize("name, tol", [
+        ("thue-morse", 2e-5), ("period-doubling", 2e-5), ("fibonacci", 2e-5),
+        ("silver-mean", 2e-5),
+        # the second eigenvalue sqrt 2 of Rudin-Shapiro leaves an N^(-1/2) error
+        ("rudin-shapiro", 2e-3),
+    ])
+    def test_pf_frequencies_match_window_counts(self, name, tol):
+        w = window(name, 2**16)
+        table = build_frequency_table(w, 4).freqs
+        for ell in range(1, 5):
+            sigma, words = collared(rule_by_name(name), ell)
+            pf = letter_frequencies_pf(sigma)
+            assert pf.sum() == pytest.approx(1.0, abs=1e-12)
+            counted = [table[word] for word in map(tuple, words.tolist())]
+            assert np.abs(pf - counted).max() <= tol
+
+    def test_one_letter_rule_is_the_identity_on_its_one_word(self):
+        for ell in (1, 3, 100):
+            sigma, words = collared(parse_rule("a -> a"), ell)
+            assert sigma == parse_rule("a -> a")
+            assert words.tolist() == [[0] * ell]
+
+    def test_non_primitive_rule_raises(self):
+        with pytest.raises(NotPrimitive):
+            collared(SubstitutionRule(((0, 0), (1, 1))), 2)
+
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_length_below_1_raises(self, ell):
+        with pytest.raises(ValueError, match="ell must be positive"):
+            collared(rule_by_name("thue-morse"), ell)
+
+    def test_words_past_the_limit_raise_while_they_grow(self, monkeypatch):
+        # Thue-Morse has 10 words of length 4 and 4 of length 2
+        monkeypatch.setattr(subshift, "COLLARED_LIMIT", 39)
+        assert len(collared(rule_by_name("thue-morse"), 2)[1]) == 4
+        with pytest.raises(OutOfRange, match="length 4 hold more than 39 letters"):
+            collared(rule_by_name("thue-morse"), 4)
+        monkeypatch.setattr(subshift, "COLLARED_LIMIT", 40)
+        assert len(collared(rule_by_name("thue-morse"), 4)[1]) == 10
+
+    def test_a_word_longer_than_the_limit_raises_before_it_grows(self):
+        with pytest.raises(OutOfRange, match="COLLARED_LIMIT"):
+            collared(rule_by_name("fibonacci"), 10**18)
 
 
 class TestWordStatistics:
