@@ -55,6 +55,12 @@ from .verify import SUITE_KEYWORDS, SUITE_NAMES, named_block_map, run_suite
 MAX_WEIGHT = 1e100
 
 
+def _bounded(z: complex) -> bool:
+    """|z| finite and at most MAX_WEIGHT; a part above it fails before
+    abs could overflow."""
+    return abs(z.real) <= MAX_WEIGHT and abs(z.imag) <= MAX_WEIGHT and abs(z) <= MAX_WEIGHT
+
+
 def _parse_floats(text: str) -> list[float]:
     """A nonempty list of finite numbers, separated by , or ;."""
     vals = [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
@@ -88,7 +94,7 @@ def _parse_weights(text: str | None, n_letters: int) -> dict[int, complex]:
             weights[letter] = _parse_complex(val)
         except ValueError as exc:
             raise DiffspecError(f"bad weight value {val!r}") from exc
-        if not abs(weights[letter]) <= MAX_WEIGHT:
+        if not _bounded(weights[letter]):
             raise DiffspecError(f"weight value {val!r} is not finite or above {MAX_WEIGHT:g}")
     return weights
 
@@ -263,6 +269,9 @@ def cmd_factor(args) -> int:
         g = BlockMap.parse(Path(args.map_file).read_text())
     else:
         g = named_block_map(args.g, src)
+    for val in [*g.table.values(), *([] if g.default is None else [g.default])]:
+        if not _bounded(val):
+            raise DiffspecError(f"block map value {val} is not finite or above {MAX_WEIGHT:g}")
     image = apply_block_map(src, g)
     report = verify_factor_equivariance(src, g, range(1, args.shifts + 1), reference=image)
 

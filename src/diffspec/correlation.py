@@ -45,9 +45,6 @@ class CorrelationSeq:
             raise IndexError(f"lag {m} outside [-{self.max_lag}, {self.max_lag}]")
         return complex(self.data[m + self.max_lag])
 
-    def lags(self) -> np.ndarray:
-        return np.arange(-self.max_lag, self.max_lag + 1)
-
     def pair_count(self, m: int) -> int:
         return self.n_used - abs(m)
 
@@ -229,7 +226,6 @@ class PointCorrelation:
     diffs: np.ndarray
     values: np.ndarray
     counts: np.ndarray
-    radius_used: float
     merge_tol: float = MERGE_TOL
 
     def value(self, z: float) -> complex:
@@ -326,6 +322,4 @@ def autocorr_pointset(ps, z_max: float, merge_tol: float = MERGE_TOL) -> PointCo
     diffs_full = np.concatenate([neg_reps, reps])
     values_full = np.concatenate([neg_sums, sums]) / extent
     counts_full = np.concatenate([neg_counts, counts])
-    return PointCorrelation(
-        z_max, diffs_full, values_full, counts_full, extent / 2.0, merge_tol
-    )
+    return PointCorrelation(z_max, diffs_full, values_full, counts_full, merge_tol)

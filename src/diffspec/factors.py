@@ -18,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedInput, MissingTableEntry, WindowTooShort
-from .subshift import SymbolicWindow, data_lines, word_letters, word_name, word_plan
-
-
-def _fmt_complex(z: complex) -> str:
-    z = complex(z)
-    if z.imag == 0:
-        return f"{z.real:.12g}"
-    return f"{z.real:.12g}{z.imag:+.12g}i"
+from .subshift import SymbolicWindow, data_lines, word_letters, word_plan
 
 
 def _parse_complex(s: str) -> complex:
@@ -66,24 +59,15 @@ class BlockMap:
             raise MissingTableEntry(f"no entry for word {word}")
         return complex(self.default)
 
-    def output_values(self) -> list[complex]:
-        """Distinct outputs in canonical (re, im) order."""
-        vals = set(self.table.values())
-        if self.default is not None:
-            vals.add(complex(self.default))
-        return sorted(vals, key=lambda z: (z.real, z.imag))
-
-    def serialize(self) -> str:
-        lines = [f"offset {self.offset} length {self.length}"]
-        for w in sorted(self.table):
-            lines.append(f"{word_name(w)} -> {_fmt_complex(self.table[w])}")
-        if self.default is not None:
-            lines.append(f"* -> {_fmt_complex(self.default)}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def parse(cls, text: str) -> "BlockMap":
-        """Read the format written by serialize; MalformedInput otherwise."""
+        """Read a block map; MalformedInput for anything else.
+
+        The text is a header line ``offset O length L``, then one line
+        ``WORD -> VALUE`` per table word of L letters, then optionally
+        ``* -> VALUE``, the default for every other word.  VALUE is a
+        complex number in Python syntax whose imaginary unit is i or j.
+        """
         try:
             lines = list(data_lines(text))
             if not lines or not lines[0].startswith("offset"):
@@ -135,10 +119,6 @@ def indicator_block_map(word: tuple[int, ...], offset: int = 0) -> BlockMap:
     return BlockMap(offset, len(word), {tuple(word): 1.0 + 0j}, default=0.0 + 0j)
 
 
-def _output_ids(g: BlockMap) -> dict[complex, int]:
-    return {v: i for i, v in enumerate(g.output_values())}
-
-
 def apply_block_map(window: SymbolicWindow, g: BlockMap) -> SymbolicWindow:
     """Slide g over the window; the result is the factor-image window.
 
@@ -159,7 +139,11 @@ def apply_block_map(window: SymbolicWindow, g: BlockMap) -> SymbolicWindow:
     if missing:
         raise MissingTableEntry(f"{missing} block words without table entry")
 
-    ids = _output_ids(g)
+    # output ids number the distinct table values, then the default, in
+    # (re, im) order; the set keeps a table value over an equal default
+    ids = {v: i for i, v in enumerate(sorted(
+        {*g.table.values(), *([] if g.default is None else [complex(g.default)])},
+        key=lambda z: (z.real, z.imag)))}
     lookup = np.array([ids[complex(v)] for v in vals], dtype=np.int16)
     out_weights = {i: complex(v) for v, i in ids.items()}
     return SymbolicWindow(lookup.take(plan.ids), out_lo, out_weights)
@@ -199,7 +183,7 @@ def verify_factor_equivariance(
     reference, spaced evenly over the part both images cover, both ends
     included; each later shift t reads those sites turned cyclically by
     t minus the first shift, so that each shift reads other sites.
-    Violations are reported, never raised.
+    Violations, a nan deviation among them, are reported, never raised.
     """
     if reference is None:
         reference = apply_block_map(window, g)
@@ -221,7 +205,7 @@ def verify_factor_equivariance(
         turn = t - checked[0]
         for r in sorted({r_lo + (span * j // 8 + turn) % (span + 1) for j in range(9)}):
             d = abs(evaluate_at(shifted, g, r - t) - ref_vals[r - reference.lo])
-            max_dev = max(max_dev, d)
-            if d > 1e-12 and first is None:
+            max_dev = float(np.maximum(max_dev, d))  # a nan deviation stays
+            if not d <= 1e-12 and first is None:
                 first = (t, r - t)
     return EquivarianceReport(first is None, checked, first, max_dev)

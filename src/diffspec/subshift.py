@@ -128,16 +128,20 @@ class SubstitutionRule:
         return m
 
     def is_primitive(self) -> bool:
-        """True iff some power M^k (k <= n^2) is entrywise positive."""
-        m = self.count_matrix()
+        """True iff some power M^k is entrywise positive.  By Wielandt's
+        bound k = (n - 1)^2 + 1 suffices, and so does any larger k, so the
+        0/1 pattern of M is squared until its exponent reaches that bound.
+        The squares are float64 (BLAS) and exact: entries stay 0 or 1, so
+        each sum is at most n."""
         n = self.n_letters
-        p = np.minimum(m, 1)
-        acc = p.copy()
-        for _ in range(n * n):
-            if np.all(acc > 0):
-                return True
-            acc = np.minimum(acc @ p, 1)
-        return bool(np.all(acc > 0))
+        p = np.minimum(self.count_matrix(), 1).astype(np.float64)
+        k = 1
+        while not p.all():
+            if k >= (n - 1) ** 2 + 1:
+                return False
+            p = np.minimum(p @ p, 1.0)
+            k *= 2
+        return True
 
     def require_primitive(self):
         if not self.is_primitive():
@@ -403,9 +407,11 @@ def _column_ranks(col: np.ndarray) -> tuple[np.ndarray, int]:
     """Each entry's rank among the distinct values of an integer column, in
     increasing order, and their number (_ranks).  A range of at most
     4 len(col) values, its span taken in Python ints, is first shifted
-    to start at 0, so the shift cannot wrap."""
-    lo, span = (int(col.min()), int(col.max()) - int(col.min()) + 1) if len(col) else (0, 0)
-    ids, counts = _ranks((col - lo).astype(np.intp) if span <= 4 * len(col) else col, span)
+    to start at 0 by one intp subtraction, exact since every difference
+    lies in [0, span)."""
+    lo, hi = (col.min(), col.max()) if len(col) else (0, -1)
+    span = int(hi) - int(lo) + 1
+    ids, counts = _ranks(np.subtract(col, lo, dtype=np.intp) if span <= 4 * len(col) else col, span)
     return ids, len(counts)
 
 
@@ -547,9 +553,7 @@ def word_frequency_empirical(
 class WordFrequencyTable:
     """Empirical frequencies of every word up to a maximal length."""
 
-    max_len: int
     freqs: dict[tuple[int, ...], float]
-    error_bound: float
 
 
 def build_frequency_table(window: SymbolicWindow, max_len: int) -> WordFrequencyTable:
@@ -565,4 +569,4 @@ def build_frequency_table(window: SymbolicWindow, max_len: int) -> WordFrequency
         plan = word_plan(window, ell)
         n = len(window) - ell + 1
         freqs.update(zip(plan.tuples(), (c / n for c in plan.counts.tolist())))
-    return WordFrequencyTable(max_len, dict(sorted(freqs.items())), max_len / len(window))
+    return WordFrequencyTable(dict(sorted(freqs.items())))

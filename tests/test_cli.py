@@ -284,6 +284,22 @@ class TestFactorAndFreq:
         assert err.startswith("error: letter id 26 has no name") and "26 letters" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("lines, named", [
+        ("a -> nan\nb -> 1e300\n", "(nan+0j)"),
+        ("a -> 1\nb -> 1e300\n", "(1e+300+0j)"),
+        ("a -> inf\nb -> 1\n", "(inf+0j)"),
+        ("a -> 1\n* -> nan\n", "(nan+0j)"),
+        ("a -> 1\nb -> 1.7e308+1.7e308i\n", "(1.7e+308+1.7e+308j)"),
+    ])
+    def test_factor_refuses_map_values_that_weights_refuse(self, capsys, tmp_path, lines, named):
+        path = tmp_path / "map.txt"
+        path.write_text("offset 0 length 1\n" + lines)
+        code, out, err = run(
+            capsys, ["factor", "--rule", "thue-morse", "--len", "64", "--map-file", str(path)]
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: block map value {named} is not finite or above 1e+100\n"
+
     @pytest.mark.parametrize("exact", [True, False])
     def test_cluster_frequencies_from_point_set_file(self, capsys, tmp_path, exact):
         chain = silver_mean_chain(3000)

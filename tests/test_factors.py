@@ -1,4 +1,4 @@
-"""Sliding block maps: application, serialization, equivariance."""
+"""Sliding block maps: application, parsing, equivariance."""
 
 import numpy as np
 import pytest
@@ -37,9 +37,9 @@ class TestBlockMapBasics:
         with pytest.raises(MissingTableEntry):
             g.output((1, 1))
 
-    def test_serialize_parse_round_trip(self):
+    def test_parse_reads_the_map_file_format(self):
         g = BlockMap(-1, 3, {(0, 1, 0): 0.5 + 2.0j, (1, 0, 0): -1.0}, default=0.25)
-        back = BlockMap.parse(g.serialize())
+        back = BlockMap.parse("offset -1 length 3\naba -> 0.5+2i\nbaa -> -1\n* -> 0.25\n")
         assert back.offset == g.offset and back.length == g.length
         assert back.table == g.table and back.default == g.default
 
@@ -132,6 +132,15 @@ class TestEquivariance:
         assert not report.ok
         assert report.first_violation is not None
         assert report.max_abs_dev == 1.0
+
+    def test_nan_output_is_a_violation(self):
+        # a nan deviation fails both d > tol and max(max_dev, d)
+        w = tm_window(128)
+        g = BlockMap(0, 1, {(0,): 1.0, (1,): float("nan")})
+        report = verify_factor_equivariance(w, g, range(1, 5))
+        assert not report.ok
+        assert report.first_violation is not None
+        assert np.isnan(report.max_abs_dev)
 
     def test_each_shift_reads_other_reference_sites(self, monkeypatch):
         from diffspec import factors

@@ -127,36 +127,52 @@ def test_every_exported_name_has_a_caller():
     assert sorted(set(diffspec.__all__) - callers()) == []
 
 
-# public members that only tests call, kept as independent oracles for them
+# public members that only tests call or read, kept as independent
+# oracles for them
 TEST_ORACLES = {
+    "EquivarianceReport.first_violation",
     "FourierModuleElement.star_value",
     "SymbolicWindow.letter",
 }
 
+# public method names that more than one class defines: a call of one
+# hides an idle other from the caller check, so each was checked by hand
+# to have a caller on every class that defines it
+SHARED_METHOD_NAMES = {"parse", "to_csv", "value"}
+
+
+def library_classes():
+    """(class, public method names, public annotated field names) for every
+    top-level class of the library."""
+    for path in PACKAGE.glob("*.py"):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, ast.ClassDef):
+                methods = [node.name for node in stmt.body
+                           if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+                fields = [node.target.id for node in stmt.body
+                          if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                          and not node.target.id.startswith("_")]
+                yield stmt.name, methods, fields
+
 
 def public_definitions() -> set[str]:
     """Every public top-level function and class of the library, as its
-    name, and every public method of its classes, as Class.method."""
+    name, and every public method and annotated field of its classes, as
+    Class.member."""
     found = set()
     for path in PACKAGE.glob("*.py"):
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if not stmt.name.startswith("_"):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
                 found.add(stmt.name)
-            if isinstance(stmt, ast.ClassDef):
-                found |= {
-                    f"{stmt.name}.{node.name}"
-                    for node in stmt.body
-                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-                }
+    for cls, methods, fields in library_classes():
+        found |= {f"{cls}.{name}" for name in methods + fields}
     return found
 
 
 def test_every_public_definition_has_a_caller():
-    """Each public function, class and method is used by the library, the
-    acceptance gates or the benchmark, or is a named test oracle.  A
-    method counts as called only where its name is loaded as an
+    """Each public function, class, method and field is used by the
+    library, the acceptance gates or the benchmark, or is a named test
+    oracle.  A member counts as used only where its name is loaded as an
     attribute, not where a variable shares its name."""
     require_source_checkout()
     names, attributes = callers(), callers(attributes=True)
@@ -167,6 +183,14 @@ def test_every_public_definition_has_a_caller():
     assert sorted(idle - TEST_ORACLES) == []
     # an oracle that gains a caller leaves the list
     assert sorted(TEST_ORACLES - idle) == []
+
+
+def test_shared_method_names_are_reviewed():
+    """An attribute load of a method name counts for every class that
+    defines it, so the names that two classes share are a reviewed list:
+    a new one needs its callers checked class by class."""
+    seen = [name for _, methods, _ in library_classes() for name in methods]
+    assert {name for name in seen if seen.count(name) > 1} == SHARED_METHOD_NAMES
 
 
 def test_the_merge_tolerance_is_written_once():

@@ -307,7 +307,7 @@ class TestFejer:
         z = rng.standard_normal(max_lag + 1) + 1j * rng.standard_normal(max_lag + 1)
         z[0] = abs(z[0])
         eta = CorrelationSeq(max_lag, np.concatenate([np.conj(z[:0:-1]), z]), 2 * max_lag + 4)
-        weights = 1.0 - np.abs(eta.lags()) / (max_lag + 1.0)
+        weights = 1.0 - np.abs(np.arange(-max_lag, max_lag + 1)) / (max_lag + 1.0)
         scale = np.abs(weights * eta.data).sum()
         step = CIRCLE_GRID.step
         want = step * np.maximum(outer_product_fejer(eta, CIRCLE_GRID.centers()), 0.0)

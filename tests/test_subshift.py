@@ -66,6 +66,25 @@ def pair_closure(rule):
     return pairs
 
 
+def ref_is_primitive(rule):
+    """The earlier check: up to n^2 successive int64 products of the 0/1
+    pattern of the count matrix."""
+    n = rule.n_letters
+    p = np.minimum(rule.count_matrix(), 1)
+    acc = p.copy()
+    for _ in range(n * n):
+        if np.all(acc > 0):
+            return True
+        acc = np.minimum(acc @ p, 1)
+    return bool(np.all(acc > 0))
+
+
+def wielandt_rule(n):
+    """Letter j maps to j + 1, the last letter to 0 1: its count matrix
+    is Wielandt's, whose first positive power is (n - 1)^2 + 1."""
+    return SubstitutionRule(tuple((j + 1,) for j in range(n - 1)) + ((0, 1),))
+
+
 class TestRules:
     def test_parse_round_trip(self):
         rule = parse_rule("a -> ab\nb -> ba\n")
@@ -85,6 +104,23 @@ class TestRules:
         assert not rule.is_primitive()
         with pytest.raises(NotPrimitive):
             rule.require_primitive()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=3), min_size=n, max_size=n)))
+    def test_primitivity_by_squaring_matches_successive_powers(self, images):
+        rule = SubstitutionRule(tuple(map(tuple, images)))
+        assert rule.is_primitive() == ref_is_primitive(rule)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_primitivity_at_wielandts_bound(self, n):
+        rule = wielandt_rule(n)
+        p = np.minimum(rule.count_matrix(), 1)
+        assert not np.linalg.matrix_power(p, (n - 1) ** 2).all()
+        assert rule.is_primitive() and ref_is_primitive(rule)
+        # a cycle through every letter is irreducible but not primitive
+        cycle = SubstitutionRule(tuple(((j + 1) % n,) for j in range(n)))
+        assert not cycle.is_primitive() and not ref_is_primitive(cycle)
 
     def test_count_matrix_thue_morse(self):
         m = rule_by_name("thue-morse").count_matrix()

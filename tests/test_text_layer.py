@@ -127,7 +127,8 @@ class TestComplexValues:
     def test_i_or_j_as_the_unit(self, text, value):
         assert _parse_complex(text) == value
 
-    @pytest.mark.parametrize("text", ["inf", "-inf", "infi", "nan"])
+    # abs() of the last raises OverflowError
+    @pytest.mark.parametrize("text", ["inf", "-inf", "infi", "nan", "1.7e308+1.7e308i"])
     def test_a_weight_that_is_not_finite_exits_2(self, capsys, text):
         argv = ["gen", "--rule", "thue-morse", "--len", "16", "--weights", f"a={text},b=1"]
         code, out, err = run(capsys, argv)
