@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedInput, MissingTableEntry, WindowTooShort
-from .subshift import SymbolicWindow, data_lines, word_letters, word_plan
+from .errors import MalformedInput, MissingTableEntry, OutOfRange, WindowTooShort
+from .subshift import _MAX_ID, SymbolicWindow, data_lines, word_letters, word_plan
 
 
 def _parse_complex(s: str) -> complex:
@@ -37,6 +37,7 @@ class BlockMap:
     table maps words (tuples of source letter ids) to complex outputs.
     If ``default`` is None, applying the map to a word without a table
     entry raises MissingTableEntry; otherwise the default value is used.
+    Table values and the default are stored as complex numbers.
     """
 
     offset: int
@@ -51,13 +52,8 @@ class BlockMap:
             if len(w) != self.length:
                 raise ValueError(f"table word {w} has wrong length")
         self.table = {w: complex(v) for w, v in self.table.items()}
-
-    def output(self, word: tuple[int, ...]) -> complex:
-        if word in self.table:
-            return self.table[word]
-        if self.default is None:
-            raise MissingTableEntry(f"no entry for word {word}")
-        return complex(self.default)
+        if self.default is not None:
+            self.default = complex(self.default)
 
     @classmethod
     def parse(cls, text: str) -> "BlockMap":
@@ -141,18 +137,30 @@ def apply_block_map(window: SymbolicWindow, g: BlockMap) -> SymbolicWindow:
 
     # output ids number the distinct table values, then the default, in
     # (re, im) order; the set keeps a table value over an equal default
-    ids = {v: i for i, v in enumerate(sorted(
-        {*g.table.values(), *([] if g.default is None else [complex(g.default)])},
-        key=lambda z: (z.real, z.imag)))}
-    lookup = np.array([ids[complex(v)] for v in vals], dtype=np.int16)
-    out_weights = {i: complex(v) for v, i in ids.items()}
-    return SymbolicWindow(lookup.take(plan.ids), out_lo, out_weights)
+    outputs = sorted({*g.table.values(), *([] if g.default is None else [g.default])},
+                     key=lambda z: (z.real, z.imag))
+    if len(outputs) > _MAX_ID + 1:
+        raise OutOfRange(f"block map has {len(outputs)} distinct outputs, "
+                         f"more than the {_MAX_ID + 1} letter ids of a window")
+    ids = {v: i for i, v in enumerate(outputs)}
+    lookup = np.array([ids[v] for v in vals], dtype=np.int16)
+    return SymbolicWindow(lookup.take(plan.ids), out_lo, dict(enumerate(outputs)))
 
 
 def evaluate_at(window: SymbolicWindow, g: BlockMap, n: int) -> complex:
-    """g evaluated on the block of the window anchored at n."""
-    word = window.subword(n + g.offset, g.length)
-    return g.output(word)
+    """g on the block of the window anchored at n, read off window.letters.
+
+    IndexError where the block leaves the window; MissingTableEntry
+    where its word has no table entry and g has no default.
+    """
+    i = n + g.offset - window.lo
+    if i < 0 or i + g.length > len(window):
+        raise IndexError(f"block at {n} outside [{window.lo}, {window.hi}]")
+    word = tuple(window.letters[i : i + g.length].tolist())
+    out = g.table.get(word, g.default)
+    if out is None:
+        raise MissingTableEntry(f"no entry for word {word}")
+    return out
 
 
 @dataclass
@@ -174,12 +182,14 @@ def verify_factor_equivariance(
     """Check (Phi_g S^t x)(n) == (Phi_g x)(n + t) for each shift t.
 
     ``reference`` is the factor image Phi_g x, by default
-    apply_block_map(window, g).  The left side is evaluate_at on the
-    shifted window, one block read through g's table, so the check
-    compares the image's sliding lookup with a second algorithm.  Only
-    the shifts whose shifted window and image both still cover the
-    origin are checked, at most one per site of the window however
-    many shifts are asked for.  The first of them reads 9 sites of the
+    apply_block_map(window, g).  The left side is evaluate_at, one block
+    read through g's table, so the check compares the image's sliding
+    lookup with a second algorithm.  S^t only relabels the sites: the
+    block of S^t x at n is the block of x at n + t, so the left side is
+    read off the window's own letters, and no shifted window is built.
+    Only the shifts whose shifted window and image both still cover the
+    origin are checked, at most one per site of the window however many
+    shifts are asked for.  The first of them reads 9 sites of the
     reference, spaced evenly over the part both images cover, both ends
     included; each later shift t reads those sites turned cyclically by
     t minus the first shift, so that each shift reads other sites.
@@ -201,10 +211,10 @@ def verify_factor_equivariance(
     for t in checked:
         if span < 0:
             break
-        shifted = window.shifted(t)
         turn = t - checked[0]
         for r in sorted({r_lo + (span * j // 8 + turn) % (span + 1) for j in range(9)}):
-            d = abs(evaluate_at(shifted, g, r - t) - ref_vals[r - reference.lo])
+            # (Phi_g S^t x)(r - t) reads the block of x at r: S^t only relabels
+            d = abs(evaluate_at(window, g, r) - ref_vals[r - reference.lo])
             max_dev = float(np.maximum(max_dev, d))  # a nan deviation stays
             if not d <= 1e-12 and first is None:
                 first = (t, r - t)

@@ -235,17 +235,6 @@ class SymbolicWindow:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def letter(self, n: int) -> int:
-        if not self.lo <= n <= self.hi:
-            raise IndexError(f"index {n} outside [{self.lo}, {self.hi}]")
-        return int(self.letters[n - self.lo])
-
-    def subword(self, n: int, length: int) -> tuple[int, ...]:
-        if n < self.lo or n + length - 1 > self.hi:
-            raise IndexError("subword outside window")
-        i = n - self.lo
-        return tuple(int(c) for c in self.letters[i : i + length])
-
     def weight_table(self) -> np.ndarray:
         """The weight of every id up to the largest letter, 0 where unweighted."""
         n = int(self.letters.max()) + 1
@@ -258,10 +247,6 @@ class SymbolicWindow:
     def values(self) -> np.ndarray:
         """Complex weight sequence of the window."""
         return self.weight_table()[self.letters]
-
-    def shifted(self, t: int) -> "SymbolicWindow":
-        """The window of the t-fold shifted sequence: (S^t x)_n = x_{n+t}."""
-        return SymbolicWindow(self.letters, self.lo - t, dict(self.weights))
 
     def word_string(self) -> str:
         return word_name(self.letters)

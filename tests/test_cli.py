@@ -201,8 +201,8 @@ class TestFactorAndFreq:
         argv = ["factor", "--rule", "thue-morse", "--len", "256", "--g", "xor", "--shifts", "8"]
         code, _, _ = run(capsys, argv)
         assert code == 0
-        # one image of the window itself; the shifted windows are read
-        # through evaluate_at, not imaged again
+        # one image of the window itself; every shift is read off the
+        # window through evaluate_at, not imaged again
         assert len(calls) == 1
 
     def test_letter_frequencies_with_pf_column(self, capsys):
@@ -283,6 +283,19 @@ class TestFactorAndFreq:
         assert code == 2 and out == ""
         assert err.startswith("error: letter id 26 has no name") and "26 letters" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_factor_refuses_more_outputs_than_letter_ids(self, capsys, tmp_path):
+        # every word of length 16 its own value: 65536 outputs, past the
+        # 32768 ids an int16 window holds
+        words = ["".join(w) for w in itertools.product("ab", repeat=16)]
+        path = tmp_path / "map.txt"
+        path.write_text("offset 0 length 16\n" + "".join(f"{w} -> {i}\n" for i, w in enumerate(words)))
+        code, out, err = run(
+            capsys, ["factor", "--rule", "thue-morse", "--len", "64", "--map-file", str(path)]
+        )
+        assert code == 2 and out == ""
+        assert err == ("error: block map has 65536 distinct outputs, "
+                       "more than the 32768 letter ids of a window\n")
 
     @pytest.mark.parametrize("lines, named", [
         ("a -> nan\nb -> 1e300\n", "(nan+0j)"),

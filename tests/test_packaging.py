@@ -132,7 +132,6 @@ def test_every_exported_name_has_a_caller():
 TEST_ORACLES = {
     "EquivarianceReport.first_violation",
     "FourierModuleElement.star_value",
-    "SymbolicWindow.letter",
 }
 
 # public method names that more than one class defines: a call of one

@@ -171,12 +171,6 @@ class TestFixedPointWindow:
         zero = -w.lo
         assert w.word_string()[zero - 8 : zero] == "abbabaab"
 
-    def test_shift_moves_the_origin(self):
-        w = window("thue-morse", 32)
-        s = w.shifted(5)
-        assert s.letter(0) == w.letter(5)
-        assert len(s) == len(w)
-
     def test_values_use_weights(self):
         w = window("thue-morse", 16, weights={0: 1.0, 1: -1.0})
         vals = w.values()
@@ -201,10 +195,6 @@ class TestFixedPointWindow:
     def test_negative_weight_key_is_ignored(self):
         w = SymbolicWindow(np.array([0, 1, 0, 1]), 0, {1: 2.0, -1: 5.0})
         assert w.values().tolist() == [0, 2, 0, 2]
-
-    def test_subword_and_letter_agree(self):
-        w = window("fibonacci", 32)
-        assert w.subword(-3, 5) == tuple(w.letter(n) for n in range(-3, 2))
 
 
 def fixed_point_prefix(rule, seed, n):
