@@ -96,6 +96,13 @@ def _gram(y: np.ndarray, q: int, out: np.ndarray) -> None:
         out += np.conj(y[lo:hi]).T @ y[lo + q : hi + q]
 
 
+def _exact_float32(table: np.ndarray, n: int) -> bool:
+    """Whether n sites of this table correlate exactly in float32: a real
+    table of weights -1, 0 and 1, and n <= 2^24 sites."""
+    return (n <= 2**24 and not np.iscomplexobj(table)
+            and bool(np.isin(table, (-1.0, 0.0, 1.0)).all()))
+
+
 def _correlate_values(
     table: np.ndarray, letters: np.ndarray, max_lag: int, norm: float = 1.0
 ) -> CorrelationSeq:
@@ -112,12 +119,21 @@ def _correlate_values(
     real arithmetic and scaled by norm once per lag; complex callers
     leave norm at 1.  Sums of integers (weights +-1 and 0/1) are exact
     in any order, so their eta does not depend on B.
+
+    Weights -1, 0 and 1 on n <= 2^24 sites (_exact_float32) fill y, H_q
+    and the lag sums in float32, half the bytes of float64; the sums
+    turn float64 before norm and the division by the pair counts.  This
+    is exact: every partial sum that BLAS or np.sum forms is an integer
+    of size at most n <= 2^24, which float32 represents exactly, so any
+    grouping or FMA gives the float64 integers bit for bit.
     """
     n = len(letters)
     if n < 2 * max_lag + 4:
         raise WindowTooShort(
             f"{n} values cannot support max_lag {max_lag} (need {2 * max_lag + 4})"
         )
+    if _exact_float32(table, n):
+        table = table.astype(np.float32)
     b = max(1, min(max_lag + 1, _LAG_BLOCK, n // _MIN_ROWS))
     y = np.zeros(-(-n // b) * b, dtype=table.dtype)
     for lo in range(0, n, _GATHER_PIECE):
@@ -141,7 +157,8 @@ def _correlate_values(
             sums[q - 1] += lower.sum(axis=0)
         if q < blocks:
             upper.sum(axis=0, out=sums[q])
-    sums = sums.reshape(-1)[: max_lag + 1]
+    sums = sums.reshape(-1)[: max_lag + 1].astype(
+        np.promote_types(sums.dtype, np.float64), copy=False)
     sums[0] = sums[0].real  # sum |y_n|^2, whatever a fused multiply-add left
     if norm != 1.0:
         sums *= norm
@@ -183,7 +200,9 @@ def autocorr_symbolic(window: SymbolicWindow, max_lag: int) -> CorrelationSeq:
     When every weight is a real multiple r of one complex v (real
     weights, +-w, the 0/1 images of indicator maps) the lag kernel runs
     on the real sequence r and eta(m) = |v|^2 sum r_u r_{u+m} / (n - m),
-    with an imaginary part of exactly 0.
+    with an imaginary part of exactly 0.  Where every r is -1, 0 or 1
+    (+-w, xor, indicator images) the products run in float32, whose
+    integer sums equal the float64 ones bit for bit (_correlate_values).
     """
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")

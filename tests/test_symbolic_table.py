@@ -2,6 +2,7 @@
 
 import tracemalloc
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -247,13 +248,15 @@ class TestChunkedLagLoop:
             assert np.abs(got - want).max() <= 1e-13 * abs(want[max_lag])
 
     @pytest.mark.parametrize("weights, limit", [
-        ({0: 0.123457 - 0.992350j, 1: -0.123457 + 0.992350j}, 24e6),
+        ({0: 0.123457 - 0.992350j, 1: -0.123457 + 0.992350j}, 12e6),
+        ({0: 0.3, 1: -1.7}, 24e6),
         ({0: 1.0, 1: 0.3j}, 52e6),
-    ], ids=["line", "complex"])
+    ], ids=["plus-minus-w", "line", "complex"])
     def test_memory_stays_near_one_padded_copy(self, weights, limit):
-        """2^21 sites at 512 lags: one padded copy of the window (16.8 MB
-        as float64 on a line, 33.6 MB complex), one buffer for H_q and
-        pieces, never another array of the window's length."""
+        """2^21 sites at 512 lags: one padded copy of the window (8.4 MB
+        as float32 for +-w, 16.8 MB as float64 on any other line, 33.6 MB
+        complex), one buffer for H_q and pieces, never another array of
+        the window's length."""
         tm = fixed_point_window(rule_by_name("thue-morse"), 0, 2**20, weights=weights)
         assert len(tm) == 2**21
         tracemalloc.start()
@@ -331,6 +334,103 @@ class TestChunkedLagLoop:
             assert not eta.data.any()
         else:
             assert eta.value(0).real > 0
+
+
+@contextmanager
+def float64_kernel():
+    """Run the lag kernel in float64 (or complex128) whatever the weights."""
+    with mock.patch.object(correlation, "_exact_float32", lambda table, n: False):
+        yield
+
+
+@contextmanager
+def kernel_dtypes():
+    """Record the dtype of every site buffer the lag kernel multiplies."""
+    seen = []
+    gram = correlation._gram
+
+    def spy(y, q, out):
+        seen.append(y.dtype)
+        gram(y, q, out)
+
+    with mock.patch.object(correlation, "_gram", spy):
+        yield seen
+
+
+@st.composite
+def unit_line_windows(draw):
+    """Windows weighted r v, r in {-1, 0, 1} and one random complex v."""
+    n_letters = draw(st.integers(1, 4))
+    length = draw(st.integers(4, 400))
+    letters = draw(
+        st.lists(st.integers(0, n_letters - 1), min_size=length, max_size=length)
+    )
+    part = st.floats(-2.0, 2.0, allow_nan=False)
+    v = complex(draw(part), draw(part))
+    weights = {c: draw(st.sampled_from([-1, 0, 1])) * v for c in range(n_letters)}
+    return SymbolicWindow(np.array(letters, dtype=np.int16), 0, weights)
+
+
+class TestFloat32Kernel:
+    """Weights r v with r in {-1, 0, 1}: the lag kernel runs in float32, and
+    its integer sums give the float64 kernel's eta bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=unit_line_windows(), frac=st.floats(0.0, 1.0),
+           block=st.sampled_from([*BLOCKS, 1024]))
+    def test_random_windows_match_the_float64_kernel_exactly(self, w, frac, block):
+        max_lag = int(frac * (len(w) - 4) // 2)
+        r, norm = correlation._line_coordinates(w.weight_table())
+        assert correlation._exact_float32(r, len(w))
+        with lag_block(block):
+            with kernel_dtypes() as seen:
+                got = autocorr_symbolic(w, max_lag).data
+            with float64_kernel():
+                want = autocorr_symbolic(w, max_lag).data
+        assert set(seen) == {np.dtype(np.float32)}
+        assert (got == want).all()
+        # eta (n - m) / |v|^2 is the integer sum of r_u r_{u+m} from the
+        # pair counts, rounded once by norm and once by the division
+        pairs = len(w) - np.arange(max_lag + 1)
+        counted = pair_count_eta(w.letters, dict(enumerate(r)), max_lag) * pairs
+        exact = np.rint(counted.real)
+        assert np.abs(counted - exact).max() <= 1e-12 * len(w)
+        assert (got[max_lag:] == exact * norm / pairs).all()
+
+    def test_the_bound_is_two_to_the_24_sites(self):
+        unit = np.array([1.0, -1.0, 0.0])
+        assert correlation._exact_float32(unit, 2**24)
+        assert not correlation._exact_float32(unit, 2**24 + 1)
+
+    @pytest.mark.parametrize("table", [
+        np.array([0.3, -1.7]),
+        np.array([1.0, 2.0]),
+        np.array([1.0, -1.0], dtype=np.complex128),
+        np.array([1.0, np.nan]),
+        np.array([1.0, np.inf]),
+    ], ids=["non-integer", "two", "complex", "nan", "inf"])
+    def test_other_tables_stay_float64(self, table):
+        assert not correlation._exact_float32(table, 8)
+
+    @pytest.mark.parametrize("weights, dtype", [
+        ({0: 1.0, 1: -1.0}, np.float32),
+        ({0: 1.0}, np.float32),
+        ({0: 0.6 + 0.8j, 1: -0.6 - 0.8j}, np.float32),
+        ({0: 0.3, 1: -1.7}, np.float64),
+        ({0: 1.0, 1: 0.3j}, np.complex128),
+        ({0: 1.0, 1: np.inf}, np.complex128),
+    ], ids=["pm-one", "zero-one", "pm-w", "non-integer", "complex", "non-finite"])
+    def test_route_and_unchanged_results(self, weights, dtype):
+        tm = fixed_point_window(rule_by_name("thue-morse"), 0, 2**12, weights=weights)
+        with np.errstate(invalid="ignore"):  # inf * 0 in the non-finite products
+            with kernel_dtypes() as seen:
+                got = autocorr_symbolic(tm, 300).data
+            with float64_kernel():
+                want = autocorr_symbolic(tm, 300).data
+        assert set(seen) == {np.dtype(dtype)}
+        assert np.array_equal(got, want, equal_nan=True)
+        if np.isfinite(want).all():
+            assert np.abs(got - correlate_loop(tm.values(), 300)).max() <= 1e-13 * abs(want[300])
 
 
 def route_two_maps(window: SymbolicWindow):
