@@ -26,12 +26,12 @@ from .delone import (
 )
 from .errors import DiffspecError
 from .factors import (
+    BlockCheck,
     BlockMap,
-    EquivarianceReport,
     apply_block_map,
+    check_block_image,
     identity_map,
     indicator_block_map,
-    verify_factor_equivariance,
     xor_map,
 )
 from .modelset import (
@@ -77,12 +77,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Atom",
+    "BlockCheck",
     "BlockMap",
     "Cluster",
     "ClusterFrequency",
     "CorrelationSeq",
     "DiffspecError",
-    "EquivarianceReport",
     "FourierModuleElement",
     "InflationReport",
     "MeasureOnGrid",
@@ -99,6 +99,7 @@ __all__ = [
     "autocorr_symbolic",
     "autocorr_via_spectral_inner",
     "build_frequency_table",
+    "check_block_image",
     "cluster_frequency",
     "collared",
     "detect_atoms",
@@ -126,7 +127,6 @@ __all__ = [
     "sobol_candidates",
     "spectral_distribution",
     "tent_ft",
-    "verify_factor_equivariance",
     "verify_inflation_identity",
     "weighted_silver_comb",
     "word_frequency_empirical",

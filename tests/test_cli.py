@@ -9,7 +9,9 @@ import pytest
 
 from diffspec import cli
 from diffspec.delone import PointSet1D, cluster_frequency, enumerate_k_clusters
+from diffspec.factors import apply_block_map
 from diffspec.modelset import intensity_at, is_extinct, module_box, silver_mean_chain
+from diffspec.subshift import SymbolicWindow, fixed_point_window, rule_by_name
 
 
 def run(capsys, argv):
@@ -179,13 +181,47 @@ class TestDiffract:
 
 
 class TestFactorAndFreq:
-    def test_factor_reports_equivariance(self, capsys):
-        code, out, _ = run(
-            capsys,
-            ["factor", "--rule", "thue-morse", "--len", "256", "--g", "xor", "--shifts", "8"],
-        )
+    def test_factor_reports_the_block_check(self, capsys):
+        code, out, _ = run(capsys, ["factor", "--rule", "thue-morse", "--len", "256", "--g", "xor"])
         assert code == 0
-        assert "equivariance ok shifts 8" in out
+        lines = out.splitlines()
+        sites = int(lines[0].split()[-1])  # factor lo LO letters N
+        assert lines[-1] == f"blocks ok sites {sites} max_dev 0"
+
+    def test_factor_names_the_first_site_that_disagrees(self, capsys, monkeypatch):
+        # an image one site off its blocks is a property violation: exit 1
+        def rolled(window, g):
+            image = apply_block_map(window, g)
+            return SymbolicWindow(np.roll(image.letters, 1), image.lo, dict(image.weights))
+
+        monkeypatch.setattr(cli, "apply_block_map", rolled)
+        code, out, _ = run(capsys, ["factor", "--rule", "thue-morse", "--len", "64", "--g", "xor"])
+        assert code == 1
+        sites, first = out.splitlines()[-1].split(" first_site ")
+        assert sites.startswith("blocks violated sites ") and sites.endswith(" max_dev 1")
+        assert int(first) < 0
+
+    @pytest.mark.parametrize("shifts", ["0", "-5"])
+    def test_factor_refuses_fewer_than_one_shift(self, capsys, shifts):
+        # --shifts is gone with the shift check: any count is refused as
+        # an unknown flag, before anything is written
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["factor", "--rule", "thue-morse", "--len", "64", "--shifts", shifts])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --shifts {shifts}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_identity_factor_reads_an_unweighted_letter_as_0(self, capsys):
+        argv = ["factor", "--rule", "thue-morse", "--len", "64", "--weights", "a=1"]
+        code, out, err = run(capsys, argv + ["--g", "identity"])
+        assert code == 0, err
+        head, word, *value_lines, _ = out.splitlines()
+        values = {ln.split()[1]: complex(ln.split()[3].replace("i", "j")) for ln in value_lines}
+        window = fixed_point_window(rule_by_name("thue-morse"), 0, 64, weights={0: 1.0})
+        assert head == f"factor lo {window.lo} letters {len(window)}"
+        assert [values[c] for c in word] == window.values().tolist()
 
     def test_factor_builds_the_unshifted_image_once(self, capsys, monkeypatch):
         from diffspec import factors
@@ -198,11 +234,11 @@ class TestFactorAndFreq:
 
         monkeypatch.setattr(cli, "apply_block_map", counting)
         monkeypatch.setattr(factors, "apply_block_map", counting)
-        argv = ["factor", "--rule", "thue-morse", "--len", "256", "--g", "xor", "--shifts", "8"]
+        argv = ["factor", "--rule", "thue-morse", "--len", "256", "--g", "xor"]
         code, _, _ = run(capsys, argv)
         assert code == 0
-        # one image of the window itself; every shift is read off the
-        # window through evaluate_at, not imaged again
+        # one image of the window; the check reads its blocks off the
+        # window's letters, not off a second image
         assert len(calls) == 1
 
     def test_letter_frequencies_with_pf_column(self, capsys):
@@ -253,23 +289,6 @@ class TestFactorAndFreq:
         assert len(lines) == 4
         total = sum(float(ln.split(",")[-1]) for ln in lines[1:])
         assert total == pytest.approx(1.0, abs=1e-9)
-
-    @pytest.mark.parametrize("shifts", ["0", "-5"])
-    def test_factor_refuses_fewer_than_one_shift(self, capsys, shifts):
-        code, out, err = run(
-            capsys, ["factor", "--rule", "thue-morse", "--len", "64", "--shifts", shifts]
-        )
-        assert code == 2 and out == ""
-        assert err.startswith("error: --shifts must be at least 1") and "Traceback" not in err
-
-    def test_factor_with_more_shifts_than_window(self, capsys):
-        code, out, err = run(
-            capsys,
-            ["factor", "--rule", "thue-morse", "--len", "64", "--g", "xor", "--shifts", "200"],
-        )
-        assert code == 0, err
-        shifts = int(out.split("equivariance ok shifts ")[1].split()[0])
-        assert 0 < shifts < 200
 
     def test_factor_refuses_an_image_of_more_than_26_values(self, capsys, tmp_path):
         # every word of length 5 its own value: image ids run up to 31,

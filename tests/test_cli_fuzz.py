@@ -138,7 +138,6 @@ def check_lines(draw):
     if draw(st.booleans()):
         argv = ["factor"] + draw(sources())
         argv += draw(optional("--g", MAPS))
-        argv += draw(optional("--shifts", SMALL_INT))
         return argv
     suite = draw(st.sampled_from(SUITE_NAMES + ("all",)))
     names = SUITE_NAMES if suite == "all" else (suite,)
@@ -346,12 +345,3 @@ def test_sizes_up_to_1e18_exit_2(argv, tmp_path):
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
-
-
-def test_factor_with_a_huge_shift_count_checks_only_the_shifts_that_fit(tmp_path):
-    # the shifts are clipped to those whose image covers the origin before
-    # the loop, so 10^18 of them take no longer than the window's few
-    argv = ["factor", "--rule", "thue-morse", "--len", "64", "--shifts", str(10**18)]
-    done = limited_run(argv + ["--out", str(tmp_path / "out.txt")], timeout=20)
-    assert done.returncode == 0, done.stderr
-    assert (tmp_path / "out.txt").read_text().endswith("equivariance ok shifts 63 max_dev 0\n")

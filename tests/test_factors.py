@@ -1,5 +1,6 @@
-"""Sliding block maps: application, parsing, equivariance."""
+"""Sliding block maps: application, parsing, the block-by-block image check."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffspec.errors import MalformedInput, MissingTableEntry, OutOfRange, WindowTooShort
+from diffspec import factors
 from diffspec.factors import (
+    IMAGE_SAMPLE,
+    BlockCheck,
     BlockMap,
-    EquivarianceReport,
     apply_block_map,
-    evaluate_at,
+    check_block_image,
     identity_map,
     indicator_block_map,
-    verify_factor_equivariance,
     xor_map,
 )
 from diffspec.subshift import (
@@ -36,20 +38,28 @@ class TestBlockMapBasics:
     def test_output_lookup_and_default(self):
         w = SymbolicWindow(np.array([0, 1, 1]), 0)
         g = BlockMap(0, 2, {(0, 1): 1.0}, default=0.0)
-        assert evaluate_at(w, g, 0) == 1.0
-        assert evaluate_at(w, g, 1) == 0.0
+        image = apply_block_map(w, g)
+        assert image.lo == 0 and image.values().tolist() == [1.0, 0.0]
+        assert check_block_image(w, g, image) == BlockCheck(True, 2, None, 0.0)
 
     def test_missing_entry_without_default(self):
         w = SymbolicWindow(np.array([0, 1, 1]), 0)
         g = BlockMap(0, 2, {(0, 1): 1.0})
         with pytest.raises(MissingTableEntry):
-            evaluate_at(w, g, 1)
+            apply_block_map(w, g)
+        # an image that gives the block (1, 1) at site 1 a value
+        image = SymbolicWindow(np.array([0, 0]), 0, {0: 1.0})
+        with pytest.raises(MissingTableEntry, match=r"\(1, 1\)"):
+            check_block_image(w, g, image)
 
     @pytest.mark.parametrize("n", [-1, 2])
     def test_block_outside_the_window_raises_index_error(self, n):
+        # an image with a site n whose block leaves the window
         w = SymbolicWindow(np.array([0, 1, 1]), 0)
+        lo, hi = min(n, 0), max(n, 1)
+        image = SymbolicWindow(np.zeros(hi - lo + 1, dtype=np.int16), lo)
         with pytest.raises(IndexError):
-            evaluate_at(w, BlockMap(0, 2, {(0, 1): 1.0}, default=0.0), n)
+            check_block_image(w, BlockMap(0, 2, {(0, 1): 1.0}, default=0.0), image)
 
     def test_parse_reads_the_map_file_format(self):
         g = BlockMap(-1, 3, {(0, 1, 0): 0.5 + 2.0j, (1, 0, 0): -1.0}, default=0.25)
@@ -67,6 +77,16 @@ class TestApplication:
         w = tm_window(64, weights={0: 1.0, 1: -1.0})
         image = apply_block_map(w, identity_map(w))
         assert image.lo == w.lo and len(image) == len(w)
+        np.testing.assert_array_equal(image.values(), w.values())
+
+    def test_identity_map_holds_the_letters_present(self):
+        # a is unweighted and reads 0, as in weight_table; the weight of
+        # the absent letter c gets no table entry and so no output
+        w = tm_window(64, weights={1: -1.0, 2: 5.0})
+        g = identity_map(w)
+        assert g.table == {(0,): 0j, (1,): -1 + 0j}
+        image = apply_block_map(w, g)
+        assert image.weights == {0: -1 + 0j, 1: 0j}
         np.testing.assert_array_equal(image.values(), w.values())
 
     def test_xor_image_of_thue_morse_is_period_doubling(self):
@@ -136,63 +156,63 @@ class TestApplication:
         with pytest.raises(WindowTooShort):
             apply_block_map(w, indicator_block_map((0, 1, 0, 1)))
 
-    def test_evaluate_at_matches_applied_image(self):
-        w = tm_window(64)
-        g = xor_map()
-        image = apply_block_map(w, g)
-        for n in (-5, 0, 7):
-            assert evaluate_at(w, g, n) == image.values()[n - image.lo]
+
+def corrupted(image, site):
+    """The image with the letter at index site moved to the next output id."""
+    letters = image.letters.copy()
+    letters[site] = (letters[site] + 1) % len(image.weights)
+    return SymbolicWindow(letters, image.lo, dict(image.weights))
 
 
-class TestEquivariance:
-    def test_factor_commutes_with_shift(self):
+class TestBlockCheck:
+    def test_true_image_passes(self):
         w = tm_window(128)
-        report = verify_factor_equivariance(w, xor_map(), range(1, 9))
-        assert report.ok
-        assert report.max_abs_dev == 0.0
-        assert report.first_violation is None
+        image = apply_block_map(w, xor_map())
+        report = check_block_image(w, xor_map(), image)
+        assert report == BlockCheck(True, len(image), None, 0.0)
 
     def test_violation_is_reported_not_raised(self):
         w = tm_window(128)
-        # a reference image that is wrong at one site
         good = apply_block_map(w, xor_map())
-        letters = good.letters.copy()
-        mid = len(letters) // 2
-        letters[mid] = 1 - letters[mid]
-        bad = SymbolicWindow(letters, good.lo, dict(good.weights))
-        report = verify_factor_equivariance(w, xor_map(), range(1, 5), reference=bad)
+        mid = len(good) // 2
+        report = check_block_image(w, xor_map(), corrupted(good, mid))
         assert not report.ok
-        assert report.first_violation is not None
+        assert report.first_site == good.lo + mid
         assert report.max_abs_dev == 1.0
 
     def test_nan_output_is_a_violation(self):
-        # a nan deviation fails both d > tol and max(max_dev, d)
+        # nan equals nothing, itself included, so a nan value never agrees
         w = tm_window(128)
         g = BlockMap(0, 1, {(0,): 1.0, (1,): float("nan")})
-        report = verify_factor_equivariance(w, g, range(1, 5))
+        report = check_block_image(w, g, apply_block_map(w, g))
         assert not report.ok
-        assert report.first_violation is not None
+        assert report.first_site == w.lo + int(np.flatnonzero(w.letters == 1)[0])
         assert np.isnan(report.max_abs_dev)
 
-    def test_each_shift_reads_other_reference_sites(self, monkeypatch):
-        from diffspec import factors
+    @pytest.mark.parametrize("g", [xor_map(), BlockMap(-2, 3, {(0, 1, 1): 2.0}, default=-0.0)])
+    def test_corrupted_site_is_found(self, g):
+        w = tm_window(128)
+        image = apply_block_map(w, g)
+        for site in (0, len(image) - 1):
+            assert check_block_image(w, g, corrupted(image, site)).first_site == image.lo + site
+
+    def test_a_lookup_off_by_one_site_is_a_violation(self, monkeypatch):
+        # the image's word ids read one site late: the lookup array is
+        # right word by word but off by one site
+        plan_of = factors.word_plan
+
+        def rolled(window, ell):
+            plan = plan_of(window, ell)
+            return dataclasses.replace(plan, ids=np.roll(plan.ids, 1))
 
         w = tm_window(128)
-        sites = set()
-        evaluate = factors.evaluate_at
-
-        def spy(shifted, g, n):
-            sites.add(n + w.lo - shifted.lo)  # the reference site n + t
-            return evaluate(shifted, g, n)
-
-        monkeypatch.setattr(factors, "evaluate_at", spy)
-        report = verify_factor_equivariance(w, xor_map(), range(1, 10**18))
-        assert report.ok and len(report.shifts_checked) > 1
-        assert len(sites) > 9
+        monkeypatch.setattr(factors, "word_plan", rolled)
+        report = check_block_image(w, xor_map(), apply_block_map(w, xor_map()))
+        assert not report.ok
+        assert report.max_abs_dev == 1.0
 
     def test_a_wrong_word_lookup_is_a_violation(self, monkeypatch):
-        # the image's sliding lookup is checked against evaluate_at, a
-        # second algorithm: a lookup that swaps two words must fail it.
+        # a lookup that swaps two words must fail the per-block reading.
         # The swap goes into the encoder the word plan is built from, on
         # a fresh window that has no plan yet
         from diffspec import subshift
@@ -206,9 +226,26 @@ class TestEquivariance:
         w = tm_window(128)
         assert w._plans == {}
         monkeypatch.setattr(subshift, "sliding_words", swapped)
-        report = verify_factor_equivariance(w, xor_map(), range(1, 9))
+        report = check_block_image(w, xor_map(), apply_block_map(w, xor_map()))
         assert not report.ok
         assert report.max_abs_dev == 1.0
+
+    def test_a_long_image_is_compared_at_both_ends_and_a_fixed_sample(self):
+        w = tm_window(4096)
+        g = xor_map()
+        image = apply_block_map(w, g)
+        assert len(image) > IMAGE_SAMPLE
+        assert check_block_image(w, g, image) == BlockCheck(True, IMAGE_SAMPLE, None, 0.0)
+        for site in (0, len(image) - 1):
+            assert check_block_image(w, g, corrupted(image, site)).first_site == image.lo + site
+        # wrong at every site but the two ends: the first sampled site
+        # between them is reported, the same one on every call
+        letters = 1 - image.letters
+        letters[[0, -1]] = image.letters[[0, -1]]
+        inner = SymbolicWindow(letters, image.lo, dict(image.weights))
+        report = check_block_image(w, g, inner)
+        assert report == check_block_image(w, g, inner)
+        assert image.lo < report.first_site < image.hi and report.sites == IMAGE_SAMPLE
 
 
 def test_public_api_lists_xor_map():
@@ -228,51 +265,9 @@ def test_block_map_parse_raises_malformed_input(text):
         BlockMap.parse(text)
 
 
-def shifted_window_equivariance(window, g, shifts, reference):
-    """The reference for the equivariance check: one shifted window S^t x
-    built per shift, each block read off it through a local reader."""
-
-    def block_value(x, n):
-        i = n + g.offset - x.lo
-        if i < 0 or i + g.length > len(x):
-            raise IndexError(n)
-        word = tuple(int(c) for c in x.letters[i : i + g.length])
-        if word in g.table:
-            return g.table[word]
-        if g.default is None:
-            raise MissingTableEntry(word)
-        return complex(g.default)
-
-    ref_vals = reference.values()
-    img_lo = window.lo - g.offset
-    img_hi = window.hi - g.offset - (g.length - 1)
-    t_lo, t_hi = max(window.lo, img_lo), min(window.hi, img_hi)
-    checked = [t for t in range(t_lo, t_hi + 1) if t in shifts]
-    r_lo, r_hi = max(img_lo, reference.lo), min(img_hi, reference.hi)
-    span = r_hi - r_lo
-    first, max_dev = None, 0.0
-    for t in checked:
-        if span < 0:
-            break
-        shifted = SymbolicWindow(window.letters, window.lo - t, dict(window.weights))
-        turn = t - checked[0]
-        for r in sorted({r_lo + (span * j // 8 + turn) % (span + 1) for j in range(9)}):
-            d = abs(block_value(shifted, r - t) - ref_vals[r - reference.lo])
-            max_dev = float(np.maximum(max_dev, d))
-            if not d <= 1e-12 and first is None:
-                first = (t, r - t)
-    return EquivarianceReport(first is None, checked, first, max_dev)
-
-
-def corrupted(image, site):
-    """The image with the letter at index site moved to the next output id."""
-    letters = image.letters.copy()
-    letters[site] = (letters[site] + 1) % len(image.weights)
-    return SymbolicWindow(letters, image.lo, dict(image.weights))
-
-
 @st.composite
-def equivariance_cases(draw):
+def block_image_cases(draw):
+    """A window, a block map, its true image and one site of the image."""
     w = fixed_point_window(
         rule_by_name(draw(st.sampled_from(sorted(BUILTIN_RULES)))), 0, draw(st.integers(12, 200))
     )
@@ -298,41 +293,29 @@ def equivariance_cases(draw):
         lines.append(f"* -> {draw(values)}")
         g = BlockMap.parse("\n".join(lines) + "\n")
     image = apply_block_map(w, g)
-    if draw(st.booleans()) and len(image.weights) > 1:
-        image = corrupted(image, draw(st.integers(0, len(image) - 1)))
-    edge = 2 * len(w)
-    start = draw(st.integers(-edge, edge))
-    if draw(st.booleans()):
-        shifts = range(start, start + draw(st.integers(0, edge)))
-    else:
-        shifts = draw(st.lists(st.integers(-edge, edge), min_size=1, max_size=20))
-        shifts += draw(st.lists(st.sampled_from(shifts), max_size=5))
-    return w, g, shifts, image
+    return w, g, image, draw(st.integers(0, len(image) - 1))
 
 
-class TestReadInPlace:
-    """The check reads S^t x off the window itself and reports exactly
-    what the shifted-window loop reports."""
+class TestEverySite:
+    """An image of at most IMAGE_SAMPLE sites is compared at every site."""
 
     @settings(max_examples=200, deadline=None)
-    @given(equivariance_cases())
-    def test_matches_the_shifted_window_loop(self, case):
-        w, g, shifts, image = case
-        got = verify_factor_equivariance(w, g, shifts, reference=image)
-        want = shifted_window_equivariance(w, g, shifts, image)
-        assert got.ok == want.ok
-        assert got.shifts_checked == want.shifts_checked
-        assert got.first_violation == want.first_violation
-        assert got.max_abs_dev == want.max_abs_dev or (
-            np.isnan(got.max_abs_dev) and np.isnan(want.max_abs_dev)
-        )
-
-    @pytest.mark.parametrize("g", [xor_map(), BlockMap(-2, 3, {(0, 1, 1): 2.0}, default=-0.0)])
-    def test_corrupted_site_is_found_by_both(self, g):
-        w = tm_window(128)
-        image = corrupted(apply_block_map(w, g), 0)  # the first site checked
-        shifts = [-3, 5, 5, 1, 10**6]
-        got = verify_factor_equivariance(w, g, shifts, reference=image)
-        want = shifted_window_equivariance(w, g, shifts, image)
-        assert got.first_violation is not None
-        assert got == want
+    @given(block_image_cases())
+    def test_true_image_passes_and_any_corrupted_site_is_found(self, case):
+        w, g, image, site = case
+        assert len(image) <= IMAGE_SAMPLE
+        values = image.values()
+        nan_sites = np.flatnonzero(np.isnan(values)).tolist()
+        report = check_block_image(w, g, image)
+        assert report.sites == len(image)
+        # a nan value is the one way a true image fails
+        assert report.ok == (not nan_sites)
+        assert report.first_site == (image.lo + nan_sites[0] if nan_sites else None)
+        if len(image.weights) < 2:
+            return
+        bad = corrupted(image, site)
+        report = check_block_image(w, g, bad)
+        assert not report.ok
+        assert report.first_site == image.lo + min([site, *nan_sites])
+        if not nan_sites:
+            np.testing.assert_equal(report.max_abs_dev, abs(bad.values()[site] - values[site]))

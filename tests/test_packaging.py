@@ -130,7 +130,6 @@ def test_every_exported_name_has_a_caller():
 # public members that only tests call or read, kept as independent
 # oracles for them
 TEST_ORACLES = {
-    "EquivarianceReport.first_violation",
     "FourierModuleElement.star_value",
 }
 
